@@ -20,7 +20,7 @@ import numpy as np
 from . import mdp as mdp_mod
 from .diagnostics import error_decomposition
 from .errors import ConditioningError, ParameterError, SstacError
-from .features import FeatureMap, gram_matrix
+from .features import FeatureMap, gram_matrix, min_eigenvalue
 from .policy import softmax_rows
 from .sampling import RNG_ID, RunRng, _conditional_draws, sample_sa, sample_tuples
 from .trace import BASE_COLUMNS, RunTrace
@@ -63,13 +63,57 @@ def actor_step(state: LinearAcState) -> LinearAcState:
     return dataclasses.replace(state, theta=theta_next, inv_tau=inv_tau_next, k=state.k + 1)
 
 
-def _check_gram(gram: np.ndarray, tol: float, hint: str) -> None:
-    sigma_min = float(np.linalg.eigvalsh(gram)[0])
+def _population_moments(features: FeatureMap, rho: np.ndarray, target: np.ndarray):
+    """Gram E_rho[phi phi^T] and right-hand side E_rho[target phi]; diagonal Gram for one-hot features."""
+    gram = gram_matrix(features, rho)
+    weighted = rho * target
+    if features.one_hot:
+        return np.diagonal(gram), weighted.reshape(-1)
+    return gram, np.einsum("sa,sad->d", weighted, features.phi)
+
+
+def _sample_moments(features: FeatureMap, batch: TransitionBatch, y: np.ndarray):
+    """Empirical Gram over the batch's Gram pairs and right-hand side mean(y phi[s, a]).
+
+    For one-hot features the Gram is diagonal (pair visit frequencies) and
+    both moments are bin sums over the flat pair index s * A + a, which add
+    the same terms in the same order as the dense sums.
+    """
+    n = batch.size
+    if features.one_hot:
+        n_actions = features.n_actions
+        pairs = batch.gram_pairs[:, 0] * n_actions + batch.gram_pairs[:, 1]
+        gram = np.bincount(pairs, minlength=features.dim) / n
+        rhs = np.bincount(batch.s * n_actions + batch.a, weights=y, minlength=features.dim) / n
+        return gram, rhs
+    phi = features.phi
+    phi_gram = phi[batch.gram_pairs[:, 0], batch.gram_pairs[:, 1]]
+    return phi_gram.T @ phi_gram / n, (y[:, None] * phi[batch.s, batch.a]).mean(axis=0)
+
+
+def _solve_critic(gram, rhs, radius: float, tol: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
+    """Conditioning check, least-squares solve and ball projection shared by every critic.
+
+    ``gram`` is the dense Gram matrix, or its diagonal (1-D) for one-hot
+    features; the diagonal form divides elementwise, which gives the same
+    bits as LAPACK's solve of the diagonal matrix.
+    """
+    diagonal = gram.ndim == 1
+    ridged = gram
+    if ridge > 0.0:
+        ridged = gram + (ridge if diagonal else ridge * np.eye(len(gram)))
+    sigma_min = min_eigenvalue(ridged)
     if sigma_min < tol:
+        zero = f"; zero-weight (s, a) pairs: {np.count_nonzero(gram == 0.0)}" if diagonal else ""
         raise ConditioningError(
-            f"Gram matrix is singular beyond tolerance (sigma_min={sigma_min:.3e} < {tol:.0e}); {hint}",
+            f"Gram matrix is singular beyond tolerance (sigma_min={sigma_min:.3e} < {tol:.0e}{zero}); {hint}",
             sigma_min=sigma_min,
         )
+    if not diagonal:
+        return project_l2(np.linalg.solve(ridged, rhs), radius)
+    if not np.all(ridged):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return project_l2(rhs / ridged, radius)
 
 
 def critic_step_exact(
@@ -82,13 +126,10 @@ def critic_step_exact(
     gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Population least-squares critic under rho_next, projected onto the ball."""
-    gram = gram_matrix(features, rho_next)
-    _check_gram(gram, gram_tol, "the evaluation distribution may lack support")
     q_omega = features.value_table(state.omega)
     target = mdp_mod.bellman_eval(mdp, policy_next, q_omega)
-    rhs = np.einsum("sa,sad->d", rho_next * target, features.phi)
-    omega_tilde = np.linalg.solve(gram, rhs)
-    return project_l2(omega_tilde, state.radius)
+    gram, rhs = _population_moments(features, rho_next, target)
+    return _solve_critic(gram, rhs, state.radius, gram_tol, "the evaluation distribution may lack support")
 
 
 @dataclass(frozen=True)
@@ -144,17 +185,13 @@ def critic_step_sampled(
     gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Empirical projected least-squares critic from a transition batch."""
-    phi = features.phi
-    phi_gram = phi[batch.gram_pairs[:, 0], batch.gram_pairs[:, 1]]
-    gram = phi_gram.T @ phi_gram / batch.size
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(features.dim)
-    _check_gram(gram, gram_tol, "increase N or enable the ridge")
-    q_boot = phi[batch.s_next, batch.a_next] @ state.omega
+    if features.one_hot:
+        q_boot = state.omega[batch.s_next * features.n_actions + batch.a_next]
+    else:
+        q_boot = features.phi[batch.s_next, batch.a_next] @ state.omega
     y = (1.0 - gamma) * batch.r + gamma * q_boot
-    rhs = (y[:, None] * phi[batch.s, batch.a]).mean(axis=0)
-    omega_tilde = np.linalg.solve(gram, rhs)
-    return project_l2(omega_tilde, state.radius)
+    gram, rhs = _sample_moments(features, batch, y)
+    return _solve_critic(gram, rhs, state.radius, gram_tol, "increase N or enable the ridge", ridge=ridge)
 
 
 def critic_step_offpolicy(
@@ -176,21 +213,15 @@ def critic_step_offpolicy(
     """
     q_omega = features.value_table(state.omega)
     if isinstance(behavior, TransitionBatch):
-        phi = features.phi
-        phi_gram = phi[behavior.gram_pairs[:, 0], behavior.gram_pairs[:, 1]]
-        gram = phi_gram.T @ phi_gram / behavior.size
-        _check_gram(gram, gram_tol, "increase the behavioral batch size")
         v_next = (np.asarray(policy_next, dtype=float) * q_omega).sum(axis=1)
         y = (1.0 - mdp.gamma) * behavior.r + mdp.gamma * v_next[behavior.s_next]
-        rhs = (y[:, None] * phi[behavior.s, behavior.a]).mean(axis=0)
+        gram, rhs = _sample_moments(features, behavior, y)
+        hint = "increase the behavioral batch size"
     else:
-        rho_bhv = np.asarray(behavior, dtype=float)
-        gram = gram_matrix(features, rho_bhv)
-        _check_gram(gram, gram_tol, "the behavioral distribution may lack support")
         target = mdp_mod.bellman_eval(mdp, policy_next, q_omega)
-        rhs = np.einsum("sa,sad->d", rho_bhv * target, features.phi)
-    omega_tilde = np.linalg.solve(gram, rhs)
-    return project_l2(omega_tilde, state.radius)
+        gram, rhs = _population_moments(features, np.asarray(behavior, dtype=float), target)
+        hint = "the behavioral distribution may lack support"
+    return _solve_critic(gram, rhs, state.radius, gram_tol, hint)
 
 
 def default_radius(mdp: mdp_mod.TabularMDP) -> float:
@@ -278,18 +309,21 @@ def run_linear_ac(
         pi_next = softmax_rows(after_actor.inv_tau * features.value_table(after_actor.theta))
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
-        if mode == "exact":
-            omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next, gram_tol=gram_tol)
-        elif mode == "sampled":
-            batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
-            omega_next = critic_step_sampled(
-                after_actor, batch, features, mdp.gamma, ridge=ridge, gram_tol=gram_tol
-            )
-        else:
-            behavior = off_batch if off_batch is not None else rho_bhv
-            omega_next = critic_step_offpolicy(
-                after_actor, behavior, pi_next, features, mdp, gram_tol=gram_tol
-            )
+        try:
+            if mode == "exact":
+                omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next, gram_tol=gram_tol)
+            elif mode == "sampled":
+                batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
+                omega_next = critic_step_sampled(
+                    after_actor, batch, features, mdp.gamma, ridge=ridge, gram_tol=gram_tol
+                )
+            else:
+                behavior = off_batch if off_batch is not None else rho_bhv
+                omega_next = critic_step_offpolicy(
+                    after_actor, behavior, pi_next, features, mdp, gram_tol=gram_tol
+                )
+        except ConditioningError as exc:
+            raise ConditioningError(f"critic step at k={k}: {exc}", sigma_min=exc.sigma_min) from exc
         if float(np.linalg.norm(omega_next)) > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")
 

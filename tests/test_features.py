@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sstac import ContractViolationError, FeatureMap, gram_min_singular, random_features, tabular_features
+from sstac.deep_net import sa_encoding_table
 from sstac.features import gram_matrix
 
 
@@ -68,3 +69,44 @@ def test_rejects_oversized_norms():
     phi[0, 0] = [1.0, 0.5]
     with pytest.raises(ContractViolationError, match="norm"):
         FeatureMap(phi=phi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_features_naming_the_pair(bad):
+    phi = tabular_features(3, 2).phi.copy()
+    phi[2, 1, 0] = bad
+    with pytest.raises(ContractViolationError, match=r"finite; phi\[2, 1\]"):
+        FeatureMap(phi=phi)
+
+
+def test_tabular_features_are_detected_one_hot():
+    for n_states, n_actions in [(1, 2), (2, 2), (25, 4), (64, 8)]:
+        assert tabular_features(n_states, n_actions).one_hot
+    assert not tabular_features(1, 1).one_hot  # a single pair keeps the dense sums
+
+
+def _dense_gram(feats, rho):
+    flat = feats.phi.reshape(-1, feats.dim)
+    return (flat * rho.reshape(-1, 1)).T @ flat
+
+
+@pytest.mark.parametrize(
+    "feats",
+    [
+        # chain2's network encoding: d = S + A = S * A = 4, unit norm, not the identity
+        FeatureMap(phi=sa_encoding_table(2, 2)),
+        FeatureMap(phi=np.eye(6)[:, [1, 0, 2, 3, 5, 4]].reshape(3, 2, 6)),
+        random_features(3, 2, dim=6, seed=4),
+        FeatureMap(phi=0.5 * np.eye(6).reshape(3, 2, 6)),
+        # unit diagonal plus an off-diagonal entry small enough to pass the norm check
+        FeatureMap(phi=(np.eye(6) + 1e-7 * np.eye(6, k=1)).reshape(3, 2, 6)),
+    ],
+    ids=["sa_encoding", "permuted_identity", "random", "scaled_identity", "near_identity"],
+)
+def test_non_identity_features_keep_the_dense_gram(feats):
+    assert not feats.one_hot
+    n_pairs = feats.n_states * feats.n_actions
+    rho = np.random.default_rng(5).dirichlet(np.ones(n_pairs)).reshape(feats.n_states, feats.n_actions)
+    gram = gram_matrix(feats, rho)
+    np.testing.assert_array_equal(gram, _dense_gram(feats, rho))
+    assert gram_min_singular(feats, rho) == max(float(np.linalg.eigvalsh(gram)[0]), 0.0)

@@ -16,8 +16,10 @@ from sstac import (
     critic_step_sampled,
     draw_batch,
     exact_q_pi,
+    gridworld5,
     kl_regularized_argmax,
     run_linear_ac,
+    softmax_rows,
     stationary_dists,
     tabular_features,
 )
@@ -118,6 +120,7 @@ class TestCriticStepExact:
         with pytest.raises(ConditioningError) as exc:
             critic_step_exact(st, m, pi, feats, rho)
         assert exc.value.sigma_min is not None
+        assert "zero-weight (s, a) pairs: 2" in str(exc.value)
 
 
 class TestCriticStepSampled:
@@ -284,6 +287,23 @@ class TestRunLinearAc:
         b = run_linear_ac(m, feats, 6, mode="sampled", N=128, seed=2, shared_batch=False)
         assert len(a.rows) == len(b.rows) == 7
         assert a.to_csv_text() != b.to_csv_text()
+
+    def test_conditioning_error_names_iteration_and_unvisited_pairs(self):
+        # Without a ridge, N=1024 draws on gridworld5's 100 pairs leave some undrawn at k=0.
+        m = gridworld5()
+        feats = tabular_features(m.n_states, m.n_actions)
+        with pytest.raises(ConditioningError, match="ridge") as exc:
+            run_linear_ac(m, feats, 4, mode="sampled", N=1024, seed=0)
+        assert exc.value.code == "conditioning"
+        assert exc.value.sigma_min == 0.0
+        # The k=0 critic step draws its batch under pi_1, the uniform policy.
+        pi_1 = softmax_rows(np.zeros((m.n_states, m.n_actions)))
+        _, rho_1 = stationary_dists(m, pi_1)
+        batch = draw_batch(m, rho_1, pi_1, RunRng(0), 1024)
+        undrawn = feats.dim - len(np.unique(batch.gram_pairs[:, 0] * m.n_actions + batch.gram_pairs[:, 1]))
+        assert undrawn > 0
+        assert "at k=0:" in str(exc.value)
+        assert f"zero-weight (s, a) pairs: {undrawn})" in str(exc.value)
 
     def test_parameter_validation(self):
         m = chain2()
