@@ -31,7 +31,7 @@ from .mdp import (
 )
 from .features import FeatureMap, gram_matrix, gram_min_singular, random_features, tabular_features
 from .policy import EnergyPolicy, kl, kl_regularized_argmax, softmax_rows, to_matrix
-from .sampling import RNG_ID, RunRng, rollout_sampler, sample_sa, sample_tuples
+from .sampling import RNG_ID, RunRng, sample_sa, sample_tuples
 from .linear_ac import (
     LinearAcState,
     TransitionBatch,
@@ -51,11 +51,9 @@ from .deep_net import (
     gradient,
     init_params,
     linearization_gap,
-    load_checkpoint,
     project_ball,
     sa_encoding,
     sa_encoding_table,
-    save_checkpoint,
 )
 from .neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop, run_neural_ac
 from .diagnostics import IterDiag, concentrability_surrogate, error_decomposition, pushforward

@@ -8,7 +8,6 @@ train; every parameter set remembers the initialization it is anchored to.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,37 +190,3 @@ def sa_encoding_table(n_states: int, n_actions: int) -> np.ndarray:
 def sa_encoding(n_states: int, n_actions: int, s: int, a: int) -> np.ndarray:
     return sa_encoding_table(n_states, n_actions)[s, a]
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(params: DnnParams, path, radius: float | None = None) -> None:
-    """JSON checkpoint with header (d, m, H, seed, R) and exact float round-trip."""
-    doc = {
-        "d": params.input_dim,
-        "m": params.width,
-        "H": params.depth,
-        "seed": params.seed,
-        "R": radius,
-        "sign_vector": params.sign_vector.tolist(),
-        "weights": [w.tolist() for w in params.weights],
-        "anchor": [w.tolist() for w in params.anchor],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> tuple[DnnParams, float | None]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    params = DnnParams(
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        sign_vector=np.asarray(doc["sign_vector"], dtype=float),
-        anchor=[np.asarray(w, dtype=float) for w in doc["anchor"]],
-        seed=doc["seed"],
-    )
-    if params.input_dim != doc["d"] or params.width != doc["m"] or params.depth != doc["H"]:
-        raise ContractViolationError("checkpoint header does not match stored weight shapes")
-    return params, doc["R"]

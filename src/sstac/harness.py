@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,13 +14,13 @@ from . import __version__
 from .errors import ConfigError
 from .features import tabular_features
 from .linear_ac import run_linear_ac
+from .loop import RHO_EVALS
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
 from .sampling import RNG_ID
 from .trace import RunTrace, load_trace
 
 ALGORITHMS = ("linear_exact", "linear_sampled", "linear_offpolicy", "neural")
-RHO_EVALS = ("rho_star", "uniform")
 
 _KNOWN_KEYS = {
     "mdp",
@@ -266,7 +264,7 @@ SWEEPABLE = ("K", "N", "N_a", "N_c")
 def sweep_command(
     config: ExperimentConfig, param: str, values: list[int], out_dir: str | None = None
 ) -> tuple[Path, list[dict]]:
-    """One run per (value, seed); children may run in parallel under SSTAC_THREADS.
+    """One run per (value, seed), run one after another.
 
     Writes summary.csv with one row per run and returns its path plus rows.
     """
@@ -279,27 +277,21 @@ def sweep_command(
         for seed in derived.seeds:
             jobs.append((value, seed, derived))
 
-    def _one(job):
-        value, seed, derived = job
+    results = []
+    for value, seed, derived in jobs:
         trace = execute_run(derived, seed)
         trace.save(base / run_id(derived, seed))
         final_gap = trace.rows[-1][trace.columns.index("gap")]
         cum = trace.rows[-1][trace.columns.index("cum_regret")]
-        return {
-            "param_value": value,
-            "seed": seed,
-            "final_gap": final_gap,
-            "cum_regret": cum,
-            "regret_over_sqrtK": cum / math.sqrt(derived.K),
-        }
-
-    workers = max(1, int(os.environ.get("SSTAC_THREADS", "1")))
-    if workers == 1:
-        results = [_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one, jobs))
-
+        results.append(
+            {
+                "param_value": value,
+                "seed": seed,
+                "final_gap": final_gap,
+                "cum_regret": cum,
+                "regret_over_sqrtK": cum / math.sqrt(derived.K),
+            }
+        )
     results.sort(key=lambda row: (row["param_value"], row["seed"]))
     base.mkdir(parents=True, exist_ok=True)
     lines = ["param_value,seed,final_gap,cum_regret,regret_over_sqrtK"]

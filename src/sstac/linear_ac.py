@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mdp as mdp_mod
-from .diagnostics import error_decomposition
 from .errors import ConditioningError, ParameterError, SstacError
 from .features import FeatureMap, gram_matrix, min_eigenvalue
+from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
-from .sampling import RNG_ID, RunRng, _conditional_draws, sample_sa, sample_tuples
+from .sampling import RunRng, _conditional_draws, sample_sa, sample_tuples
 from .trace import BASE_COLUMNS, RunTrace
 
 log = logging.getLogger(__name__)
@@ -251,149 +250,87 @@ def run_linear_ac(
     in-memory history (policies, weight iterates, exact oracles).  Fully
     deterministic given the seed.
     """
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+    radius_val = float(radius) if radius is not None else default_radius(mdp)
+    beta_val = resolve_beta(K, rho_eval, beta, radius_val)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "sampled" and N < 1:
         raise ParameterError("N must be >= 1 in sampled mode")
-    if rho_eval not in ("rho_star", "uniform"):
-        raise ParameterError(f"rho_eval must be 'rho_star' or 'uniform', got {rho_eval!r}")
-
-    beta_val = float(beta) if beta is not None else math.sqrt(K)
-    if beta_val <= 0:
-        raise ParameterError("beta must be positive")
-    radius_val = float(radius) if radius is not None else default_radius(mdp)
     rng = RunRng(seed)
     if ridge > 0.0:
         log.info("ridge %g active in sampled critic updates", ridge)
-
-    q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
-    nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    if rho_eval == "rho_star":
-        rho_eval_table = rho_star
-    else:
-        rho_eval_table = np.full((n_states, n_actions), 1.0 / (n_states * n_actions))
 
     d = features.dim
     state = LinearAcState(
         theta=np.zeros(d), omega=np.zeros(d), inv_tau=0.0, k=0, beta=beta_val, radius=radius_val
     )
 
-    rho_bhv = None
-    off_batch = None
+    behavior = None  # off-policy: the uniform policy's distribution, or a fixed batch drawn from it
     if mode == "offpolicy":
-        uniform_policy = np.full((n_states, n_actions), 1.0 / n_actions)
-        _, rho_bhv = mdp_mod.stationary_dists(mdp, uniform_policy)
+        uniform_policy = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+        _, behavior = mdp_mod.stationary_dists(mdp, uniform_policy)
         if offpolicy_batch_n:
-            off_batch = draw_batch(mdp, rho_bhv, uniform_policy, rng, offpolicy_batch_n)
+            behavior = draw_batch(mdp, behavior, uniform_policy, rng, offpolicy_batch_n)
 
-    pi_0 = softmax_rows(state.inv_tau * features.value_table(state.theta))
-    policies = [pi_0]
     theta_hist = [state.theta.copy()]
     omega_hist = [state.omega.copy()]
-    rows: list[list[float]] = []
     omega_sum = np.zeros(d)
-    cum_regret = 0.0
 
-    for k in range(K + 1):
-        pi_k = policies[-1]
+    def step(k, pi_k, q_k):
+        nonlocal state, omega_sum
         omega_sum = omega_sum + state.omega
         after_actor = actor_step(state)
-        avg = omega_sum / (k + 1)
-        drift = float(np.max(np.abs(after_actor.theta - avg)))
+        drift = float(np.max(np.abs(after_actor.theta - omega_sum / (k + 1))))
         if drift > 1e-12:
-            raise SstacError(f"running-average identity violated at k={k}: drift {drift:.3e}")
+            raise SstacError(f"running-average identity violated: drift {drift:.3e}")
 
         pi_next = softmax_rows(after_actor.inv_tau * features.value_table(after_actor.theta))
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
-        try:
-            if mode == "exact":
-                omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next, gram_tol=gram_tol)
-            elif mode == "sampled":
-                batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
-                omega_next = critic_step_sampled(
-                    after_actor, batch, features, mdp.gamma, ridge=ridge, gram_tol=gram_tol
-                )
-            else:
-                behavior = off_batch if off_batch is not None else rho_bhv
-                omega_next = critic_step_offpolicy(
-                    after_actor, behavior, pi_next, features, mdp, gram_tol=gram_tol
-                )
-        except ConditioningError as exc:
-            raise ConditioningError(f"critic step at k={k}: {exc}", sigma_min=exc.sigma_min) from exc
-        if float(np.linalg.norm(omega_next)) > radius_val + 1e-12:
+        if mode == "exact":
+            omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next, gram_tol=gram_tol)
+        elif mode == "sampled":
+            batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
+            omega_next = critic_step_sampled(
+                after_actor, batch, features, mdp.gamma, ridge=ridge, gram_tol=gram_tol
+            )
+        else:
+            omega_next = critic_step_offpolicy(
+                after_actor, behavior, pi_next, features, mdp, gram_tol=gram_tol
+            )
+        critic_norm = float(np.linalg.norm(omega_next))
+        if critic_norm > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")
 
-        q_omega_k = features.value_table(state.omega)
-        q_omega_next = features.value_table(omega_next)
-        q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
-        diag, _ = error_decomposition(
-            mdp,
-            pi_k=pi_k,
-            pi_next=pi_next,
-            q_omega_k=q_omega_k,
-            q_omega_next=q_omega_next,
-            q_pi_next=q_pi_next,
-            q_star=q_star,
-            pi_star=pi_star,
-            nu_star=nu_star,
-            rho_next=rho_next,
-            rho_eval=rho_eval_table,
-            beta=beta_val,
-            features=features,
-        )
-        cum_regret += diag.gap
-        rows.append(
-            [
-                k,
-                diag.gap,
-                cum_regret,
-                diag.eps_c_l2,
-                diag.eps_c_sup,
-                diag.e_sup,
-                diag.theta_kl,
-                diag.eps_a,
-                diag.eps_b,
-                diag.phi_star,
-                diag.sigma_star,
-                diag.j_pi,
-                diag.kl_to_opt,
-                diag.a_resid,
-                after_actor.inv_tau,
-                float(np.linalg.norm(after_actor.theta)),
-                float(np.linalg.norm(omega_next)),
-            ]
-        )
         state = dataclasses.replace(after_actor, omega=omega_next)
-        policies.append(pi_next)
         theta_hist.append(state.theta.copy())
         omega_hist.append(omega_next.copy())
+        actor_norm = float(np.linalg.norm(after_actor.theta))
+        return pi_next, rho_next, features.value_table(omega_next), after_actor.inv_tau, actor_norm, critic_norm
 
-    manifest = {
-        "rng_id": RNG_ID,
-        "params": {
-            "algorithm": f"linear_{mode}",
-            "K": K,
-            "N": N if mode == "sampled" else None,
-            "seed": seed,
-            "beta": beta_val,
-            "radius": radius_val,
-            "rho_eval": rho_eval,
-            "ridge": ridge,
-            "shared_batch": shared_batch,
-            "offpolicy_batch_n": offpolicy_batch_n,
-        },
+    params = {
+        "algorithm": f"linear_{mode}",
+        "K": K,
+        "N": N if mode == "sampled" else None,
+        "seed": seed,
+        "beta": beta_val,
+        "radius": radius_val,
+        "rho_eval": rho_eval,
+        "ridge": ridge,
+        "shared_batch": shared_batch,
+        "offpolicy_batch_n": offpolicy_batch_n,
     }
-    history = {
-        "policies": policies,
-        "theta": theta_hist,
-        "omega": omega_hist,
-        "q_star": q_star,
-        "pi_star": pi_star,
-        "nu_star": nu_star,
-        "rho_star": rho_star,
-    }
-    return RunTrace(manifest=manifest, columns=list(BASE_COLUMNS), rows=rows, history=history)
+    trace = run_single_timescale(
+        mdp,
+        K,
+        step,
+        pi_0=softmax_rows(state.inv_tau * features.value_table(state.theta)),
+        q_0=features.value_table(state.omega),
+        beta=beta_val,
+        rho_eval=rho_eval,
+        features=features,
+        columns=list(BASE_COLUMNS),
+        params=params,
+    )
+    trace.history.update(theta=theta_hist, omega=omega_hist)
+    return trace

@@ -1,0 +1,103 @@
+"""The single-timescale iteration shared by the linear and neural actor-critic:
+one actor and one critic step per k, scored by the exact oracles."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+
+from . import mdp as mdp_mod
+from .diagnostics import error_decomposition
+from .errors import ParameterError, SstacError
+from .sampling import RNG_ID
+from .trace import RunTrace
+
+RHO_EVALS = ("rho_star", "uniform")
+
+
+def resolve_beta(K: int, rho_eval: str, beta: float | None, radius: float) -> float:
+    """Validate the parameters every driver shares; returns beta, sqrt(K) by default."""
+    if K < 1:
+        raise ParameterError("K must be >= 1")
+    if rho_eval not in RHO_EVALS:
+        raise ParameterError(f"rho_eval must be one of {RHO_EVALS}, got {rho_eval!r}")
+    beta_val = float(beta) if beta is not None else math.sqrt(K)
+    if beta_val <= 0:
+        raise ParameterError("beta must be positive")
+    if not radius >= 0.0:
+        raise ParameterError(f"radius must be >= 0, got {radius}")
+    return beta_val
+
+
+def run_single_timescale(
+    mdp: mdp_mod.TabularMDP,
+    K: int,
+    step,
+    *,
+    pi_0: np.ndarray,
+    q_0: np.ndarray,
+    beta: float,
+    rho_eval: str,
+    features,
+    columns: list[str],
+    params: dict,
+) -> RunTrace:
+    """Run ``step`` for k = 0 .. K and score every update against the exact oracles.
+
+    ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
+    ``(pi_next, rho_next, q_next, inv_tau, actor_norm, critic_norm, *extra)``:
+    the new policy, its stationary state-action distribution, the new critic
+    table, then the values of the trace columns after ``kl_to_opt, a_resid``.
+    An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
+    of its message; its class and attributes are kept.
+    """
+    q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
+    nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
+    if rho_eval == "rho_star":
+        rho_eval_table = rho_star
+    else:
+        rho_eval_table = np.full((mdp.n_states, mdp.n_actions), 1.0 / (mdp.n_states * mdp.n_actions))
+
+    pi_k, q_k = pi_0, q_0
+    policies = [pi_k]
+    rows: list[list[float]] = []
+    cum_regret = 0.0
+    for k in range(K + 1):
+        try:
+            pi_next, rho_next, q_next, *tail = step(k, pi_k, q_k)
+            q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
+            diag, _ = error_decomposition(
+                mdp,
+                pi_k=pi_k,
+                pi_next=pi_next,
+                q_omega_k=q_k,
+                q_omega_next=q_next,
+                q_pi_next=q_pi_next,
+                q_star=q_star,
+                pi_star=pi_star,
+                nu_star=nu_star,
+                rho_next=rho_next,
+                rho_eval=rho_eval_table,
+                beta=beta,
+                features=features,
+            )
+        except SstacError as exc:
+            exc.args = (f"at k={k}: {exc}",)
+            raise
+        cum_regret += diag.gap
+        # IterDiag's fields follow the trace columns, with cum_regret after gap.
+        gap, *scores = dataclasses.astuple(diag)
+        rows.append([k, gap, cum_regret, *scores, *tail])
+        pi_k, q_k = pi_next, q_next
+        policies.append(pi_k)
+
+    history = {
+        "policies": policies,
+        "q_star": q_star,
+        "pi_star": pi_star,
+        "nu_star": nu_star,
+        "rho_star": rho_star,
+    }
+    return RunTrace(manifest={"rng_id": RNG_ID, "params": params}, columns=columns, rows=rows, history=history)

@@ -11,6 +11,7 @@ anchor initialization, and return the average of their iterates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,11 @@ from .deep_net import (
     project_ball_inplace,
     sa_encoding_table,
 )
-from .diagnostics import error_decomposition
 from .errors import ContractViolationError, ParameterError, SamplingError, SstacError
 from .features import FeatureMap
+from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
-from .sampling import RNG_ID, RunRng, sample_sa, sample_tuples
+from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import NEURAL_COLUMNS, RunTrace
 
 
@@ -55,8 +56,6 @@ class NeuralAcState:
         )
         if not same_anchor or not np.array_equal(self.actor.sign_vector, self.critic.sign_vector):
             raise ContractViolationError("actor and critic must share the same anchor initialization")
-
-
 
 
 def _sgd_averaged(
@@ -162,15 +161,9 @@ def run_neural_ac(
     temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
     ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.
     """
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+    beta_val = resolve_beta(K, rho_eval, beta, radius)
     if n_actor < 1 or n_critic < 1:
         raise ParameterError("inner iteration counts must be >= 1")
-    if rho_eval not in ("rho_star", "uniform"):
-        raise ParameterError(f"rho_eval must be 'rho_star' or 'uniform', got {rho_eval!r}")
-    beta_val = float(beta) if beta is not None else math.sqrt(K)
-    if beta_val <= 0:
-        raise ParameterError("beta must be positive")
     alpha_val = float(alpha) if alpha is not None else 1.0 / math.sqrt(n_actor)
     eta_val = float(eta) if eta is not None else 1.0 / math.sqrt(n_critic)
 
@@ -178,7 +171,6 @@ def run_neural_ac(
     d = n_states + n_actions
     encodings = sa_encoding_table(n_states, n_actions)
     enc_flat = encodings.reshape(-1, d)
-    enc_features = FeatureMap(phi=encodings)
 
     rng = RunRng(seed)
     shared_init = init_params(d, m, depth, seed, rng=rng.stream("init"))
@@ -194,26 +186,14 @@ def run_neural_ac(
         n_actor=n_actor,
         n_critic=n_critic,
     )
-
-    q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
-    nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
-    if rho_eval == "rho_star":
-        rho_eval_table = rho_star
-    else:
-        rho_eval_table = np.full((n_states, n_actions), 1.0 / (n_states * n_actions))
-
     f_k = forward_many(state.actor, enc_flat).reshape(n_states, n_actions)
-    q_k = forward_many(state.critic, enc_flat).reshape(n_states, n_actions)
-    pi_k = softmax_rows(state.inv_tau * f_k)
-    policies = [pi_k]
-    rows: list[list[float]] = []
-    cum_regret = 0.0
 
-    for k in range(K + 1):
+    def step(k, pi_k, q_k):
+        nonlocal state, f_k
         inv_tau_next = (k + 1) / beta_val
         tilde_inv = state.inv_tau + 1.0 / beta_val
         if abs(tilde_inv - inv_tau_next) > 1e-12 * max(1.0, inv_tau_next):
-            raise SstacError(f"temperature schedule drift at k={k}")
+            raise SstacError("temperature schedule drift")
         target_actor = (q_k / beta_val + state.inv_tau * f_k) / tilde_inv
 
         _, rho_k = mdp_mod.stationary_dists(mdp, pi_k)
@@ -228,95 +208,43 @@ def run_neural_ac(
         critic_next = critic_inner_loop(state, tuples, encodings, mdp.gamma)
         q_next = forward_many(critic_next, enc_flat).reshape(n_states, n_actions)
 
-        q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
-        diag, _ = error_decomposition(
-            mdp,
-            pi_k=pi_k,
-            pi_next=pi_next,
-            q_omega_k=q_k,
-            q_omega_next=q_next,
-            q_pi_next=q_pi_next,
-            q_star=q_star,
-            pi_star=pi_star,
-            nu_star=nu_star,
-            rho_next=rho_next,
-            rho_eval=rho_eval_table,
-            beta=beta_val,
-            features=enc_features,
-        )
-        cum_regret += diag.gap
-
         actor_mse = float(np.sum(rho_k * (f_next - target_actor) ** 2))
         bellman_target = mdp_mod.bellman_eval(mdp, pi_next, q_k)
         critic_mse = float(np.sum(rho_next * (q_next - bellman_target) ** 2))
         actor_gap = float(np.mean([linearization_gap(actor_next, x) for x in enc_flat]))
         critic_gap = float(np.mean([linearization_gap(critic_next, x) for x in enc_flat]))
 
-        rows.append(
-            [
-                k,
-                diag.gap,
-                cum_regret,
-                diag.eps_c_l2,
-                diag.eps_c_sup,
-                diag.e_sup,
-                diag.theta_kl,
-                diag.eps_a,
-                diag.eps_b,
-                diag.phi_star,
-                diag.sigma_star,
-                diag.j_pi,
-                diag.kl_to_opt,
-                diag.a_resid,
-                inv_tau_next,
-                float(actor_next.anchor_distances().max()),
-                float(critic_next.anchor_distances().max()),
-                actor_mse,
-                critic_mse,
-                actor_gap,
-                critic_gap,
-            ]
-        )
+        state = dataclasses.replace(state, actor=actor_next, critic=critic_next, inv_tau=inv_tau_next, k=k + 1)
+        f_k = f_next
+        norms = float(actor_next.anchor_distances().max()), float(critic_next.anchor_distances().max())
+        return pi_next, rho_next, q_next, inv_tau_next, *norms, actor_mse, critic_mse, actor_gap, critic_gap
 
-        state = NeuralAcState(
-            actor=actor_next,
-            critic=critic_next,
-            inv_tau=inv_tau_next,
-            k=k + 1,
-            beta=beta_val,
-            radius=radius,
-            alpha=alpha_val,
-            eta=eta_val,
-            n_actor=n_actor,
-            n_critic=n_critic,
-        )
-        f_k, q_k, pi_k = f_next, q_next, pi_next
-        policies.append(pi_next)
-
-    manifest = {
-        "rng_id": RNG_ID,
-        "params": {
-            "algorithm": "neural",
-            "K": K,
-            "m": m,
-            "H": depth,
-            "d": d,
-            "N_a": n_actor,
-            "N_c": n_critic,
-            "seed": seed,
-            "beta": beta_val,
-            "radius": radius,
-            "alpha": alpha_val,
-            "eta": eta_val,
-            "rho_eval": rho_eval,
-        },
+    params = {
+        "algorithm": "neural",
+        "K": K,
+        "m": m,
+        "H": depth,
+        "d": d,
+        "N_a": n_actor,
+        "N_c": n_critic,
+        "seed": seed,
+        "beta": beta_val,
+        "radius": radius,
+        "alpha": alpha_val,
+        "eta": eta_val,
+        "rho_eval": rho_eval,
     }
-    history = {
-        "policies": policies,
-        "q_star": q_star,
-        "pi_star": pi_star,
-        "nu_star": nu_star,
-        "rho_star": rho_star,
-        "final_state": state,
-    }
-    return RunTrace(manifest=manifest, columns=list(NEURAL_COLUMNS), rows=rows, history=history)
+    trace = run_single_timescale(
+        mdp,
+        K,
+        step,
+        pi_0=softmax_rows(state.inv_tau * f_k),
+        q_0=forward_many(state.critic, enc_flat).reshape(n_states, n_actions),
+        beta=beta_val,
+        rho_eval=rho_eval,
+        features=FeatureMap(phi=encodings),
+        columns=list(NEURAL_COLUMNS),
+        params=params,
+    )
+    trace.history["final_state"] = state
+    return trace

@@ -1,4 +1,4 @@
-"""Seeded randomness: named independent streams, categorical draws, rollouts.
+"""Seeded randomness: named independent streams, categorical and transition draws.
 
 Every consumer of randomness pulls from a named stream of a single
 :class:`RunRng`, so traces are bit-reproducible and consuming one stream
@@ -72,22 +72,3 @@ def sample_tuples(mdp, rho: np.ndarray, policy_next: np.ndarray, rng: np.random.
     r = mdp.reward[s, a]
     return s, a, r, s_next, a_next
 
-
-def rollout_sampler(mdp, policy: np.ndarray, burn_in: int, rng: np.random.Generator, start_dist=None):
-    """Infinite stream of (s, a) pairs from one trajectory, after ``burn_in`` steps.
-
-    Mixing bias is the caller's accepted risk; this exists for stress tests
-    against the exact stationary samplers.
-    """
-    if burn_in < 0:
-        raise ContractViolationError("burn_in must be >= 0")
-    pi = np.asarray(policy, dtype=float)
-    zeta = mdp.initial_dist if start_dist is None else np.asarray(start_dist, dtype=float)
-    s = int(categorical(rng, zeta, 1)[0])
-    t = 0
-    while True:
-        a = int(categorical(rng, pi[s], 1)[0])
-        if t >= burn_in:
-            yield s, a
-        s = int(categorical(rng, mdp.transition[s, a], 1)[0])
-        t += 1

@@ -10,11 +10,9 @@ from sstac.deep_net import (
     gradient,
     init_params,
     linearization_gap,
-    load_checkpoint,
     project_ball,
     sa_encoding,
     sa_encoding_table,
-    save_checkpoint,
 )
 
 FD_MATRIX = [(4, 8, 1), (6, 16, 3), (8, 32, 2)]
@@ -243,22 +241,6 @@ class TestEncoding:
         x = sa_encoding(2, 2, s=1, a=0)
         expected = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(x, expected)
-
-
-class TestCheckpoint:
-    def test_exact_round_trip(self, tmp_path):
-        p = init_params(4, 8, 2, seed=9)
-        p.weights[0] += 0.123456789123456789
-        path = tmp_path / "net.json"
-        save_checkpoint(p, path, radius=2.5)
-        loaded, radius = load_checkpoint(path)
-        assert radius == 2.5
-        assert loaded.seed == 9
-        for a, b in zip(p.weights, loaded.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(p.anchor, loaded.anchor):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(p.sign_vector, loaded.sign_vector)
 
 
 def test_initial_output_bound_statistic(capsys):

@@ -306,13 +306,10 @@ class TestRunLinearAc:
         assert f"zero-weight (s, a) pairs: {undrawn})" in str(exc.value)
 
     def test_parameter_validation(self):
+        # K, rho_eval, beta and radius are checked for both drivers in test_loop.py.
         m = chain2()
         feats = tabular_features(2, 2)
-        with pytest.raises(ParameterError):
-            run_linear_ac(m, feats, 0)
         with pytest.raises(ParameterError):
             run_linear_ac(m, feats, 4, mode="bogus")
         with pytest.raises(ParameterError):
             run_linear_ac(m, feats, 4, mode="sampled", N=0)
-        with pytest.raises(ParameterError):
-            run_linear_ac(m, feats, 4, beta=-1.0)

@@ -1,0 +1,39 @@
+"""The shared single-timescale loop, checked through both entry points."""
+
+import pytest
+
+from sstac import ParameterError, SamplingError, chain2, neural_ac, run_linear_ac, run_neural_ac, tabular_features
+
+
+def linear(**kwargs):
+    return run_linear_ac(chain2(), tabular_features(2, 2), kwargs.pop("K", 2), **kwargs)
+
+
+def neural(**kwargs):
+    return run_neural_ac(chain2(), 4, 1, kwargs.pop("K", 2), n_actor=4, n_critic=4, **kwargs)
+
+
+@pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
+@pytest.mark.parametrize("key, value", [("K", 0), ("rho_eval", "bogus"), ("beta", -1.0), ("radius", -1.0)])
+def test_shared_parameter_validation(run, key, value):
+    with pytest.raises(ParameterError):
+        run(**{key: value})
+
+
+def test_neural_loop_errors_name_the_iteration(monkeypatch):
+    calls = []
+    real = neural_ac.critic_inner_loop
+
+    def fail_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SamplingError("sampler provided 3 draws, inner loop needs 4")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neural_ac, "critic_inner_loop", fail_second_call)
+    with pytest.raises(SamplingError) as exc:
+        neural(K=3)
+    assert type(exc.value) is SamplingError
+    assert exc.value.code == "sampling"
+    assert str(exc.value).count("k=1") == 1
+    assert str(exc.value) == "at k=1: sampler provided 3 draws, inner loop needs 4"

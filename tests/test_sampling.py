@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 
-from sstac import RunRng, chain2, rollout_sampler, sample_sa, sample_tuples, stationary_dists
+from sstac import RunRng, chain2, sample_sa, sample_tuples
 
 
 class TestRunRng:
@@ -91,31 +91,3 @@ class TestSampleTuples:
             tv = 0.5 * np.abs(freqs - m.transition[si, ai]).sum()
             assert tv < 0.02
 
-
-class TestRolloutSampler:
-    def test_stationary_start_keeps_marginal(self):
-        m = chain2()
-        mix = np.array([[0.7, 0.3], [0.4, 0.6]])
-        nu, rho = stationary_dists(m, mix)
-        stream = rollout_sampler(m, mix, burn_in=0, rng=RunRng(7).stream("rollout"), start_dist=nu)
-        samples = np.array(list(itertools.islice(stream, 50_000)))
-        freqs = np.bincount(samples[:, 0] * 2 + samples[:, 1], minlength=4) / 50_000
-        tv = 0.5 * np.abs(freqs - rho.reshape(-1)).sum()
-        assert tv < 0.02
-
-    def test_burn_in_approaches_stationary(self):
-        m = chain2()
-        eps_stay = np.array([[0.9, 0.1], [0.1, 0.9]])  # mixing variant of always-go
-        _, rho = stationary_dists(m, eps_stay)
-        stream = rollout_sampler(m, eps_stay, burn_in=200, rng=RunRng(8).stream("rollout"))
-        samples = np.array(list(itertools.islice(stream, 100_000)))
-        freqs = np.bincount(samples[:, 0] * 2 + samples[:, 1], minlength=4) / 100_000
-        tv = 0.5 * np.abs(freqs - rho.reshape(-1)).sum()
-        assert tv < 0.02
-
-    def test_seeded_reproducibility(self):
-        m = chain2()
-        mix = np.array([[0.5, 0.5], [0.5, 0.5]])
-        a = list(itertools.islice(rollout_sampler(m, mix, 10, RunRng(9).stream("rollout")), 100))
-        b = list(itertools.islice(rollout_sampler(m, mix, 10, RunRng(9).stream("rollout")), 100))
-        assert a == b
