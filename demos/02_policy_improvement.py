@@ -6,7 +6,7 @@ over random simplex points.
 """
 import numpy as np
 
-from sstac import EnergyPolicy, kl, kl_regularized_argmax, to_matrix
+from sstac import kl, kl_regularized_argmax, softmax_rows
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -17,12 +17,12 @@ def objective(p, q_row, base_row, beta):
 
 def main():
     rng = np.random.default_rng(0)
-    policy = EnergyPolicy(inv_temp=0.5, energies=rng.standard_normal((2, 4)))
-    base = to_matrix(policy)
+    logits = 0.5 * rng.standard_normal((2, 4))
+    base = softmax_rows(logits)
     q = rng.uniform(0.0, 1.0, size=(2, 4))
     beta = 2.0
 
-    improved = kl_regularized_argmax(policy, q, beta)
+    improved = kl_regularized_argmax(logits, q, beta)
     print("base policy:")
     print(base)
     print("\nQ table:")
@@ -42,7 +42,7 @@ def main():
 
     # beta controls the step size: large beta stays near the base policy
     for b in (0.5, 2.0, 1e6):
-        step = kl_regularized_argmax(policy, q, b)
+        step = kl_regularized_argmax(logits, q, b)
         move = np.abs(step - base).max()
         print(f"beta={b:>8g}: max |pi_new - pi_base| = {move:.2e}")
 

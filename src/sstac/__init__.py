@@ -30,7 +30,7 @@ from .mdp import (
     visitation_dist,
 )
 from .features import FeatureMap, gram_matrix, gram_min_singular, random_features, tabular_features
-from .policy import EnergyPolicy, kl, kl_regularized_argmax, softmax_rows, to_matrix
+from .policy import kl, kl_regularized_argmax, softmax_rows
 from .sampling import RNG_ID, RunRng, sample_sa, sample_tuples
 from .linear_ac import (
     LinearAcState,
@@ -52,10 +52,9 @@ from .deep_net import (
     init_params,
     linearization_gap,
     project_ball,
-    sa_encoding,
     sa_encoding_table,
 )
 from .neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop, run_neural_ac
-from .diagnostics import IterDiag, concentrability_surrogate, error_decomposition, pushforward
+from .diagnostics import IterDiag, error_decomposition
 from .trace import BASE_COLUMNS, NEURAL_COLUMNS, RunTrace, load_trace
 from .harness import ExperimentConfig, diag_checks, execute_run, run_command, run_id, sweep_command

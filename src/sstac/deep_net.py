@@ -129,26 +129,19 @@ _BALL_SLACK = 1e-12
 
 
 def project_ball(params: DnnParams, radius: float) -> DnnParams:
-    """Shrink each layer radially toward its anchor so every Frobenius distance is <= radius.
-
-    Idempotent; layers already inside the ball are returned untouched.
-    """
+    """Copy of ``params`` projected by ``project_ball_inplace``."""
     if radius < 0:
         raise ContractViolationError("radius must be >= 0")
-    new_weights = []
-    for w, w0 in zip(params.weights, params.anchor):
-        dist = float(np.linalg.norm(w - w0))
-        if dist <= radius * (1.0 + _BALL_SLACK):
-            new_weights.append(w)
-        elif radius == 0.0:
-            new_weights.append(w0.copy())
-        else:
-            new_weights.append(w0 + (w - w0) * (radius / dist))
-    return DnnParams(weights=new_weights, sign_vector=params.sign_vector, anchor=params.anchor, seed=params.seed)
+    out = params.clone()
+    project_ball_inplace(out, radius)
+    return out
 
 
 def project_ball_inplace(params: DnnParams, radius: float) -> None:
-    """In-place variant used by the SGD inner loops."""
+    """Shrink each layer radially toward its anchor so every Frobenius distance is <= radius.
+
+    Idempotent; layers already inside the ball are left untouched.
+    """
     for h, (w, w0) in enumerate(zip(params.weights, params.anchor)):
         diff = w - w0
         dist = float(np.linalg.norm(diff))
@@ -185,8 +178,3 @@ def sa_encoding_table(n_states: int, n_actions: int) -> np.ndarray:
             table[s, a, s] = 1.0 / np.sqrt(2.0)
             table[s, a, n_states + a] = 1.0 / np.sqrt(2.0)
     return table
-
-
-def sa_encoding(n_states: int, n_actions: int, s: int, a: int) -> np.ndarray:
-    return sa_encoding_table(n_states, n_actions)[s, a]
-

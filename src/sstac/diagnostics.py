@@ -1,4 +1,4 @@
-"""Exact per-iteration error decomposition and concentrability diagnostics.
+"""Exact per-iteration error decomposition diagnostics.
 
 Everything here is computed by exact expectation over the finite
 state-action space; nothing is estimated from samples.
@@ -6,7 +6,6 @@ state-action space; nothing is estimated from samples.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,51 +105,3 @@ def density_ratio_l2(rho_star: np.ndarray, rho_base: np.ndarray) -> float:
     if np.any(mask & (rho_base <= 0)):
         return float("inf")
     return float(np.sqrt(np.sum(rho_star[mask] ** 2 / rho_base[mask])))
-
-
-def pushforward(mdp: mdp_mod.TabularMDP, dist: np.ndarray, policy: np.ndarray) -> np.ndarray:
-    """One-step future state-action distribution of ``dist`` under ``policy``."""
-    state_marginal = np.einsum("sa,sat->t", dist, mdp.transition)
-    return state_marginal[:, None] * np.asarray(policy, dtype=float)
-
-
-def concentrability_surrogate(
-    mdp: mdp_mod.TabularMDP,
-    rho_eval: np.ndarray,
-    policies: list[np.ndarray],
-    rho_star: np.ndarray,
-    horizon: int,
-) -> dict:
-    """Visited-sequence surrogate of the discounted-average concentrability coefficient.
-
-    The true coefficient takes a supremum over all policy sequences; this
-    surrogate restricts it to consecutive windows of the policies actually
-    visited by a run, truncated at ``horizon`` steps.  All outputs are
-    labeled as surrogates.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    support = rho_star > 0
-    c_hat = np.zeros(horizon)
-    warned = False
-    for start in range(len(policies)):
-        dist = rho_eval
-        for k in range(1, min(horizon, len(policies) - start) + 1):
-            dist = pushforward(mdp, dist, policies[start + k - 1])
-            escaped = ~support & (dist > 1e-12)
-            if np.any(escaped):
-                if not warned:
-                    s, a = np.argwhere(escaped)[0]
-                    warnings.warn(
-                        f"future distribution puts mass on (s={s}, a={a}) where rho* is zero; "
-                        "concentrability surrogate is infinite",
-                        stacklevel=2,
-                    )
-                    warned = True
-                c_hat[k - 1] = np.inf
-            else:
-                ratio = float(np.max(dist[support] / rho_star[support]))
-                c_hat[k - 1] = max(c_hat[k - 1], ratio)
-    ks = np.arange(1, horizon + 1)
-    weights = (1.0 - mdp.gamma) ** 2 * ks**2 * mdp.gamma**ks
-    return {"c_hat": c_hat, "C_hat_surrogate": float(np.sum(weights * c_hat)), "horizon": horizon}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,24 +22,7 @@ from .trace import RunTrace, load_trace
 
 ALGORITHMS = ("linear_exact", "linear_sampled", "linear_offpolicy", "neural")
 
-_KNOWN_KEYS = {
-    "mdp",
-    "algorithm",
-    "K",
-    "N",
-    "N_a",
-    "N_c",
-    "arch",
-    "R",
-    "beta",
-    "rho_eval",
-    "seeds",
-    "out_dir",
-    "ridge",
-    "shared_batch",
-    "offpolicy_batch_n",
-}
-_ARCH_KEYS = {"d", "m", "H"}
+_ARCH_KEYS = {"m", "H"}
 
 
 @dataclass(frozen=True)
@@ -96,7 +79,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - _KNOWN_KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("mdp", "algorithm", "K"):
@@ -108,8 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
         K = _require_int(doc, "K", minimum=1)
         seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError("seeds must be a non-empty list of integers")
+        if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
+        ):
+            raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
 
         mdp_source = doc["mdp"]
         if not isinstance(mdp_source, str):
@@ -126,7 +111,7 @@ class ExperimentConfig:
         if "arch" in doc:
             arch_doc = doc["arch"]
             if not isinstance(arch_doc, dict) or not set(arch_doc) <= _ARCH_KEYS:
-                raise ConfigError("arch must be an object with keys among {d, m, H}")
+                raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
             arch = (_require_int(arch_doc, "m", minimum=1), _require_int(arch_doc, "H", minimum=1))
         if algorithm == "neural" and arch is None:
             raise ConfigError("neural runs require an arch entry with m and H")

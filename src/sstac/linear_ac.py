@@ -242,7 +242,6 @@ def run_linear_ac(
     ridge: float = 0.0,
     shared_batch: bool = False,
     offpolicy_batch_n: int | None = None,
-    gram_tol: float = 1e-12,
 ) -> RunTrace:
     """Run the full linear actor-critic loop for iterations k = 0 .. K.
 
@@ -288,16 +287,12 @@ def run_linear_ac(
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
         if mode == "exact":
-            omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next, gram_tol=gram_tol)
+            omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next)
         elif mode == "sampled":
             batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
-            omega_next = critic_step_sampled(
-                after_actor, batch, features, mdp.gamma, ridge=ridge, gram_tol=gram_tol
-            )
+            omega_next = critic_step_sampled(after_actor, batch, features, mdp.gamma, ridge=ridge)
         else:
-            omega_next = critic_step_offpolicy(
-                after_actor, behavior, pi_next, features, mdp, gram_tol=gram_tol
-            )
+            omega_next = critic_step_offpolicy(after_actor, behavior, pi_next, features, mdp)
         critic_norm = float(np.linalg.norm(omega_next))
         if critic_norm > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")

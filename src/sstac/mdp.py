@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,11 @@ MAX_STATE_ACTIONS = 4096
 DENSE_FALLBACK_STATES = 64
 
 _PROB_TOL = 1e-12
+
+# Stationary-distribution solve: residual target, and the weight of the uniform
+# restart mixed into each power-iteration step.
+_STATIONARY_TOL = 1e-10
+_DAMPING = 1e-6
 
 
 def _check_distribution(vec: np.ndarray, what: str, tol: float = _PROB_TOL) -> None:
@@ -43,7 +48,6 @@ class TabularMDP:
     gamma: float
     initial_dist: np.ndarray  # (S,)
     r_max: float = 1.0
-    size_cap: int = field(default=MAX_STATE_ACTIONS, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -55,14 +59,22 @@ class TabularMDP:
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ContractViolationError(f"transition must have shape (S, A, S), got {p.shape}")
         n_states, n_actions, _ = p.shape
-        if n_states * n_actions > self.size_cap:
+        if n_states * n_actions > MAX_STATE_ACTIONS:
             raise ContractViolationError(
-                f"n_states * n_actions = {n_states * n_actions} exceeds cap {self.size_cap}"
+                f"n_states * n_actions = {n_states * n_actions} exceeds cap {MAX_STATE_ACTIONS}"
             )
         if r.shape != (n_states, n_actions):
             raise ContractViolationError(f"reward must have shape {(n_states, n_actions)}, got {r.shape}")
         if zeta.shape != (n_states,):
             raise ContractViolationError(f"initial_dist must have shape ({n_states},), got {zeta.shape}")
+        # Every comparison below is False for NaN, so non-finite entries must be rejected first.
+        for name, table in (("transition", p), ("reward", r), ("initial_dist", zeta)):
+            bad = np.argwhere(~np.isfinite(table))
+            if bad.size:
+                index = tuple(int(i) for i in bad[0])
+                raise ContractViolationError(f"{name} entry {index} is {float(table[index])}, not finite")
+        if not np.isfinite(self.r_max):
+            raise ContractViolationError(f"r_max must be finite, got {self.r_max!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ContractViolationError(f"gamma must lie in [0, 1), got {self.gamma}")
         if np.any(p < -_PROB_TOL):
@@ -186,9 +198,7 @@ def stationary_dists(
     mdp: TabularMDP,
     policy: np.ndarray,
     *,
-    tol: float = 1e-10,
     max_iter: int = 50_000,
-    damping: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stationary state and state-action distributions of ``policy``.
 
@@ -204,14 +214,14 @@ def stationary_dists(
 
     nu = uniform.copy()
     for _ in range(max_iter):
-        nu_next = (1.0 - damping) * (nu @ p_pi) + damping * uniform
-        if float(np.abs(nu_next - nu).sum()) <= damping * 1e-3:
+        nu_next = (1.0 - _DAMPING) * (nu @ p_pi) + _DAMPING * uniform
+        if float(np.abs(nu_next - nu).sum()) <= _DAMPING * 1e-3:
             nu = nu_next
             break
         nu = nu_next
 
     result = None
-    if _stationary_residual(nu, p_pi) <= 0.5 * tol:
+    if _stationary_residual(nu, p_pi) <= 0.5 * _STATIONARY_TOL:
         result = nu
     else:
         # Undamped polish: geometric convergence for aperiodic chains; the
@@ -221,23 +231,23 @@ def stationary_dists(
         for t in range(1, 20_001):
             cur = cur @ p_pi
             acc += cur
-            if _stationary_residual(cur, p_pi) <= 0.5 * tol:
+            if _stationary_residual(cur, p_pi) <= 0.5 * _STATIONARY_TOL:
                 result = cur
                 break
             if t % 64 == 0:
                 avg = acc / t
-                if _stationary_residual(avg, p_pi) <= 0.5 * tol:
+                if _stationary_residual(avg, p_pi) <= 0.5 * _STATIONARY_TOL:
                     result = avg
                     break
 
     if result is None and n <= DENSE_FALLBACK_STATES:
         candidate = _dense_stationary(p_pi)
-        if _stationary_residual(candidate, p_pi) <= tol:
+        if _stationary_residual(candidate, p_pi) <= _STATIONARY_TOL:
             result = candidate
 
     if result is None:
         raise ErgodicityError(
-            f"stationary distribution did not converge to residual {tol} "
+            f"stationary distribution did not converge to residual {_STATIONARY_TOL} "
             f"for the given policy (n_states={n}); the induced chain may be "
             "reducible or periodic"
         )

@@ -152,20 +152,18 @@ def run_neural_ac(
     radius: float = 10.0,
     rho_eval: str = "rho_star",
     beta: float | None = None,
-    alpha: float | None = None,
-    eta: float | None = None,
 ) -> RunTrace:
     """Run the deep neural actor-critic loop for iterations k = 0 .. K.
 
-    Stepsizes default to ``n_actor^{-1/2}`` and ``n_critic^{-1/2}``; the
+    The stepsizes are ``n_actor^{-1/2}`` and ``n_critic^{-1/2}``; the
     temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
     ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.
     """
     beta_val = resolve_beta(K, rho_eval, beta, radius)
     if n_actor < 1 or n_critic < 1:
         raise ParameterError("inner iteration counts must be >= 1")
-    alpha_val = float(alpha) if alpha is not None else 1.0 / math.sqrt(n_actor)
-    eta_val = float(eta) if eta is not None else 1.0 / math.sqrt(n_critic)
+    alpha_val = 1.0 / math.sqrt(n_actor)
+    eta_val = 1.0 / math.sqrt(n_critic)
 
     n_states, n_actions = mdp.n_states, mdp.n_actions
     d = n_states + n_actions

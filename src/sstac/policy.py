@@ -1,9 +1,8 @@
-"""Energy-based softmax policies, KL divergence, and the KL-regularized improvement step."""
+"""Softmax policies over logit tables, KL divergence, and the KL-regularized improvement step."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,44 +27,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class EnergyPolicy:
-    """Softmax policy pi(a|s) proportional to exp(inv_temp * f(s, a)).
-
-    The inverse temperature is stored directly, so the fully explorative
-    initial policy (infinite temperature) is the exact value ``inv_temp = 0``.
-    The energy table holds f(s, a) for every pair; use the classmethods to
-    build it from a linear or otherwise parameterized energy function.
-    """
-
-    inv_temp: float
-    energies: np.ndarray  # (S, A)
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        object.__setattr__(self, "energies", e)
-        if e.ndim != 2:
-            raise ContractViolationError(f"energies must be a (S, A) table, got shape {e.shape}")
-        if self.inv_temp < 0:
-            raise ParameterError("inverse temperature must be nonnegative")
-        if not np.all(np.isfinite(e)):
-            raise ContractViolationError("energies must be finite")
-
-    @classmethod
-    def from_linear(cls, features, weights: np.ndarray, inv_temp: float) -> "EnergyPolicy":
-        return cls(inv_temp=inv_temp, energies=features.value_table(weights))
-
-    @classmethod
-    def from_function(cls, f, n_states: int, n_actions: int, inv_temp: float) -> "EnergyPolicy":
-        table = np.array([[f(s, a) for a in range(n_actions)] for s in range(n_states)], dtype=float)
-        return cls(inv_temp=inv_temp, energies=table)
-
-
-def to_matrix(policy: EnergyPolicy) -> np.ndarray:
-    """Materialize the (S, A) probability matrix of an energy policy."""
-    return softmax_rows(policy.inv_temp * policy.energies)
-
-
 def kl(p: np.ndarray, q: np.ndarray):
     """KL(p || q) with the 0 log 0 = 0 convention.
 
@@ -88,14 +49,15 @@ def kl(p: np.ndarray, q: np.ndarray):
     return float(out[0]) if single else out
 
 
-def kl_regularized_argmax(policy: EnergyPolicy, q_values: np.ndarray, beta: float) -> np.ndarray:
-    """Exact maximizer of <Q(s,.), pi(.|s)> - beta * KL(pi || policy) per state.
+def kl_regularized_argmax(logits: np.ndarray, q_values: np.ndarray, beta: float) -> np.ndarray:
+    """Exact maximizer of <Q(s,.), pi(.|s)> - beta * KL(pi || softmax(logits)) per state.
 
-    The closed form is the softmax of ``beta^{-1} Q + inv_temp * f`` row-wise.
+    The closed form is the softmax of ``beta^{-1} Q + logits`` row-wise.
     """
     if beta <= 0:
         raise ParameterError(f"beta must be positive, got {beta}")
     q = np.asarray(q_values, dtype=float)
-    if q.shape != policy.energies.shape:
-        raise ContractViolationError(f"Q shape {q.shape} does not match policy table {policy.energies.shape}")
-    return softmax_rows(q / beta + policy.inv_temp * policy.energies)
+    base = np.asarray(logits, dtype=float)
+    if q.shape != base.shape:
+        raise ContractViolationError(f"Q shape {q.shape} does not match logit table {base.shape}")
+    return softmax_rows(q / beta + base)

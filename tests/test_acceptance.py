@@ -25,6 +25,7 @@ from sstac import (
     run_neural_ac,
     sample_sa,
     sample_tuples,
+    softmax_rows,
     stationary_dists,
     tabular_features,
 )
@@ -32,7 +33,6 @@ from sstac.deep_net import forward_many, gradient, init_params, project_ball, sa
 from sstac.harness import ExperimentConfig, execute_run
 from sstac.linear_ac import LinearAcState, actor_step, critic_step_exact, critic_step_sampled, draw_batch
 from sstac.neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop
-from sstac.policy import EnergyPolicy, to_matrix
 
 from conftest import random_policy
 from test_deep_net import FD_MATRIX, finite_difference_grads, sample_away_from_kinks
@@ -83,14 +83,12 @@ def test_c2_closed_form_suite():
     for _ in range(50):
         n_states = int(rng.integers(2, 5))
         n_actions = int(rng.integers(2, 5))
-        pol = EnergyPolicy(
-            inv_temp=float(rng.uniform(0.0, 0.8)),
-            energies=rng.standard_normal((n_states, n_actions)),
-        )
-        base = to_matrix(pol)
+        inv_temp = float(rng.uniform(0.0, 0.8))
+        logits = inv_temp * rng.standard_normal((n_states, n_actions))
+        base = softmax_rows(logits)
         q = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
         beta = float(rng.uniform(1.0, 3.0))
-        closed = kl_regularized_argmax(pol, q, beta)
+        closed = kl_regularized_argmax(logits, q, beta)
         for s in range(n_states):
             oracle = pga_oracle(q[s], base[s], beta)
             worst_tv = max(worst_tv, 0.5 * float(np.abs(closed[s] - oracle).sum()))

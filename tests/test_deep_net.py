@@ -11,7 +11,6 @@ from sstac.deep_net import (
     init_params,
     linearization_gap,
     project_ball,
-    sa_encoding,
     sa_encoding_table,
 )
 
@@ -238,7 +237,7 @@ class TestEncoding:
         np.testing.assert_allclose(np.linalg.norm(table, axis=2), 1.0, atol=1e-12)
 
     def test_layout(self):
-        x = sa_encoding(2, 2, s=1, a=0)
+        x = sa_encoding_table(2, 2)[1, 0]
         expected = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(x, expected)
 

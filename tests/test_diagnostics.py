@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from sstac import (
     chain2,
-    concentrability_surrogate,
     error_decomposition,
     exact_q_pi,
     optimal_q,
@@ -12,7 +10,6 @@ from sstac import (
     stationary_dists,
     tabular_features,
 )
-from sstac.diagnostics import pushforward
 
 from conftest import random_policy
 
@@ -97,54 +94,3 @@ class TestErrorDecomposition:
         kl_initial = theta_kl[0] + kl_to_opt[0]
         partial = np.cumsum(theta_kl)
         np.testing.assert_allclose(partial, kl_initial - kl_to_opt, atol=1e-9)
-
-
-class TestConcentrability:
-    def test_stationary_policy_gives_unit_ratios(self):
-        m = random_mdp(4, 2, seed=5)
-        q_star, pi_star = optimal_q(m)
-        nu_star, rho_star = stationary_dists(m, pi_star)
-        out = concentrability_surrogate(m, rho_star, [pi_star] * 30, rho_star, horizon=20)
-        np.testing.assert_allclose(out["c_hat"], 1.0, atol=1e-9)
-        ks = np.arange(1, 21)
-        expected = float(np.sum((1 - m.gamma) ** 2 * ks**2 * m.gamma**ks))
-        assert abs(out["C_hat_surrogate"] - expected) < 1e-9
-
-    def test_geometric_series_closed_form_at_half(self):
-        # sum_{k>=1} k^2 gamma^k = gamma (1+gamma) / (1-gamma)^3 = 6 at gamma=0.5
-        m = random_mdp(4, 2, seed=6, gamma=0.5)
-        q_star, pi_star = optimal_q(m)
-        _, rho_star = stationary_dists(m, pi_star)
-        out = concentrability_surrogate(m, rho_star, [pi_star] * 120, rho_star, horizon=100)
-        assert abs(out["C_hat_surrogate"] - 0.25 * 6.0) < 1e-9
-
-    def test_full_support_reference_is_finite(self):
-        # The greedy optimal policy is deterministic, so its own rho* lacks
-        # support; finiteness is guaranteed whenever the reference measure has
-        # full support, e.g. the uniform policy's stationary distribution.
-        m = random_mdp(5, 3, seed=7)
-        trace = run_linear_ac(m, tabular_features(5, 3), 8, mode="exact", seed=0)
-        _, reference = stationary_dists(m, np.full((5, 3), 1.0 / 3.0))
-        assert np.all(reference > 0)
-        out = concentrability_surrogate(m, reference, trace.history["policies"], reference, horizon=16)
-        assert np.isfinite(out["C_hat_surrogate"])
-
-    def test_escaping_support_warns_and_is_infinite(self):
-        # chain2's optimal policy concentrates on (1, stay): pushforwards from
-        # a uniform evaluation measure put mass where rho* is zero.
-        m = chain2()
-        _, pi_star = optimal_q(m)
-        _, rho_star = stationary_dists(m, pi_star)
-        uniform_eval = np.full((2, 2), 0.25)
-        uniform_policy = np.full((2, 2), 0.5)
-        with pytest.warns(UserWarning, match="rho\\* is zero"):
-            out = concentrability_surrogate(m, uniform_eval, [uniform_policy] * 4, rho_star, horizon=3)
-        assert np.isinf(out["C_hat_surrogate"])
-
-    def test_pushforward_conserves_mass(self):
-        m = random_mdp(4, 3, seed=8)
-        rng = np.random.default_rng(9)
-        dist = rng.dirichlet(np.ones(12)).reshape(4, 3)
-        pi = random_policy(rng, 4, 3)
-        out = pushforward(m, dist, pi)
-        assert abs(out.sum() - 1.0) < 1e-12

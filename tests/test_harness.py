@@ -70,6 +70,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             ExperimentConfig.from_dict({**BASE_CFG, "mdp": "/nonexistent/m.json"})
 
+    def test_arch_rejects_input_dimension(self):
+        # The input dimension is always S + A; a "d" entry would be ignored.
+        with pytest.raises(ConfigError, match="arch"):
+            ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "neural", "arch": {"d": 99, "m": 8, "H": 2}})
+
     def test_neural_requires_arch(self):
         with pytest.raises(ConfigError, match="arch"):
             ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "neural"})
@@ -123,6 +128,18 @@ class TestCliRun:
         assert main(["run", "--config", cfg_path, "--seed", "5"]) == 0
         assert (tmp_path / "r" / "linear_exact-chain2-K4-seed5").is_dir()
         assert not (tmp_path / "r" / "linear_exact-chain2-K4-seed0").exists()
+
+    @pytest.mark.parametrize("seeds", [[-1], [True], [0, 1.5]])
+    def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+        cfg = {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, "seeds": seeds, "out_dir": str(tmp_path / "r")}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64})
+        assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
 
     def test_malformed_json_exits_2_naming_byte(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,6 @@ import pytest
 
 from sstac import (
     ConditioningError,
-    EnergyPolicy,
     LinearAcState,
     ParameterError,
     RunRng,
@@ -275,9 +274,9 @@ class TestRunLinearAc:
         omega = trace.history["omega"]
         policies = trace.history["policies"]
         for k in range(24):
-            pol_k = EnergyPolicy.from_linear(feats, theta[k], inv_temp=k / beta)
+            logits_k = (k / beta) * feats.value_table(theta[k])
             q_k = feats.value_table(omega[k])
-            improved = kl_regularized_argmax(pol_k, q_k, beta)
+            improved = kl_regularized_argmax(logits_k, q_k, beta)
             np.testing.assert_allclose(policies[k + 1], improved, atol=1e-10)
 
     def test_sampled_mode_shared_batch_flag(self):

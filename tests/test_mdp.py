@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ class TestConstruction:
         p = np.ones((1, 1, 1))
         with pytest.raises(ContractViolationError, match="gamma"):
             TabularMDP(transition=p, reward=[[0.0]], gamma=1.0, initial_dist=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "table, index",
+        [("transition", (1, 0, 1)), ("reward", (0, 1)), ("initial_dist", (1,))],
+    )
+    def test_rejects_non_finite_entry(self, chain, table, index, bad):
+        # NaN fails every comparison, so without this check it slips past the
+        # stochasticity and r_max invariants and hangs value iteration.
+        fields = {name: getattr(chain, name).copy() for name in ("transition", "reward", "initial_dist")}
+        fields[table][index] = bad
+        with pytest.raises(ContractViolationError, match=re.escape(f"{table} entry {index} is {bad}")):
+            TabularMDP(gamma=0.9, **fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_r_max(self, chain, bad):
+        with pytest.raises(ContractViolationError, match="r_max must be finite"):
+            TabularMDP(chain.transition, chain.reward, 0.9, chain.initial_dist, r_max=bad)
 
 
 class TestApplyP:
@@ -352,6 +371,14 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolationError, match=r"\(s=0, a=0\)"):
+            load_mdp(path)
+
+    def test_loader_rejects_nan(self, chain, tmp_path):
+        doc = mdp_to_json(chain)
+        doc["reward"][1][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # written as the bare token NaN, which json.load accepts
+        with pytest.raises(ContractViolationError, match=r"reward entry \(1, 0\) is nan"):
             load_mdp(path)
 
     def test_loader_rejects_missing_keys(self):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from sstac import (
-    EnergyPolicy,
+    ContractViolationError,
     InfiniteDivergenceError,
     ParameterError,
     kl,
     kl_regularized_argmax,
+    softmax_rows,
     tabular_features,
-    to_matrix,
 )
 
 from conftest import random_policy
@@ -42,31 +42,28 @@ def objective(p, q_row, base_row, beta):
 class TestToMatrix:
     def test_zero_inv_temp_is_uniform(self):
         rng = np.random.default_rng(0)
-        pol = EnergyPolicy(inv_temp=0.0, energies=rng.standard_normal((3, 4)))
-        np.testing.assert_allclose(to_matrix(pol), 0.25)
+        np.testing.assert_allclose(softmax_rows(0.0 * rng.standard_normal((3, 4))), 0.25)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((3, 4))
         shifted = f + rng.standard_normal((3, 1))
-        a = to_matrix(EnergyPolicy(inv_temp=2.0, energies=f))
-        b = to_matrix(EnergyPolicy(inv_temp=2.0, energies=shifted))
+        a = softmax_rows(2.0 * f)
+        b = softmax_rows(2.0 * shifted)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_closed_form_quarter_three_quarters(self):
-        pol = EnergyPolicy(inv_temp=1.0, energies=np.array([[0.0, np.log(3.0)]]))
-        np.testing.assert_allclose(to_matrix(pol), [[0.25, 0.75]], atol=1e-14)
+        np.testing.assert_allclose(softmax_rows(np.array([[0.0, np.log(3.0)]])), [[0.25, 0.75]], atol=1e-14)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        pol = EnergyPolicy(inv_temp=5.0, energies=rng.standard_normal((6, 3)))
-        np.testing.assert_allclose(to_matrix(pol).sum(axis=1), 1.0, atol=1e-12)
+        pi = softmax_rows(5.0 * rng.standard_normal((6, 3)))
+        np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-12)
 
     def test_linear_energy_constructor(self):
         feats = tabular_features(2, 2)
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        pol = EnergyPolicy.from_linear(feats, w, inv_temp=1.0)
-        np.testing.assert_array_equal(pol.energies, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(feats.value_table(w), [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestKl:
@@ -100,42 +97,45 @@ class TestKl:
 class TestKlRegularizedArgmax:
     def test_zero_q_returns_base_policy(self):
         rng = np.random.default_rng(6)
-        pol = EnergyPolicy(inv_temp=1.5, energies=rng.standard_normal((3, 4)))
+        logits = 1.5 * rng.standard_normal((3, 4))
         np.testing.assert_allclose(
-            kl_regularized_argmax(pol, np.zeros((3, 4)), beta=2.0), to_matrix(pol), atol=1e-12
+            kl_regularized_argmax(logits, np.zeros((3, 4)), beta=2.0), softmax_rows(logits), atol=1e-12
         )
 
     def test_huge_beta_regularizer_dominates(self):
         rng = np.random.default_rng(7)
-        pol = EnergyPolicy(inv_temp=1.5, energies=rng.standard_normal((3, 4)))
+        logits = 1.5 * rng.standard_normal((3, 4))
         q = rng.uniform(0, 1, size=(3, 4))
         np.testing.assert_allclose(
-            kl_regularized_argmax(pol, q, beta=1e12), to_matrix(pol), atol=1e-10
+            kl_regularized_argmax(logits, q, beta=1e12), softmax_rows(logits), atol=1e-10
         )
 
     def test_rejects_nonpositive_beta(self):
-        pol = EnergyPolicy(inv_temp=0.0, energies=np.zeros((1, 2)))
         with pytest.raises(ParameterError):
-            kl_regularized_argmax(pol, np.zeros((1, 2)), beta=0.0)
+            kl_regularized_argmax(np.zeros((1, 2)), np.zeros((1, 2)), beta=0.0)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ContractViolationError, match="does not match logit table"):
+            kl_regularized_argmax(np.zeros((2, 3)), np.zeros((3, 2)), beta=1.0)
 
     def test_matches_simplex_gradient_ascent_oracle(self):
         rng = np.random.default_rng(8)
-        pol = EnergyPolicy(inv_temp=0.8, energies=rng.standard_normal((3, 4)))
-        base = to_matrix(pol)
+        logits = 0.8 * rng.standard_normal((3, 4))
+        base = softmax_rows(logits)
         q = rng.uniform(0, 1, size=(3, 4))
         beta = 2.0
-        closed = kl_regularized_argmax(pol, q, beta)
+        closed = kl_regularized_argmax(logits, q, beta)
         for s in range(3):
             oracle = pga_oracle(q[s], base[s], beta)
             assert 0.5 * np.abs(closed[s] - oracle).sum() < 1e-6
 
     def test_beats_random_simplex_points(self):
         rng = np.random.default_rng(9)
-        pol = EnergyPolicy(inv_temp=1.0, energies=rng.standard_normal((2, 3)))
-        base = to_matrix(pol)
+        logits = rng.standard_normal((2, 3))
+        base = softmax_rows(logits)
         q = rng.uniform(0, 1, size=(2, 3))
         beta = 1.5
-        closed = kl_regularized_argmax(pol, q, beta)
+        closed = kl_regularized_argmax(logits, q, beta)
         for s in range(2):
             best = objective(closed[s], q[s], base[s], beta)
             for _ in range(1000):
@@ -153,11 +153,11 @@ class TestThreePointInequality:
         rng = np.random.default_rng(10)
         for _ in range(200):
             n_actions = int(rng.integers(2, 6))
-            pol = EnergyPolicy(inv_temp=1.0, energies=rng.standard_normal((1, n_actions)))
-            pi = to_matrix(pol)[0]
+            logits = rng.standard_normal((1, n_actions))
+            pi = softmax_rows(logits)[0]
             q = rng.uniform(-1, 1, size=n_actions)
             beta = float(rng.uniform(0.5, 4.0))
-            pi_tilde = kl_regularized_argmax(pol, q[None, :], beta)[0]
+            pi_tilde = kl_regularized_argmax(logits, q[None, :], beta)[0]
             pi_dag = rng.dirichlet(np.ones(n_actions))
 
             residual = float((np.log(pi_tilde / pi) - q / beta) @ (pi_dag - pi_tilde))
