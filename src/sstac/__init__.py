@@ -14,7 +14,6 @@ from .errors import (
 )
 from .mdp import (
     TabularMDP,
-    apply_P,
     apply_P_pi,
     bellman_eval,
     build_mdp,
@@ -25,7 +24,6 @@ from .mdp import (
     objective_J,
     optimal_q,
     random_mdp,
-    save_mdp,
     stationary_dists,
     visitation_dist,
 )
@@ -37,7 +35,6 @@ from .linear_ac import (
     TransitionBatch,
     actor_step,
     critic_step_exact,
-    critic_step_offpolicy,
     critic_step_sampled,
     draw_batch,
     project_l2,

@@ -20,7 +20,7 @@ from .neural_ac import run_neural_ac
 from .sampling import RNG_ID
 from .trace import RunTrace, load_trace
 
-ALGORITHMS = ("linear_exact", "linear_sampled", "linear_offpolicy", "neural")
+ALGORITHMS = ("linear_exact", "linear_sampled", "neural")
 
 _ARCH_KEYS = {"m", "H"}
 
@@ -42,8 +42,6 @@ class ExperimentConfig:
     rho_eval: str = "rho_star"
     out_dir: str | None = None
     ridge: float = 0.0
-    shared_batch: bool = False
-    offpolicy_batch_n: int | None = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -69,10 +67,6 @@ class ExperimentConfig:
             doc["out_dir"] = self.out_dir
         if self.ridge:
             doc["ridge"] = self.ridge
-        if self.shared_batch:
-            doc["shared_batch"] = self.shared_batch
-        if self.offpolicy_batch_n is not None:
-            doc["offpolicy_batch_n"] = self.offpolicy_batch_n
         return doc
 
     @classmethod
@@ -123,9 +117,6 @@ class ExperimentConfig:
         radius = _optional_float(doc, "R", minimum=0.0)
         beta = _optional_float(doc, "beta", minimum=0.0, strict=True)
         ridge = _optional_float(doc, "ridge", minimum=0.0) or 0.0
-        shared_batch = doc.get("shared_batch", False)
-        if not isinstance(shared_batch, bool):
-            raise ConfigError("shared_batch must be a boolean")
 
         return cls(
             mdp=mdp_source,
@@ -141,8 +132,6 @@ class ExperimentConfig:
             rho_eval=rho_eval,
             out_dir=doc.get("out_dir"),
             ridge=ridge,
-            shared_batch=shared_batch,
-            offpolicy_batch_n=_optional_int(doc, "offpolicy_batch_n", minimum=1),
         )
 
 
@@ -187,7 +176,10 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
     """Run one seed of an experiment and attach the full manifest."""
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    mdp = build_mdp(config.mdp)
+    try:
+        mdp = build_mdp(config.mdp)
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, malformed or invalid MDP file
+        raise ConfigError(f"cannot load MDP {config.mdp!r}: {exc}") from exc
     if config.algorithm == "neural":
         m, depth = config.arch
         trace = run_neural_ac(
@@ -216,8 +208,6 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
             rho_eval=config.rho_eval,
             beta=config.beta,
             ridge=config.ridge,
-            shared_batch=config.shared_batch,
-            offpolicy_batch_n=config.offpolicy_batch_n,
         )
     params = trace.manifest.get("params", {})
     trace.manifest = {
@@ -363,7 +353,7 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
     )
 
     algorithm = trace.manifest.get("config", {}).get("algorithm")
-    if algorithm in ("linear_exact", "linear_offpolicy"):
+    if algorithm == "linear_exact":
         eps_sup = max(trace.column("eps_c_sup"))
         ok = eps_sup <= 1e-9
         checks.append(

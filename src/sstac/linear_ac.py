@@ -3,9 +3,9 @@
 The actor performs the natural-policy-gradient weight recursion
 ``theta_{k+1} = tau_{k+1} (beta^{-1} omega_k + tau_k^{-1} theta_k)`` under the
 schedule ``tau_{k+1}^{-1} = (k+1) / beta``; the critic applies the Bellman
-evaluation operator once per iteration, either as an exact population
-least-squares solve, a sampled projected least-squares step, or an
-off-policy variant under a fixed behavioral distribution.
+evaluation operator once per iteration under the new policy's stationary
+distribution rho_{k+1}, either as an exact population least-squares solve or
+as a sampled projected least-squares step.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .errors import ConditioningError, ParameterError, SstacError
 from .features import FeatureMap, gram_matrix, min_eigenvalue
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
-from .sampling import RunRng, _conditional_draws, sample_sa, sample_tuples
+from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import BASE_COLUMNS, RunTrace
 
 log = logging.getLogger(__name__)
 
-MODES = ("exact", "sampled", "offpolicy")
+MODES = ("exact", "sampled")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _sample_moments(features: FeatureMap, batch: TransitionBatch, y: np.ndarray)
 
 
 def _solve_critic(gram, rhs, radius: float, tol: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
-    """Conditioning check, least-squares solve and ball projection shared by every critic.
+    """Conditioning check, least-squares solve and ball projection shared by both critics.
 
     ``gram`` is the dense Gram matrix, or its diagonal (1-D) for one-hot
     features; the diagonal form divides elementwise, which gives the same
@@ -148,29 +148,11 @@ class TransitionBatch:
 
 
 def draw_batch(
-    mdp: mdp_mod.TabularMDP,
-    rho: np.ndarray,
-    policy_next: np.ndarray,
-    rng: RunRng,
-    n: int,
-    *,
-    shared: bool = False,
+    mdp: mdp_mod.TabularMDP, rho: np.ndarray, policy_next: np.ndarray, rng: RunRng, n: int
 ) -> TransitionBatch:
-    """Draw the two sample sets of one sampled critic update.
-
-    The Gram set and the target set use independent streams; ``shared=True``
-    reuses the Gram pairs as target pairs (off by default, matching the
-    two-independent-sets reading).
-    """
+    """Draw the two sample sets of one sampled critic update from independent streams."""
     gram_pairs = sample_sa(rho, rng.stream("gram_batch"), n)
-    if shared:
-        target_rng = rng.stream("target_batch")
-        s, a = gram_pairs[:, 0], gram_pairs[:, 1]
-        s_next = _conditional_draws(target_rng, mdp.transition[s, a])
-        a_next = _conditional_draws(target_rng, np.asarray(policy_next, dtype=float)[s_next])
-        r = mdp.reward[s, a]
-    else:
-        s, a, r, s_next, a_next = sample_tuples(mdp, rho, policy_next, rng.stream("target_batch"), n)
+    s, a, r, s_next, a_next = sample_tuples(mdp, rho, policy_next, rng.stream("target_batch"), n)
     return TransitionBatch(gram_pairs=gram_pairs, s=s, a=a, r=r, s_next=s_next, a_next=a_next)
 
 
@@ -193,36 +175,6 @@ def critic_step_sampled(
     return _solve_critic(gram, rhs, state.radius, gram_tol, "increase N or enable the ridge", ridge=ridge)
 
 
-def critic_step_offpolicy(
-    state: LinearAcState,
-    behavior,
-    policy_next: np.ndarray,
-    features: FeatureMap,
-    mdp: mdp_mod.TabularMDP,
-    *,
-    gram_tol: float = 1e-12,
-) -> np.ndarray:
-    """Critic update under a behavioral distribution or a reusable fixed batch.
-
-    ``behavior`` is either a state-action distribution table (population
-    expectations, exact next-policy operator) or a TransitionBatch whose
-    (s, a, r, s') tuples are reused across iterations; in the batch form the
-    next-action expectation is taken exactly under ``policy_next``, which is
-    what makes reuse sound after the policy has moved on.
-    """
-    q_omega = features.value_table(state.omega)
-    if isinstance(behavior, TransitionBatch):
-        v_next = (np.asarray(policy_next, dtype=float) * q_omega).sum(axis=1)
-        y = (1.0 - mdp.gamma) * behavior.r + mdp.gamma * v_next[behavior.s_next]
-        gram, rhs = _sample_moments(features, behavior, y)
-        hint = "increase the behavioral batch size"
-    else:
-        target = mdp_mod.bellman_eval(mdp, policy_next, q_omega)
-        gram, rhs = _population_moments(features, np.asarray(behavior, dtype=float), target)
-        hint = "the behavioral distribution may lack support"
-    return _solve_critic(gram, rhs, state.radius, gram_tol, hint)
-
-
 def default_radius(mdp: mdp_mod.TabularMDP) -> float:
     # Dominates ||Q^pi||_inf <= r_max with slack, so the exact critic never clips.
     return 2.0 * mdp.r_max / (1.0 - mdp.gamma)
@@ -240,8 +192,6 @@ def run_linear_ac(
     rho_eval: str = "rho_star",
     beta: float | None = None,
     ridge: float = 0.0,
-    shared_batch: bool = False,
-    offpolicy_batch_n: int | None = None,
 ) -> RunTrace:
     """Run the full linear actor-critic loop for iterations k = 0 .. K.
 
@@ -264,13 +214,6 @@ def run_linear_ac(
         theta=np.zeros(d), omega=np.zeros(d), inv_tau=0.0, k=0, beta=beta_val, radius=radius_val
     )
 
-    behavior = None  # off-policy: the uniform policy's distribution, or a fixed batch drawn from it
-    if mode == "offpolicy":
-        uniform_policy = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-        _, behavior = mdp_mod.stationary_dists(mdp, uniform_policy)
-        if offpolicy_batch_n:
-            behavior = draw_batch(mdp, behavior, uniform_policy, rng, offpolicy_batch_n)
-
     theta_hist = [state.theta.copy()]
     omega_hist = [state.omega.copy()]
     omega_sum = np.zeros(d)
@@ -288,11 +231,9 @@ def run_linear_ac(
 
         if mode == "exact":
             omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next)
-        elif mode == "sampled":
-            batch = draw_batch(mdp, rho_next, pi_next, rng, N, shared=shared_batch)
-            omega_next = critic_step_sampled(after_actor, batch, features, mdp.gamma, ridge=ridge)
         else:
-            omega_next = critic_step_offpolicy(after_actor, behavior, pi_next, features, mdp)
+            batch = draw_batch(mdp, rho_next, pi_next, rng, N)
+            omega_next = critic_step_sampled(after_actor, batch, features, mdp.gamma, ridge=ridge)
         critic_norm = float(np.linalg.norm(omega_next))
         if critic_norm > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")
@@ -312,8 +253,6 @@ def run_linear_ac(
         "radius": radius_val,
         "rho_eval": rho_eval,
         "ridge": ridge,
-        "shared_batch": shared_batch,
-        "offpolicy_batch_n": offpolicy_batch_n,
     }
     trace = run_single_timescale(
         mdp,

@@ -113,14 +113,6 @@ def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     return pi
 
 
-def apply_P(mdp: TabularMDP, g: np.ndarray) -> np.ndarray:
-    """Expected next-state value: result[s, a] = E[g(s') | s, a]."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (mdp.n_states,):
-        raise ContractViolationError(f"g must have shape ({mdp.n_states},), got {g.shape}")
-    return mdp.transition @ g
-
-
 def apply_P_pi(mdp: TabularMDP, policy: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Expected next-state-action value under ``policy``.
 
@@ -363,6 +355,8 @@ def mdp_to_json(mdp: TabularMDP) -> dict:
 
 
 def mdp_from_json(doc: dict) -> TabularMDP:
+    if not isinstance(doc, dict):
+        raise ContractViolationError(f"MDP document must be a JSON object, got {type(doc).__name__}")
     required = {"n_states", "n_actions", "gamma", "r_max", "transition", "reward", "initial_dist"}
     missing = required - doc.keys()
     if missing:
@@ -378,11 +372,6 @@ def mdp_from_json(doc: dict) -> TabularMDP:
         initial_dist=np.asarray(doc["initial_dist"], dtype=float),
         r_max=float(doc["r_max"]),
     )
-
-
-def save_mdp(mdp: TabularMDP, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mdp_to_json(mdp), fh)
 
 
 def load_mdp(path) -> TabularMDP:

@@ -8,6 +8,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,7 +94,13 @@ def load_trace(directory) -> RunTrace:
         if len(cells) != len(columns):
             raise ConfigError(f"{csv_path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ConfigError(f"{csv_path}:{lineno}: {exc}") from exc
+        # NaN fails every comparison, so it would pass every diag check; inf
+        # stays legal (phi_star is infinite when rho_{k+1} lacks support).
+        bad = next((name for name, value in zip(columns, row) if math.isnan(value)), None)
+        if bad is not None:
+            raise ConfigError(f"{csv_path}:{lineno}: column {bad!r} is nan")
+        rows.append(row)
     return RunTrace(manifest=manifest, columns=columns, rows=rows)

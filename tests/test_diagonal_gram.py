@@ -18,7 +18,6 @@ from sstac import (
     TransitionBatch,
     bellman_eval,
     critic_step_exact,
-    critic_step_offpolicy,
     critic_step_sampled,
     gram_min_singular,
     random_mdp,
@@ -153,25 +152,4 @@ def test_sampled_critic_matches_dense_solve(p, n, ridge):
 
     assert_same_outcome(
         lambda: critic_step_sampled(state, batch, feats, gamma, ridge=ridge, gram_tol=p["tol"]), reference
-    )
-
-
-@PROPERTY
-@given(problems(), st.integers(1, 40))
-def test_offpolicy_critic_matches_dense_solve(p, n):
-    batch = draw_batch_arrays(p, n)
-    feats, state, mdp = p["feats"], state_of(p), p["mdp"]
-
-    def batch_reference():
-        v_next = (p["policy"] * (feats.phi @ state.omega)).sum(axis=1)
-        y = (1.0 - mdp.gamma) * batch.r + mdp.gamma * v_next[batch.s_next]
-        gram, rhs = dense_sample_moments(feats.phi, batch, y)
-        return dense_solve(gram, rhs, state.radius, p["tol"])
-
-    assert_same_outcome(
-        lambda: critic_step_offpolicy(state, batch, p["policy"], feats, mdp, gram_tol=p["tol"]), batch_reference
-    )
-    assert_same_outcome(
-        lambda: critic_step_offpolicy(state, p["rho"], p["policy"], feats, mdp, gram_tol=p["tol"]),
-        lambda: dense_population(p, p["rho"]),
     )

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sstac import ConfigError, load_trace
+from sstac import ConfigError, SstacError, chain2, load_trace
 from sstac.cli import main
 from sstac.harness import (
+    ALGORITHMS,
     DIAG_SERIES,
     ExperimentConfig,
     diag_checks,
@@ -16,11 +17,20 @@ from sstac.harness import (
     run_id,
     sweep_command,
 )
+from sstac.mdp import mdp_to_json
 from sstac.trace import BASE_COLUMNS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chain2" / "trace.csv"
 
 BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "seeds": [0]}
+
+
+BAD_MDP_CAUSE = {
+    "undecodable": "codec can't decode",
+    "truncated": "Expecting",
+    "wrong_type": "invalid literal for int()",
+    "nan_reward": "reward entry (1, 0) is nan",
+}
 
 
 def write_config(tmp_path, doc):
@@ -165,6 +175,24 @@ class TestCliRun:
         assert err.startswith("sstac: error: conditioning:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("case", ["undecodable", "truncated", "wrong_type", "nan_reward"])
+    def test_bad_mdp_file_exits_2_naming_path(self, tmp_path, capsys, verb, case):
+        doc = mdp_to_json(chain2())
+        if case == "wrong_type":
+            doc["n_states"] = "x"
+        elif case == "nan_reward":
+            doc["reward"][1][0] = float("nan")  # written as the bare token NaN, which json.load accepts
+        text = json.dumps(doc).encode()
+        mdp_path = tmp_path / "mdp.json"
+        mdp_path.write_bytes({"undecodable": b"\xff\xfe" + text, "truncated": text[: len(text) // 2]}.get(case, text))
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "mdp": str(mdp_path), "out_dir": str(tmp_path / "r")})
+        argv = [verb, "--config", cfg_path] + (["--param", "K", "--values", "2"] if verb == "sweep" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: cannot load MDP {str(mdp_path)!r}")
+        assert BAD_MDP_CAUSE[case] in err
+
     def test_determinism_across_invocations(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -235,6 +263,29 @@ class TestCliDiag:
         out = capsys.readouterr().out
         assert "FAIL regret-consistency: cum_regret mismatch at row k=3" in out
 
+    def _trace_dir_with_cell(self, tmp_path, column, text):
+        """A fresh trace whose k=3 row (line 5 of trace.csv) holds ``text`` in ``column``."""
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        lines = (trace_dir / "trace.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[BASE_COLUMNS.index(column)] = text
+        lines[4] = ",".join(cells)
+        (trace_dir / "trace.csv").write_text("\n".join(lines) + "\n")
+        return trace_dir
+
+    def test_nan_cell_exits_2_naming_line_and_column(self, tmp_path, capsys):
+        # Every diag comparison with NaN is False, so a NaN cell would pass all checks.
+        trace_dir = self._trace_dir_with_cell(tmp_path, "cum_regret", "nan")
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sstac: error: config:")
+        assert "trace.csv:5: column 'cum_regret' is nan" in err
+
+    def test_infinite_phi_star_is_accepted(self, tmp_path, capsys):
+        # phi_star is infinite when rho_{k+1} lacks support; that is a value, not corruption.
+        trace_dir = self._trace_dir_with_cell(tmp_path, "phi_star", "inf")
+        assert main(["diag", "--trace", str(trace_dir)]) == 0
+
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert main(["diag", "--trace", str(tmp_path / "nope")]) == 2
 
@@ -258,3 +309,20 @@ class TestNeuralThroughHarness:
         assert len(trace.rows) == 2
         checks = diag_checks(trace)
         assert all(c.ok for c in checks)
+
+
+MODE_EXTRAS = {"linear_sampled": {"N": 256}, "neural": {"arch": {"m": 8, "H": 2}, "N_a": 8, "N_c": 8}}
+
+
+@pytest.mark.parametrize("mdp", ["chain2", "gridworld5", "random(16,4,0)"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_mode_runs_or_fails_early_on_every_builtin(algorithm, mdp):
+    cfg = ExperimentConfig.from_dict({"mdp": mdp, "algorithm": algorithm, "K": 2, **MODE_EXTRAS.get(algorithm, {})})
+    try:
+        trace = execute_run(cfg, 0)
+    except SstacError as exc:
+        assert str(exc).startswith("at k="), str(exc)
+        return
+    assert len(trace.rows) == 3
+    failed = [c for c in diag_checks(trace) if not c.ok]
+    assert not failed, failed

@@ -11,7 +11,6 @@ from sstac import (
     bellman_eval,
     chain2,
     critic_step_exact,
-    critic_step_offpolicy,
     critic_step_sampled,
     draw_batch,
     exact_q_pi,
@@ -187,39 +186,6 @@ class TestCriticStepSampled:
         assert rms[4096] < rms[256]
 
 
-class TestCriticStepOffpolicy:
-    def test_behavior_equal_to_on_policy_distribution(self):
-        m = chain2()
-        feats = tabular_features(2, 2)
-        rng = np.random.default_rng(4)
-        pi = random_policy(rng, 2, 2)
-        _, rho = stationary_dists(m, pi)
-        omega_k = rng.standard_normal(4) * 0.2
-        st = make_state(theta=np.zeros(4), omega=omega_k, radius=100.0)
-        on = critic_step_exact(st, m, pi, feats, rho)
-        off = critic_step_offpolicy(st, rho, pi, feats, m)
-        np.testing.assert_allclose(off, on, atol=1e-12)
-
-    def test_full_support_behavior_reproduces_bellman_table(self):
-        m = chain2()
-        feats = tabular_features(2, 2)
-        rng = np.random.default_rng(5)
-        pi_next = random_policy(rng, 2, 2)
-        rho_bhv = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        omega_k = rng.standard_normal(4) * 0.2
-        st = make_state(theta=np.zeros(4), omega=omega_k, radius=100.0)
-        got = critic_step_offpolicy(st, rho_bhv, pi_next, feats, m)
-        expected = bellman_eval(m, pi_next, omega_k.reshape(2, 2)).reshape(-1)
-        np.testing.assert_allclose(got, expected, atol=1e-10)
-
-    def test_fixed_batch_reuse_completes_and_improves(self):
-        m = chain2()
-        feats = tabular_features(2, 2)
-        trace = run_linear_ac(m, feats, 64, mode="offpolicy", seed=0, offpolicy_batch_n=4096)
-        gap = trace.column("gap")
-        assert gap[-1] < gap[0]
-
-
 class TestRunLinearAc:
     def test_first_iterate_formulas(self):
         m = chain2()
@@ -258,7 +224,7 @@ class TestRunLinearAc:
     def test_critic_ball_invariant_all_modes(self):
         m = chain2()
         feats = tabular_features(2, 2)
-        for mode, kwargs in [("exact", {}), ("sampled", {"N": 128}), ("offpolicy", {})]:
+        for mode, kwargs in [("exact", {}), ("sampled", {"N": 128})]:
             trace = run_linear_ac(m, feats, 12, mode=mode, seed=1, radius=0.45, **kwargs)
             for w in trace.history["omega"]:
                 assert np.linalg.norm(w) <= 0.45 + 1e-12
@@ -278,14 +244,6 @@ class TestRunLinearAc:
             q_k = feats.value_table(omega[k])
             improved = kl_regularized_argmax(logits_k, q_k, beta)
             np.testing.assert_allclose(policies[k + 1], improved, atol=1e-10)
-
-    def test_sampled_mode_shared_batch_flag(self):
-        m = chain2()
-        feats = tabular_features(2, 2)
-        a = run_linear_ac(m, feats, 6, mode="sampled", N=128, seed=2, shared_batch=True)
-        b = run_linear_ac(m, feats, 6, mode="sampled", N=128, seed=2, shared_batch=False)
-        assert len(a.rows) == len(b.rows) == 7
-        assert a.to_csv_text() != b.to_csv_text()
 
     def test_conditioning_error_names_iteration_and_unvisited_pairs(self):
         # Without a ridge, N=1024 draws on gridworld5's 100 pairs leave some undrawn at k=0.

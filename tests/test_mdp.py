@@ -8,7 +8,6 @@ from sstac import (
     ContractViolationError,
     ErgodicityError,
     TabularMDP,
-    apply_P,
     apply_P_pi,
     bellman_eval,
     chain2,
@@ -19,7 +18,7 @@ from sstac import (
     stationary_dists,
     visitation_dist,
 )
-from sstac.mdp import load_mdp, mdp_from_json, mdp_to_json, save_mdp
+from sstac.mdp import load_mdp, mdp_from_json, mdp_to_json
 
 from conftest import random_policy
 
@@ -69,30 +68,6 @@ class TestConstruction:
     def test_rejects_non_finite_r_max(self, chain, bad):
         with pytest.raises(ContractViolationError, match="r_max must be finite"):
             TabularMDP(chain.transition, chain.reward, 0.9, chain.initial_dist, r_max=bad)
-
-
-class TestApplyP:
-    def test_constant_function_passes_through(self, mdp5):
-        out = apply_P(mdp5, np.full(5, 3.25))
-        np.testing.assert_allclose(out, 3.25)
-
-    def test_chain2_deterministic_lookup(self, chain):
-        out = apply_P(chain, np.array([0.0, 1.0]))
-        assert out[0, 0] == 1.0  # go from 0 lands in 1
-        assert out[0, 1] == 0.0  # stay in 0
-
-    def test_matches_triple_loop_oracle(self, mdp5):
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal(5)
-        out = apply_P(mdp5, g)
-        for s in range(5):
-            for a in range(3):
-                expected = sum(mdp5.transition[s, a, t] * g[t] for t in range(5))
-                assert abs(out[s, a] - expected) < 1e-14
-
-    def test_dimension_mismatch(self, chain):
-        with pytest.raises(ContractViolationError):
-            apply_P(chain, np.zeros(3))
 
 
 class TestApplyPPi:
@@ -357,7 +332,7 @@ class TestProperties:
 class TestSerialization:
     def test_round_trip(self, tmp_path, mdp5):
         path = tmp_path / "mdp.json"
-        save_mdp(mdp5, path)
+        path.write_text(json.dumps(mdp_to_json(mdp5)))
         loaded = load_mdp(path)
         np.testing.assert_array_equal(loaded.transition, mdp5.transition)
         np.testing.assert_array_equal(loaded.reward, mdp5.reward)
@@ -384,3 +359,5 @@ class TestSerialization:
     def test_loader_rejects_missing_keys(self):
         with pytest.raises(ContractViolationError, match="missing"):
             mdp_from_json({"n_states": 1})
+        with pytest.raises(ContractViolationError, match="must be a JSON object, got list"):
+            mdp_from_json([1])
