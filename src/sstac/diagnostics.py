@@ -21,7 +21,7 @@ _ZERO = 1e-300  # guards log() of fully underflowed policy entries
 class IterDiag:
     """Scalar diagnostics for one coupled actor/critic update."""
 
-    gap: float  # E_rho_eval[Q* - Q^{pi_next}]
+    gap: float  # E_rho*[Q* - Q^{pi_next}], rho* = nu* pi*
     eps_c_l2: float  # critic statistical error, L2 under rho_next
     eps_c_sup: float
     e_sup: float  # tracking error  ||Q_w_k - T^{pi_next} Q_w_k||_inf
@@ -47,9 +47,8 @@ def error_decomposition(
     pi_star: np.ndarray,
     nu_star: np.ndarray,
     rho_next: np.ndarray,
-    rho_eval: np.ndarray,
     beta: float,
-    features=None,
+    features,
 ) -> tuple[IterDiag, dict]:
     """All §-style analysis quantities for one update, plus the raw tables.
 
@@ -79,18 +78,18 @@ def error_decomposition(
     eps_a_rows = np.abs((mismatch * (pi_star - pi_next)).sum(axis=1))
     eps_b_rows = np.abs((mismatch * (pi_k - pi_next)).sum(axis=1))
 
-    phi_star = density_ratio_l2(nu_star[:, None] * pi_star, rho_next)
+    rho_star = nu_star[:, None] * pi_star
 
     diag = IterDiag(
-        gap=float(np.sum(rho_eval * (q_star - q_pi_next))),
+        gap=float(np.sum(rho_star * (q_star - q_pi_next))),
         eps_c_l2=float(np.sqrt(np.sum(rho_next * eps_c**2))),
         eps_c_sup=float(np.max(np.abs(eps_c))),
         e_sup=float(np.max(np.abs(e_table))),
         theta_kl=theta_kl,
         eps_a=float(nu_star @ eps_a_rows),
         eps_b=float(nu_star @ eps_b_rows),
-        phi_star=phi_star,
-        sigma_star=float(gram_min_singular(features, rho_next)) if features is not None else float("nan"),
+        phi_star=density_ratio_l2(rho_star, rho_next),
+        sigma_star=float(gram_min_singular(features, rho_next)),
         j_pi=float(np.sum(mdp.initial_dist[:, None] * pi_next * q_pi_next)),
         kl_to_opt=kl_to_opt,
         a_resid=a_resid,

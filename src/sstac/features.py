@@ -18,7 +18,7 @@ class FeatureMap:
     ``one_hot`` records whether ``phi.reshape(S * A, d)`` is exactly the
     identity with d >= 2, i.e. feature ``s * A + a`` is the indicator of pair
     (s, a).  The Gram matrix E_rho[phi phi^T] is then exactly diag(rho), and
-    the linear critics keep it as that diagonal.
+    ``gram_matrix`` returns it as that diagonal.
     """
 
     phi: np.ndarray  # (S, A, d)
@@ -85,14 +85,14 @@ def random_features(n_states: int, n_actions: int, dim: int, seed: int) -> Featu
 
 
 def gram_matrix(features: FeatureMap, rho: np.ndarray) -> np.ndarray:
-    """Second-moment matrix E_rho[phi phi^T]."""
+    """Second-moment matrix E_rho[phi phi^T]; for one-hot features its diagonal, rho flattened (1-D)."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (features.n_states, features.n_actions):
         raise ContractViolationError(
             f"rho must have shape {(features.n_states, features.n_actions)}, got {rho.shape}"
         )
     if features.one_hot:
-        return np.diag(rho.reshape(-1))
+        return rho.flatten()
     flat_phi = features.phi.reshape(-1, features.dim)
     return (flat_phi * rho.reshape(-1, 1)).T @ flat_phi
 
@@ -108,5 +108,4 @@ def min_eigenvalue(gram: np.ndarray) -> float:
 
 def gram_min_singular(features: FeatureMap, rho: np.ndarray) -> float:
     """Smallest singular value of E_rho[phi phi^T] (the conditioning diagnostic)."""
-    gram = gram_matrix(features, rho)
-    return max(min_eigenvalue(np.diagonal(gram) if features.one_hot else gram), 0.0)
+    return max(min_eigenvalue(gram_matrix(features, rho)), 0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -14,13 +14,20 @@ from . import __version__
 from .errors import ConfigError
 from .features import tabular_features
 from .linear_ac import run_linear_ac
-from .loop import RHO_EVALS
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
 from .sampling import RNG_ID
 from .trace import RunTrace, load_trace
 
-ALGORITHMS = ("linear_exact", "linear_sampled", "neural")
+# Config keys each algorithm reads beyond mdp, algorithm, K, seeds, R and
+# beta, mapped to whether a config must set them.
+ALGORITHM_KEYS = {
+    "linear_exact": {},
+    "linear_sampled": {"N": True, "ridge": False},
+    "neural": {"arch": True, "N_a": False, "N_c": False},
+}
+ALGORITHMS = tuple(ALGORITHM_KEYS)
+_COMMON_KEYS = {"mdp", "algorithm", "K", "seeds", "R", "beta"}
 
 _ARCH_KEYS = {"m", "H"}
 
@@ -39,34 +46,13 @@ class ExperimentConfig:
     arch: tuple[int, int] | None = None  # (m, H); d is fixed by the encoding
     R: float | None = None
     beta: float | None = None
-    rho_eval: str = "rho_star"
-    out_dir: str | None = None
-    ridge: float = 0.0
+    ridge: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "mdp": self.mdp,
-            "algorithm": self.algorithm,
-            "K": self.K,
-            "seeds": list(self.seeds),
-            "rho_eval": self.rho_eval,
-        }
-        if self.N is not None:
-            doc["N"] = self.N
-        if self.N_a is not None:
-            doc["N_a"] = self.N_a
-        if self.N_c is not None:
-            doc["N_c"] = self.N_c
+        doc = {key: value for key, value in asdict(self).items() if value is not None}
+        doc["seeds"] = list(self.seeds)
         if self.arch is not None:
             doc["arch"] = {"m": self.arch[0], "H": self.arch[1]}
-        if self.R is not None:
-            doc["R"] = self.R
-        if self.beta is not None:
-            doc["beta"] = self.beta
-        if self.out_dir is not None:
-            doc["out_dir"] = self.out_dir
-        if self.ridge:
-            doc["ridge"] = self.ridge
         return doc
 
     @classmethod
@@ -83,6 +69,13 @@ class ExperimentConfig:
         algorithm = doc["algorithm"]
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+        reads = ALGORITHM_KEYS[algorithm]
+        foreign = set(doc) - _COMMON_KEYS - set(reads)
+        if foreign:
+            raise ConfigError(f"algorithm {algorithm!r} does not read config keys {sorted(foreign)}")
+        for key, required in reads.items():
+            if required and key not in doc:
+                raise ConfigError(f"algorithm {algorithm!r} requires config key {key!r}")
         K = _require_int(doc, "K", minimum=1)
         seeds = doc.get("seeds", [0])
         if not isinstance(seeds, list) or not seeds or not all(
@@ -97,41 +90,25 @@ class ExperimentConfig:
             if not Path(mdp_source).is_file():
                 raise ConfigError(f"mdp file does not exist: {mdp_source}")
 
-        rho_eval = doc.get("rho_eval", "rho_star")
-        if rho_eval not in RHO_EVALS:
-            raise ConfigError(f"rho_eval must be one of {RHO_EVALS}, got {rho_eval!r}")
-
         arch = None
         if "arch" in doc:
             arch_doc = doc["arch"]
             if not isinstance(arch_doc, dict) or not set(arch_doc) <= _ARCH_KEYS:
                 raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
             arch = (_require_int(arch_doc, "m", minimum=1), _require_int(arch_doc, "H", minimum=1))
-        if algorithm == "neural" and arch is None:
-            raise ConfigError("neural runs require an arch entry with m and H")
-
-        n = _optional_int(doc, "N", minimum=1)
-        if algorithm == "linear_sampled" and n is None:
-            raise ConfigError("linear_sampled requires N")
-
-        radius = _optional_float(doc, "R", minimum=0.0)
-        beta = _optional_float(doc, "beta", minimum=0.0, strict=True)
-        ridge = _optional_float(doc, "ridge", minimum=0.0) or 0.0
 
         return cls(
             mdp=mdp_source,
             algorithm=algorithm,
             K=K,
             seeds=tuple(seeds),
-            N=n,
+            N=_optional_int(doc, "N", minimum=1),
             N_a=_optional_int(doc, "N_a", minimum=1),
             N_c=_optional_int(doc, "N_c", minimum=1),
             arch=arch,
-            R=radius,
-            beta=beta,
-            rho_eval=rho_eval,
-            out_dir=doc.get("out_dir"),
-            ridge=ridge,
+            R=_optional_float(doc, "R", minimum=0.0),
+            beta=_optional_float(doc, "beta", minimum=0.0, strict=True),
+            ridge=_optional_float(doc, "ridge", minimum=0.0),
         )
 
 
@@ -181,34 +158,14 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
     except (OSError, ValueError, TypeError) as exc:  # unreadable, malformed or invalid MDP file
         raise ConfigError(f"cannot load MDP {config.mdp!r}: {exc}") from exc
     if config.algorithm == "neural":
-        m, depth = config.arch
-        trace = run_neural_ac(
-            mdp,
-            m,
-            depth,
-            config.K,
-            n_actor=config.N_a if config.N_a is not None else (config.N or 400),
-            n_critic=config.N_c if config.N_c is not None else (config.N or 400),
-            seed=seed,
-            radius=config.R if config.R is not None else 10.0,
-            rho_eval=config.rho_eval,
-            beta=config.beta,
-        )
+        driver, args = run_neural_ac, (mdp, *config.arch, config.K)
+        settings = {"n_actor": config.N_a, "n_critic": config.N_c}
     else:
-        mode = config.algorithm.removeprefix("linear_")
-        features = tabular_features(mdp.n_states, mdp.n_actions)
-        trace = run_linear_ac(
-            mdp,
-            features,
-            config.K,
-            mode=mode,
-            N=config.N if config.N is not None else 1024,
-            seed=seed,
-            radius=config.R,
-            rho_eval=config.rho_eval,
-            beta=config.beta,
-            ridge=config.ridge,
-        )
+        driver, args = run_linear_ac, (mdp, tabular_features(mdp.n_states, mdp.n_actions), config.K)
+        settings = {"mode": config.algorithm.removeprefix("linear_"), "N": config.N, "ridge": config.ridge}
+    settings.update(seed=seed, radius=config.R, beta=config.beta)
+    # A setting the config leaves unset (None) keeps the driver's default.
+    trace = driver(*args, **{name: value for name, value in settings.items() if value is not None})
     params = trace.manifest.get("params", {})
     trace.manifest = {
         "config": config.to_dict(),
@@ -225,7 +182,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
 
 def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Path]:
     """Execute every seed of a config and persist each trace; returns the directories."""
-    base = Path(out_dir or config.out_dir or "runs")
+    base = Path(out_dir or "runs")
     dirs = []
     for seed in config.seeds:
         trace = execute_run(config, seed)
@@ -245,10 +202,10 @@ def sweep_command(
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
-    base = Path(out_dir or config.out_dir or "sweep")
+    base = Path(out_dir or "sweep")
     jobs = []
     for value in values:
-        derived = ExperimentConfig.from_dict({**config.to_dict(), param: value, "out_dir": str(base)})
+        derived = ExperimentConfig.from_dict({**config.to_dict(), param: value})
         for seed in derived.seeds:
             jobs.append((value, seed, derived))
 

@@ -67,7 +67,7 @@ def _population_moments(features: FeatureMap, rho: np.ndarray, target: np.ndarra
     gram = gram_matrix(features, rho)
     weighted = rho * target
     if features.one_hot:
-        return np.diagonal(gram), weighted.reshape(-1)
+        return gram, weighted.reshape(-1)
     return gram, np.einsum("sa,sad->d", weighted, features.phi)
 
 
@@ -189,7 +189,6 @@ def run_linear_ac(
     N: int = 1024,
     seed: int = 0,
     radius: float | None = None,
-    rho_eval: str = "rho_star",
     beta: float | None = None,
     ridge: float = 0.0,
 ) -> RunTrace:
@@ -200,7 +199,7 @@ def run_linear_ac(
     deterministic given the seed.
     """
     radius_val = float(radius) if radius is not None else default_radius(mdp)
-    beta_val = resolve_beta(K, rho_eval, beta, radius_val)
+    beta_val = resolve_beta(K, beta, radius_val)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "sampled" and N < 1:
@@ -251,7 +250,6 @@ def run_linear_ac(
         "seed": seed,
         "beta": beta_val,
         "radius": radius_val,
-        "rho_eval": rho_eval,
         "ridge": ridge,
     }
     trace = run_single_timescale(
@@ -261,7 +259,6 @@ def run_linear_ac(
         pi_0=softmax_rows(state.inv_tau * features.value_table(state.theta)),
         q_0=features.value_table(state.omega),
         beta=beta_val,
-        rho_eval=rho_eval,
         features=features,
         columns=list(BASE_COLUMNS),
         params=params,

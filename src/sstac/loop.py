@@ -14,15 +14,11 @@ from .errors import ParameterError, SstacError
 from .sampling import RNG_ID
 from .trace import RunTrace
 
-RHO_EVALS = ("rho_star", "uniform")
 
-
-def resolve_beta(K: int, rho_eval: str, beta: float | None, radius: float) -> float:
+def resolve_beta(K: int, beta: float | None, radius: float) -> float:
     """Validate the parameters every driver shares; returns beta, sqrt(K) by default."""
     if K < 1:
         raise ParameterError("K must be >= 1")
-    if rho_eval not in RHO_EVALS:
-        raise ParameterError(f"rho_eval must be one of {RHO_EVALS}, got {rho_eval!r}")
     beta_val = float(beta) if beta is not None else math.sqrt(K)
     if beta_val <= 0:
         raise ParameterError("beta must be positive")
@@ -39,12 +35,14 @@ def run_single_timescale(
     pi_0: np.ndarray,
     q_0: np.ndarray,
     beta: float,
-    rho_eval: str,
     features,
     columns: list[str],
     params: dict,
 ) -> RunTrace:
     """Run ``step`` for k = 0 .. K and score every update against the exact oracles.
+
+    The gap of each update is E_rho*[Q* - Q^{pi_{k+1}}] under the optimal
+    policy's stationary measure rho* = nu* pi*.
 
     ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
     ``(pi_next, rho_next, q_next, inv_tau, actor_norm, critic_norm, *extra)``:
@@ -55,10 +53,6 @@ def run_single_timescale(
     """
     q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
     nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
-    if rho_eval == "rho_star":
-        rho_eval_table = rho_star
-    else:
-        rho_eval_table = np.full((mdp.n_states, mdp.n_actions), 1.0 / (mdp.n_states * mdp.n_actions))
 
     pi_k, q_k = pi_0, q_0
     policies = [pi_k]
@@ -79,7 +73,6 @@ def run_single_timescale(
                 pi_star=pi_star,
                 nu_star=nu_star,
                 rho_next=rho_next,
-                rho_eval=rho_eval_table,
                 beta=beta,
                 features=features,
             )

@@ -63,13 +63,13 @@ def _sgd_averaged(
     radius: float,
     stepsize: float,
     n_steps: int,
-    residual_fn,
     inputs: np.ndarray,
+    targets: np.ndarray,
 ) -> DnnParams:
-    """Projected-SGD loop returning the average of iterates 1..n_steps.
+    """Projected-SGD loop on the squared loss, returning the average of iterates 1..n_steps.
 
-    ``residual_fn(value, step_index)`` maps the current network output at the
-    sampled input to the scalar residual multiplying the gradient.
+    Step n moves along the gradient at ``inputs[n]`` scaled by the residual
+    (network output minus ``targets[n]``).
     """
     if len(inputs) < n_steps:
         raise SamplingError(f"sampler provided {len(inputs)} draws, inner loop needs {n_steps}")
@@ -77,7 +77,7 @@ def _sgd_averaged(
     acc = [np.zeros_like(w) for w in work.weights]
     for n in range(n_steps):
         value, grads = gradient(work, inputs[n])
-        resid = residual_fn(value, n)
+        resid = value - targets[n]
         for h in range(work.depth):
             work.weights[h] -= stepsize * resid * grads[h]
         project_ball_inplace(work, radius)
@@ -107,8 +107,8 @@ def actor_inner_loop(
         state.radius,
         state.alpha,
         state.n_actor,
-        lambda value, n: value - targets[n],
         inputs,
+        targets,
     )
 
 
@@ -135,8 +135,8 @@ def critic_inner_loop(
         state.radius,
         state.eta,
         state.n_critic,
-        lambda value, n: value - targets[n],
         inputs,
+        targets,
     )
 
 
@@ -150,7 +150,6 @@ def run_neural_ac(
     n_critic: int = 400,
     seed: int = 0,
     radius: float = 10.0,
-    rho_eval: str = "rho_star",
     beta: float | None = None,
 ) -> RunTrace:
     """Run the deep neural actor-critic loop for iterations k = 0 .. K.
@@ -159,7 +158,7 @@ def run_neural_ac(
     temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
     ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.
     """
-    beta_val = resolve_beta(K, rho_eval, beta, radius)
+    beta_val = resolve_beta(K, beta, radius)
     if n_actor < 1 or n_critic < 1:
         raise ParameterError("inner iteration counts must be >= 1")
     alpha_val = 1.0 / math.sqrt(n_actor)
@@ -230,7 +229,6 @@ def run_neural_ac(
         "radius": radius,
         "alpha": alpha_val,
         "eta": eta_val,
-        "rho_eval": rho_eval,
     }
     trace = run_single_timescale(
         mdp,
@@ -239,7 +237,6 @@ def run_neural_ac(
         pi_0=softmax_rows(state.inv_tau * f_k),
         q_0=forward_many(state.critic, enc_flat).reshape(n_states, n_actions),
         beta=beta_val,
-        rho_eval=rho_eval,
         features=FeatureMap(phi=encodings),
         columns=list(NEURAL_COLUMNS),
         params=params,

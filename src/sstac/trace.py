@@ -82,8 +82,12 @@ def load_trace(directory) -> RunTrace:
     manifest_path = directory / MANIFEST_FILENAME
     if not csv_path.is_file() or not manifest_path.is_file():
         raise ConfigError(f"trace directory {directory} is missing {TRACE_FILENAME} or {MANIFEST_FILENAME}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ConfigError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: must be a JSON object, got {type(manifest).__name__}")
     text = csv_path.read_text().strip().splitlines()
     if not text:
         raise ConfigError(f"{csv_path} is empty")

@@ -16,7 +16,7 @@ from conftest import random_policy
 
 def decomposition_inputs(mdp, pi_k, pi_next, q_omega_k, q_omega_next, beta=4.0):
     q_star, pi_star = optimal_q(mdp)
-    nu_star, rho_star = stationary_dists(mdp, pi_star)
+    nu_star, _ = stationary_dists(mdp, pi_star)
     _, rho_next = stationary_dists(mdp, pi_next)
     return dict(
         pi_k=pi_k,
@@ -28,7 +28,6 @@ def decomposition_inputs(mdp, pi_k, pi_next, q_omega_k, q_omega_next, beta=4.0):
         pi_star=pi_star,
         nu_star=nu_star,
         rho_next=rho_next,
-        rho_eval=rho_star,
         beta=beta,
         features=tabular_features(mdp.n_states, mdp.n_actions),
     )

@@ -50,7 +50,6 @@ class TestExperimentConfig:
                 "seeds": [0, 1],
                 "beta": 2.5,
                 "R": 3.0,
-                "rho_eval": "uniform",
                 "ridge": 1e-8,
             }
         )
@@ -89,6 +88,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="arch"):
             ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "neural"})
 
+    def test_round_trip_emits_only_set_fields(self):
+        cfg = ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "neural", "arch": {"m": 8, "H": 2}, "N_c": 5})
+        doc = cfg.to_dict()
+        assert doc == {**BASE_CFG, "algorithm": "neural", "arch": {"m": 8, "H": 2}, "N_c": 5}
+        assert ExperimentConfig.from_dict(doc) == cfg
+
     def test_run_ids_are_greppable(self):
         cfg = ExperimentConfig.from_dict(BASE_CFG)
         assert run_id(cfg, 3) == "linear_exact-chain2-K4-seed3"
@@ -125,8 +130,8 @@ class TestExecuteRun:
 
 class TestCliRun:
     def test_run_writes_trace_and_manifest(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "out_dir": str(tmp_path / "runs")})
-        assert main(["run", "--config", cfg_path]) == 0
+        cfg_path = write_config(tmp_path, BASE_CFG)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "runs")]) == 0
         out_dir = tmp_path / "runs" / "linear_exact-chain2-K4-seed0"
         assert (out_dir / "trace.csv").is_file()
         assert (out_dir / "manifest.json").is_file()
@@ -134,15 +139,15 @@ class TestCliRun:
         assert len(trace.rows) == 5
 
     def test_seed_override(self, tmp_path):
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "seeds": [0, 1], "out_dir": str(tmp_path / "r")})
-        assert main(["run", "--config", cfg_path, "--seed", "5"]) == 0
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "seeds": [0, 1]})
+        assert main(["run", "--config", cfg_path, "--seed", "5", "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "linear_exact-chain2-K4-seed5").is_dir()
         assert not (tmp_path / "r" / "linear_exact-chain2-K4-seed0").exists()
 
     @pytest.mark.parametrize("seeds", [[-1], [True], [0, 1.5]])
     def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
-        cfg = {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, "seeds": seeds, "out_dir": str(tmp_path / "r")}
-        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        cfg = {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, "seeds": seeds}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
         assert not (tmp_path / "r").exists()
 
@@ -162,15 +167,40 @@ class TestCliRun:
         cfg_path = write_config(tmp_path, {**BASE_CFG, "bogus": True})
         assert main(["run", "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize(
+        "algorithm, key, value",
+        [
+            ("linear_exact", "N", 64),
+            ("linear_exact", "ridge", 1e-3),
+            ("linear_exact", "N_a", 8),
+            ("linear_sampled", "arch", {"m": 8, "H": 2}),
+            ("linear_sampled", "N_c", 8),
+            ("neural", "ridge", 1e-3),
+            ("neural", "N", 64),
+        ],
+    )
+    def test_key_the_algorithm_does_not_read_exits_2(self, tmp_path, capsys, algorithm, key, value):
+        cfg = {**BASE_CFG, "algorithm": algorithm, **MODE_EXTRAS.get(algorithm, {}), key: value}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: algorithm {algorithm!r} does not read config keys [{key!r}]")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key, value", [("rho_eval", "rho_star"), ("out_dir", "runs")])
+    def test_retired_keys_exit_2(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, {**BASE_CFG, key: value})
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"sstac: error: config: unknown config keys: [{key!r}]")
+        assert not (tmp_path / "r").exists()
+
     def test_singular_gram_exits_3_with_conditioning_class(self, tmp_path, capsys):
         # N=2 draws cannot cover chain2's four pairs: the batch Gram is
         # singular with the ridge disabled.
         cfg_path = write_config(
             tmp_path,
-            {"mdp": "chain2", "algorithm": "linear_sampled", "K": 1, "N": 2,
-             "seeds": [0], "out_dir": str(tmp_path / "r")},
+            {"mdp": "chain2", "algorithm": "linear_sampled", "K": 1, "N": 2, "seeds": [0]},
         )
-        assert main(["run", "--config", cfg_path]) == 3
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("sstac: error: conditioning:")
         assert "\n" not in err.strip()
@@ -186,8 +216,9 @@ class TestCliRun:
         text = json.dumps(doc).encode()
         mdp_path = tmp_path / "mdp.json"
         mdp_path.write_bytes({"undecodable": b"\xff\xfe" + text, "truncated": text[: len(text) // 2]}.get(case, text))
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "mdp": str(mdp_path), "out_dir": str(tmp_path / "r")})
-        argv = [verb, "--config", cfg_path] + (["--param", "K", "--values", "2"] if verb == "sweep" else [])
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "mdp": str(mdp_path)})
+        argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "r")]
+        argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"sstac: error: config: cannot load MDP {str(mdp_path)!r}")
@@ -196,10 +227,9 @@ class TestCliRun:
     def test_determinism_across_invocations(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
-            {"mdp": "chain2", "algorithm": "linear_sampled", "K": 4, "N": 128,
-             "seeds": [2], "out_dir": str(tmp_path / "a")},
+            {"mdp": "chain2", "algorithm": "linear_sampled", "K": 4, "N": 128, "seeds": [2]},
         )
-        assert main(["run", "--config", cfg_path]) == 0
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         a = (tmp_path / "a" / "linear_sampled-chain2-K4-seed2" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "linear_sampled-chain2-K4-seed2" / "trace.csv").read_bytes()
@@ -236,14 +266,25 @@ class TestCliSweep:
             sweep_command(cfg, "gamma", [1], out_dir=str(tmp_path))
 
     def test_cli_sweep_exit_code(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "out_dir": str(tmp_path / "sw")})
-        assert main(["sweep", "--config", cfg_path, "--param", "K", "--values", "2,4"]) == 0
+        cfg_path = write_config(tmp_path, BASE_CFG)
+        argv = ["sweep", "--config", cfg_path, "--param", "K", "--values", "2,4", "--out", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert (tmp_path / "sw" / "summary.csv").is_file()
+
+
+    @pytest.mark.parametrize("algorithm, param", [("linear_exact", "N"), ("neural", "N"), ("linear_sampled", "N_a")])
+    def test_sweep_over_a_key_the_algorithm_does_not_read_exits_2(self, tmp_path, capsys, algorithm, param):
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": algorithm, **MODE_EXTRAS.get(algorithm, {})})
+        argv = ["sweep", "--config", cfg_path, "--param", param, "--values", "2,4", "--out", str(tmp_path / "sw")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: algorithm {algorithm!r} does not read config keys [{param!r}]")
 
 
 class TestCliDiag:
     def _fresh_trace_dir(self, tmp_path):
-        cfg = ExperimentConfig.from_dict({**BASE_CFG, "K": 8, "out_dir": str(tmp_path / "runs")})
-        return run_command(cfg)[0]
+        cfg = ExperimentConfig.from_dict({**BASE_CFG, "K": 8})
+        return run_command(cfg, out_dir=str(tmp_path / "runs"))[0]
 
     def test_fresh_trace_passes_all_checks(self, tmp_path, capsys):
         trace_dir = self._fresh_trace_dir(tmp_path)
@@ -285,6 +326,15 @@ class TestCliDiag:
         # phi_star is infinite when rho_{k+1} lacks support; that is a value, not corruption.
         trace_dir = self._trace_dir_with_cell(tmp_path, "phi_star", "inf")
         assert main(["diag", "--trace", str(trace_dir)]) == 0
+
+    @pytest.mark.parametrize("case, cause", [("truncated", "malformed JSON"), ("list", "must be a JSON object")])
+    def test_bad_manifest_exits_2_naming_file(self, tmp_path, capsys, case, cause):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        manifest = trace_dir / "manifest.json"
+        manifest.write_text(manifest.read_text()[:20] if case == "truncated" else "[1, 2]")
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: {manifest}: {cause}")
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert main(["diag", "--trace", str(tmp_path / "nope")]) == 2

@@ -263,7 +263,7 @@ class TestRunLinearAc:
         assert f"zero-weight (s, a) pairs: {undrawn})" in str(exc.value)
 
     def test_parameter_validation(self):
-        # K, rho_eval, beta and radius are checked for both drivers in test_loop.py.
+        # K, beta and radius are checked for both drivers in test_loop.py.
         m = chain2()
         feats = tabular_features(2, 2)
         with pytest.raises(ParameterError):

@@ -14,7 +14,7 @@ def neural(**kwargs):
 
 
 @pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
-@pytest.mark.parametrize("key, value", [("K", 0), ("rho_eval", "bogus"), ("beta", -1.0), ("radius", -1.0)])
+@pytest.mark.parametrize("key, value", [("K", 0), ("beta", -1.0), ("radius", -1.0)])
 def test_shared_parameter_validation(run, key, value):
     with pytest.raises(ParameterError):
         run(**{key: value})
