@@ -6,7 +6,7 @@ increase in batch size should roughly halve the error.
 import numpy as np
 
 from sstac import RunRng, chain2, exact_q_pi, stationary_dists, tabular_features
-from sstac.linear_ac import LinearAcState, critic_step_exact, critic_step_sampled, draw_batch
+from sstac.linear_ac import critic_step_exact, critic_step_sampled, draw_batch
 
 
 def main():
@@ -15,8 +15,7 @@ def main():
     pi = np.full((2, 2), 0.5)
     _, rho = stationary_dists(m, pi)
     omega_k = exact_q_pi(m, pi).reshape(-1)
-    state = LinearAcState(theta=np.zeros(4), omega=omega_k, inv_tau=0.0, k=0, beta=4.0, radius=20.0)
-    exact = critic_step_exact(state, m, pi, feats, rho)
+    exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
 
     print("N       RMS error    ratio to previous")
     prev = None
@@ -24,7 +23,7 @@ def main():
         errs = []
         for seed in range(50):
             batch = draw_batch(m, rho, pi, RunRng(seed), n)
-            w = critic_step_sampled(state, batch, feats, m.gamma)
+            w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
             errs.append(np.sum((w - exact) ** 2))
         rms = float(np.sqrt(np.mean(errs)))
         ratio = "" if prev is None else f"{prev / rms:.2f}"

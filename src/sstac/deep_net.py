@@ -24,7 +24,6 @@ class DnnParams:
     weights: list[np.ndarray]  # W_1 (d, m), W_h (m, m) for h >= 2
     sign_vector: np.ndarray  # (m,) entries in {-1, +1}, never trained
     anchor: list[np.ndarray] = field(repr=False)
-    seed: int | None = None
 
     @property
     def depth(self) -> int:
@@ -44,7 +43,6 @@ class DnnParams:
             weights=[w.copy() for w in self.weights],
             sign_vector=self.sign_vector,
             anchor=self.anchor,
-            seed=self.seed,
         )
 
     def anchor_distances(self) -> np.ndarray:
@@ -52,21 +50,18 @@ class DnnParams:
         return np.array([np.linalg.norm(w - w0) for w, w0 in zip(self.weights, self.anchor)])
 
 
-def init_params(d: int, m: int, depth: int, seed: int, rng: np.random.Generator | None = None) -> DnnParams:
-    """Standard-Gaussian weights, Rademacher signs, anchor frozen at creation."""
+def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> DnnParams:
+    """Standard-Gaussian weights, Rademacher signs, anchor frozen at creation.
+
+    ``seed`` is an int or a Generator, which is drawn from in place.
+    """
     if d < 1 or m < 1 or depth < 1:
         raise ContractViolationError("d, m, and depth must all be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     shapes = [(d, m)] + [(m, m)] * (depth - 1)
     weights = [rng.standard_normal(shape) for shape in shapes]
     signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
-    return DnnParams(
-        weights=weights,
-        sign_vector=signs,
-        anchor=[w.copy() for w in weights],
-        seed=seed,
-    )
+    return DnnParams(weights=weights, sign_vector=signs, anchor=[w.copy() for w in weights])
 
 
 def _check_input(params: DnnParams, x: np.ndarray) -> np.ndarray:
@@ -151,9 +146,7 @@ def project_ball_inplace(params: DnnParams, radius: float) -> None:
 
 def linearization_gap(params: DnnParams, x: np.ndarray) -> float:
     """|u_theta(x) - u_anchor(x) - <theta - anchor, grad u_anchor(x)>|."""
-    at_anchor = DnnParams(
-        weights=params.anchor, sign_vector=params.sign_vector, anchor=params.anchor, seed=params.seed
-    )
+    at_anchor = DnnParams(weights=params.anchor, sign_vector=params.sign_vector, anchor=params.anchor)
     value0, grads0 = gradient(at_anchor, x)
     linear_term = sum(
         float(np.sum((w - w0) * g)) for w, w0, g in zip(params.weights, params.anchor, grads0)

@@ -47,9 +47,3 @@ class InfiniteDivergenceError(SstacError, ValueError):
     """KL divergence is infinite: p puts mass where q has none."""
 
     code = "divergence"
-
-
-class SamplingError(SstacError, RuntimeError):
-    """A sampler was exhausted before producing the requested draws."""
-
-    code = "sampling"

@@ -17,7 +17,7 @@ from .linear_ac import run_linear_ac
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
 from .sampling import RNG_ID
-from .trace import RunTrace, load_trace
+from .trace import MANIFEST_FILENAME, TRACE_FILENAME, RunTrace, load_trace
 
 # Config keys each algorithm reads beyond mdp, algorithm, K, seeds, R and
 # beta, mapped to whether a config must set them.
@@ -202,6 +202,9 @@ def sweep_command(
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"sweep values must be distinct; {param}={repeated} is listed more than once")
     base = Path(out_dir or "sweep")
     jobs = []
     for value in values:
@@ -334,9 +337,25 @@ def diag_series_csv(trace: RunTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The columns diag_checks and diag_series_csv read.
+_DIAG_COLUMNS = ("k", "gap", "cum_regret", "a_resid", "theta_kl", "kl_to_opt", "eps_c_sup", "e_sup", "eps_c_l2")
+
+
 def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
+    trace_dir = Path(trace_dir)
     trace = load_trace(trace_dir)
+    manifest_path, csv_path = trace_dir / MANIFEST_FILENAME, trace_dir / TRACE_FILENAME
+    config = trace.manifest.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError(f"{manifest_path}: 'config' must be a JSON object, got {type(config).__name__}")
+    if config.get("K") is not None and type(config["K"]) is not int:
+        raise ConfigError(f"{manifest_path}: config 'K' must be an integer, got {config['K']!r}")
+    missing = next((c for c in _DIAG_COLUMNS if c not in trace.columns), None)
+    if missing is not None:
+        raise ConfigError(f"{csv_path}: missing column {missing!r}")
+    if not trace.rows:
+        raise ConfigError(f"{csv_path}: no rows after the header")
     checks = diag_checks(trace)
-    out_path = Path(trace_dir) / "diag_series.csv"
+    out_path = trace_dir / "diag_series.csv"
     out_path.write_text(diag_series_csv(trace))
     return checks, out_path

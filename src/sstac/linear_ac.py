@@ -10,7 +10,6 @@ as a sampled projected least-squares step.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -29,18 +28,6 @@ log = logging.getLogger(__name__)
 MODES = ("exact", "sampled")
 
 
-@dataclass(frozen=True)
-class LinearAcState:
-    """Actor/critic weights plus the temperature schedule position."""
-
-    theta: np.ndarray  # actor energy weights
-    omega: np.ndarray  # critic weights, always inside the radius ball
-    inv_tau: float  # equals k / beta under the schedule
-    k: int
-    beta: float
-    radius: float
-
-
 def project_l2(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius."""
     norm = float(np.linalg.norm(w))
@@ -51,15 +38,12 @@ def project_l2(w: np.ndarray, radius: float) -> np.ndarray:
     return w * (radius / norm)
 
 
-def actor_step(state: LinearAcState) -> LinearAcState:
-    """One natural-policy-gradient step; advances the temperature schedule.
+def actor_step(theta: np.ndarray, omega: np.ndarray, k: int, beta: float) -> np.ndarray:
+    """One natural-policy-gradient step from theta_k, omega_k under tau_k^{-1} = k / beta.
 
-    Equivalent to theta_{k+1} being the running average of all critic
-    weights seen so far.
+    Returns theta_{k+1}, the running average of omega_0 .. omega_k.
     """
-    inv_tau_next = (state.k + 1) / state.beta
-    theta_next = (state.omega / state.beta + state.inv_tau * state.theta) / inv_tau_next
-    return dataclasses.replace(state, theta=theta_next, inv_tau=inv_tau_next, k=state.k + 1)
+    return (omega / beta + (k / beta) * theta) / ((k + 1) / beta)
 
 
 def _population_moments(features: FeatureMap, rho: np.ndarray, target: np.ndarray):
@@ -116,19 +100,19 @@ def _solve_critic(gram, rhs, radius: float, tol: float, hint: str, *, ridge: flo
 
 
 def critic_step_exact(
-    state: LinearAcState,
+    omega: np.ndarray,
     mdp: mdp_mod.TabularMDP,
     policy_next: np.ndarray,
     features: FeatureMap,
     rho_next: np.ndarray,
     *,
+    radius: float,
     gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Population least-squares critic under rho_next, projected onto the ball."""
-    q_omega = features.value_table(state.omega)
-    target = mdp_mod.bellman_eval(mdp, policy_next, q_omega)
+    target = mdp_mod.bellman_eval(mdp, policy_next, features.value_table(omega))
     gram, rhs = _population_moments(features, rho_next, target)
-    return _solve_critic(gram, rhs, state.radius, gram_tol, "the evaluation distribution may lack support")
+    return _solve_critic(gram, rhs, radius, gram_tol, "the evaluation distribution may lack support")
 
 
 @dataclass(frozen=True)
@@ -157,22 +141,23 @@ def draw_batch(
 
 
 def critic_step_sampled(
-    state: LinearAcState,
+    omega: np.ndarray,
     batch: TransitionBatch,
     features: FeatureMap,
     gamma: float,
     *,
+    radius: float,
     ridge: float = 0.0,
     gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Empirical projected least-squares critic from a transition batch."""
     if features.one_hot:
-        q_boot = state.omega[batch.s_next * features.n_actions + batch.a_next]
+        q_boot = omega[batch.s_next * features.n_actions + batch.a_next]
     else:
-        q_boot = features.phi[batch.s_next, batch.a_next] @ state.omega
+        q_boot = features.phi[batch.s_next, batch.a_next] @ omega
     y = (1.0 - gamma) * batch.r + gamma * q_boot
     gram, rhs = _sample_moments(features, batch, y)
-    return _solve_critic(gram, rhs, state.radius, gram_tol, "increase N or enable the ridge", ridge=ridge)
+    return _solve_critic(gram, rhs, radius, gram_tol, "increase N or enable the ridge", ridge=ridge)
 
 
 def default_radius(mdp: mdp_mod.TabularMDP) -> float:
@@ -208,40 +193,35 @@ def run_linear_ac(
     if ridge > 0.0:
         log.info("ridge %g active in sampled critic updates", ridge)
 
-    d = features.dim
-    state = LinearAcState(
-        theta=np.zeros(d), omega=np.zeros(d), inv_tau=0.0, k=0, beta=beta_val, radius=radius_val
-    )
-
-    theta_hist = [state.theta.copy()]
-    omega_hist = [state.omega.copy()]
-    omega_sum = np.zeros(d)
+    theta, omega = np.zeros(features.dim), np.zeros(features.dim)
+    theta_hist = [theta.copy()]
+    omega_hist = [omega.copy()]
+    omega_sum = np.zeros(features.dim)
 
     def step(k, pi_k, q_k):
-        nonlocal state, omega_sum
-        omega_sum = omega_sum + state.omega
-        after_actor = actor_step(state)
-        drift = float(np.max(np.abs(after_actor.theta - omega_sum / (k + 1))))
+        nonlocal theta, omega, omega_sum
+        omega_sum = omega_sum + omega
+        theta = actor_step(theta, omega, k, beta_val)
+        drift = float(np.max(np.abs(theta - omega_sum / (k + 1))))
         if drift > 1e-12:
             raise SstacError(f"running-average identity violated: drift {drift:.3e}")
 
-        pi_next = softmax_rows(after_actor.inv_tau * features.value_table(after_actor.theta))
+        inv_tau_next = (k + 1) / beta_val
+        pi_next = softmax_rows(inv_tau_next * features.value_table(theta))
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
         if mode == "exact":
-            omega_next = critic_step_exact(after_actor, mdp, pi_next, features, rho_next)
+            omega = critic_step_exact(omega, mdp, pi_next, features, rho_next, radius=radius_val)
         else:
             batch = draw_batch(mdp, rho_next, pi_next, rng, N)
-            omega_next = critic_step_sampled(after_actor, batch, features, mdp.gamma, ridge=ridge)
-        critic_norm = float(np.linalg.norm(omega_next))
+            omega = critic_step_sampled(omega, batch, features, mdp.gamma, radius=radius_val, ridge=ridge)
+        critic_norm = float(np.linalg.norm(omega))
         if critic_norm > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")
 
-        state = dataclasses.replace(after_actor, omega=omega_next)
-        theta_hist.append(state.theta.copy())
-        omega_hist.append(omega_next.copy())
-        actor_norm = float(np.linalg.norm(after_actor.theta))
-        return pi_next, rho_next, features.value_table(omega_next), after_actor.inv_tau, actor_norm, critic_norm
+        theta_hist.append(theta.copy())
+        omega_hist.append(omega.copy())
+        return pi_next, rho_next, features.value_table(omega), inv_tau_next, float(np.linalg.norm(theta)), critic_norm
 
     params = {
         "algorithm": f"linear_{mode}",
@@ -256,8 +236,7 @@ def run_linear_ac(
         mdp,
         K,
         step,
-        pi_0=softmax_rows(state.inv_tau * features.value_table(state.theta)),
-        q_0=features.value_table(state.omega),
+        q_0=features.value_table(omega),
         beta=beta_val,
         features=features,
         columns=list(BASE_COLUMNS),

@@ -11,6 +11,7 @@ import numpy as np
 from . import mdp as mdp_mod
 from .diagnostics import error_decomposition
 from .errors import ParameterError, SstacError
+from .policy import softmax_rows
 from .sampling import RNG_ID
 from .trace import RunTrace
 
@@ -32,7 +33,6 @@ def run_single_timescale(
     K: int,
     step,
     *,
-    pi_0: np.ndarray,
     q_0: np.ndarray,
     beta: float,
     features,
@@ -41,8 +41,9 @@ def run_single_timescale(
 ) -> RunTrace:
     """Run ``step`` for k = 0 .. K and score every update against the exact oracles.
 
-    The gap of each update is E_rho*[Q* - Q^{pi_{k+1}}] under the optimal
-    policy's stationary measure rho* = nu* pi*.
+    The run starts from the uniform pi_0 (tau_0^{-1} = 0) and the critic
+    table ``q_0``.  The gap of each update is E_rho*[Q* - Q^{pi_{k+1}}]
+    under the optimal policy's stationary measure rho* = nu* pi*.
 
     ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
     ``(pi_next, rho_next, q_next, inv_tau, actor_norm, critic_norm, *extra)``:
@@ -51,10 +52,10 @@ def run_single_timescale(
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.
     """
+    pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
     q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
     nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
 
-    pi_k, q_k = pi_0, q_0
     policies = [pi_k]
     rows: list[list[float]] = []
     cum_regret = 0.0

@@ -27,7 +27,7 @@ from .deep_net import (
     project_ball_inplace,
     sa_encoding_table,
 )
-from .errors import ContractViolationError, ParameterError, SamplingError, SstacError
+from .errors import ContractViolationError, ParameterError, SstacError
 from .features import FeatureMap
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
@@ -37,18 +37,13 @@ from .trace import NEURAL_COLUMNS, RunTrace
 
 @dataclass
 class NeuralAcState:
-    """Actor/critic networks plus schedule and inner-loop settings."""
+    """Actor/critic networks plus their projection radius and inner-loop stepsizes."""
 
     actor: DnnParams
     critic: DnnParams
-    inv_tau: float
-    k: int
-    beta: float
     radius: float  # shared by both networks
     alpha: float  # actor inner stepsize
     eta: float  # critic inner stepsize
-    n_actor: int
-    n_critic: int
 
     def __post_init__(self):
         same_anchor = all(
@@ -62,17 +57,17 @@ def _sgd_averaged(
     start: DnnParams,
     radius: float,
     stepsize: float,
-    n_steps: int,
     inputs: np.ndarray,
     targets: np.ndarray,
 ) -> DnnParams:
-    """Projected-SGD loop on the squared loss, returning the average of iterates 1..n_steps.
+    """Projected-SGD loop on the squared loss, one step per input, returning the average of the iterates.
 
     Step n moves along the gradient at ``inputs[n]`` scaled by the residual
     (network output minus ``targets[n]``).
     """
-    if len(inputs) < n_steps:
-        raise SamplingError(f"sampler provided {len(inputs)} draws, inner loop needs {n_steps}")
+    n_steps = len(inputs)
+    if n_steps == 0:
+        raise ContractViolationError("an inner loop needs at least one draw")
     work = start
     acc = [np.zeros_like(w) for w in work.weights]
     for n in range(n_steps):
@@ -86,7 +81,7 @@ def _sgd_averaged(
         for h in range(work.depth):
             acc[h] += work.weights[h]
     averaged = [a / n_steps for a in acc]
-    return DnnParams(weights=averaged, sign_vector=work.sign_vector, anchor=work.anchor, seed=work.seed)
+    return DnnParams(weights=averaged, sign_vector=work.sign_vector, anchor=work.anchor)
 
 
 def actor_inner_loop(
@@ -102,14 +97,7 @@ def actor_inner_loop(
     """
     inputs = encodings[pairs[:, 0], pairs[:, 1]]
     targets = target_table[pairs[:, 0], pairs[:, 1]]
-    return _sgd_averaged(
-        state.actor.clone(),
-        state.radius,
-        state.alpha,
-        state.n_actor,
-        inputs,
-        targets,
-    )
+    return _sgd_averaged(state.actor.clone(), state.radius, state.alpha, inputs, targets)
 
 
 def critic_inner_loop(
@@ -130,14 +118,7 @@ def critic_inner_loop(
     ).reshape(encodings.shape[:2])
     targets = (1.0 - gamma) * r + gamma * snapshot[s_next, a_next]
     inputs = encodings[s, a]
-    return _sgd_averaged(
-        state.critic.clone(),
-        state.radius,
-        state.eta,
-        state.n_critic,
-        inputs,
-        targets,
-    )
+    return _sgd_averaged(state.critic.clone(), state.radius, state.eta, inputs, targets)
 
 
 def run_neural_ac(
@@ -170,28 +151,16 @@ def run_neural_ac(
     enc_flat = encodings.reshape(-1, d)
 
     rng = RunRng(seed)
-    shared_init = init_params(d, m, depth, seed, rng=rng.stream("init"))
+    shared_init = init_params(d, m, depth, rng.stream("init"))
     state = NeuralAcState(
-        actor=shared_init.clone(),
-        critic=shared_init.clone(),
-        inv_tau=0.0,
-        k=0,
-        beta=beta_val,
-        radius=radius,
-        alpha=alpha_val,
-        eta=eta_val,
-        n_actor=n_actor,
-        n_critic=n_critic,
+        actor=shared_init.clone(), critic=shared_init.clone(), radius=radius, alpha=alpha_val, eta=eta_val
     )
     f_k = forward_many(state.actor, enc_flat).reshape(n_states, n_actions)
 
     def step(k, pi_k, q_k):
         nonlocal state, f_k
-        inv_tau_next = (k + 1) / beta_val
-        tilde_inv = state.inv_tau + 1.0 / beta_val
-        if abs(tilde_inv - inv_tau_next) > 1e-12 * max(1.0, inv_tau_next):
-            raise SstacError("temperature schedule drift")
-        target_actor = (q_k / beta_val + state.inv_tau * f_k) / tilde_inv
+        inv_tau, inv_tau_next = k / beta_val, (k + 1) / beta_val
+        target_actor = (q_k / beta_val + inv_tau * f_k) / (inv_tau + 1.0 / beta_val)
 
         _, rho_k = mdp_mod.stationary_dists(mdp, pi_k)
         pairs = sample_sa(rho_k, rng.stream("actor_loop"), n_actor)
@@ -211,7 +180,7 @@ def run_neural_ac(
         actor_gap = float(np.mean([linearization_gap(actor_next, x) for x in enc_flat]))
         critic_gap = float(np.mean([linearization_gap(critic_next, x) for x in enc_flat]))
 
-        state = dataclasses.replace(state, actor=actor_next, critic=critic_next, inv_tau=inv_tau_next, k=k + 1)
+        state = dataclasses.replace(state, actor=actor_next, critic=critic_next)
         f_k = f_next
         norms = float(actor_next.anchor_distances().max()), float(critic_next.anchor_distances().max())
         return pi_next, rho_next, q_next, inv_tau_next, *norms, actor_mse, critic_mse, actor_gap, critic_gap
@@ -234,7 +203,6 @@ def run_neural_ac(
         mdp,
         K,
         step,
-        pi_0=softmax_rows(state.inv_tau * f_k),
         q_0=forward_many(state.critic, enc_flat).reshape(n_states, n_actions),
         beta=beta_val,
         features=FeatureMap(phi=encodings),

@@ -31,7 +31,7 @@ from sstac import (
 )
 from sstac.deep_net import forward_many, gradient, init_params, project_ball, sa_encoding_table
 from sstac.harness import ExperimentConfig, execute_run
-from sstac.linear_ac import LinearAcState, actor_step, critic_step_exact, critic_step_sampled, draw_batch
+from sstac.linear_ac import actor_step, critic_step_exact, critic_step_sampled, draw_batch
 from sstac.neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop
 
 from conftest import random_policy
@@ -95,15 +95,11 @@ def test_c2_closed_form_suite():
 
     # actor running-average identity over 100 steps
     omegas = rng.standard_normal((100, 5))
-    state = LinearAcState(theta=np.zeros(5), omega=omegas[0], inv_tau=0.0, k=0, beta=10.0, radius=1e9)
+    theta = np.zeros(5)
     worst_drift = 0.0
     for k in range(100):
-        state = actor_step(state)
-        worst_drift = max(worst_drift, float(np.max(np.abs(state.theta - omegas[: k + 1].mean(axis=0)))))
-        nxt = omegas[k + 1] if k + 1 < 100 else omegas[-1]
-        state = LinearAcState(
-            theta=state.theta, omega=nxt, inv_tau=state.inv_tau, k=state.k, beta=state.beta, radius=state.radius
-        )
+        theta = actor_step(theta, omegas[k], k, 10.0)
+        worst_drift = max(worst_drift, float(np.max(np.abs(theta - omegas[: k + 1].mean(axis=0)))))
     elapsed = time.perf_counter() - t0
     ok = worst_tv <= 1e-6 and worst_drift <= 1e-12 and elapsed < 10.0
     assert report(
@@ -120,14 +116,13 @@ def test_c3_critic_statistical_rate():
     pi = np.full((2, 2), 0.5)
     _, rho = stationary_dists(m, pi)
     omega_k = exact_q_pi(m, pi).reshape(-1)
-    state = LinearAcState(theta=np.zeros(4), omega=omega_k, inv_tau=0.0, k=0, beta=4.0, radius=20.0)
-    exact = critic_step_exact(state, m, pi, feats, rho)
+    exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
     rms = {}
     for n in (256, 1024, 4096):
         sq_errs = []
         for seed in range(50):
             batch = draw_batch(m, rho, pi, RunRng(seed), n)
-            w = critic_step_sampled(state, batch, feats, m.gamma)
+            w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
             sq_errs.append(float(np.sum((w - exact) ** 2)))
         rms[n] = float(np.sqrt(np.mean(sq_errs)))
     r1 = rms[256] / rms[1024]
@@ -254,21 +249,22 @@ def test_c8_neural_end_to_end_trend():
     flat = enc.reshape(-1, 4)
     probe = run_neural_ac(m, 32, 2, 4, n_actor=200, n_critic=200, seed=3)
     state = probe.history["final_state"]
+    beta = probe.manifest["params"]["beta"]
+    inv_tau = (4 + 1) / beta  # tau_{K+1}^{-1} after the probe's last update, K = 4
     f_k = forward_many(state.actor, flat).reshape(2, 2)
     q_k = forward_many(state.critic, flat).reshape(2, 2)
     from sstac.policy import softmax_rows
 
-    pi_k = softmax_rows(state.inv_tau * f_k)
+    pi_k = softmax_rows(inv_tau * f_k)
     _, rho_k = stationary_dists(m, pi_k)
-    target = (q_k / state.beta + state.inv_tau * f_k) / (state.inv_tau + 1.0 / state.beta)
+    target = (q_k / beta + inv_tau * f_k) / (inv_tau + 1.0 / beta)
     med = {"actor": {}, "critic": {}}
     for n in (400, 6400):
         a_mses, c_mses = [], []
         for seed in range(10):
             s2 = NeuralAcState(
-                actor=state.actor.clone(), critic=state.critic.clone(), inv_tau=state.inv_tau,
-                k=state.k, beta=state.beta, radius=state.radius,
-                alpha=1.0 / np.sqrt(n), eta=1.0 / np.sqrt(n), n_actor=n, n_critic=n,
+                actor=state.actor.clone(), critic=state.critic.clone(), radius=state.radius,
+                alpha=1.0 / np.sqrt(n), eta=1.0 / np.sqrt(n),
             )
             rng = RunRng(800 + seed)
             pairs = sample_sa(rho_k, rng.stream("actor_loop"), n)

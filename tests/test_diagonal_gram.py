@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from sstac import (
     ConditioningError,
-    LinearAcState,
     TransitionBatch,
     bellman_eval,
     critic_step_exact,
@@ -74,11 +73,6 @@ def draw_batch_arrays(p, n):
     )
 
 
-def state_of(p):
-    d = p["feats"].dim
-    return LinearAcState(theta=np.zeros(d), omega=p["omega"], inv_tau=0.0, k=0, beta=4.0, radius=p["radius"])
-
-
 def dense_gram(feats, rho):
     flat = feats.phi.reshape(-1, feats.dim)
     return (flat * rho.reshape(-1, 1)).T @ flat
@@ -92,10 +86,10 @@ def dense_solve(gram, rhs, radius, tol):
 
 
 def dense_population(p, rho):
-    feats, state = p["feats"], state_of(p)
-    target = bellman_eval(p["mdp"], p["policy"], feats.phi @ state.omega)
+    feats = p["feats"]
+    target = bellman_eval(p["mdp"], p["policy"], feats.phi @ p["omega"])
     rhs = np.einsum("sa,sad->d", rho * target, feats.phi)
-    return dense_solve(dense_gram(feats, rho), rhs, state.radius, p["tol"])
+    return dense_solve(dense_gram(feats, rho), rhs, p["radius"], p["tol"])
 
 
 def dense_sample_moments(phi, batch, y):
@@ -132,7 +126,9 @@ def test_gram_matrix_and_min_singular_match_dense(p):
 @given(problems())
 def test_exact_critic_matches_dense_solve(p):
     assert_same_outcome(
-        lambda: critic_step_exact(state_of(p), p["mdp"], p["policy"], p["feats"], p["rho"], gram_tol=p["tol"]),
+        lambda: critic_step_exact(
+            p["omega"], p["mdp"], p["policy"], p["feats"], p["rho"], radius=p["radius"], gram_tol=p["tol"]
+        ),
         lambda: dense_population(p, p["rho"]),
     )
 
@@ -141,15 +137,16 @@ def test_exact_critic_matches_dense_solve(p):
 @given(problems(), st.integers(1, 40), st.sampled_from([0.0, 1e-6, 1e-3]))
 def test_sampled_critic_matches_dense_solve(p, n, ridge):
     batch = draw_batch_arrays(p, n)
-    feats, state, gamma = p["feats"], state_of(p), p["mdp"].gamma
+    feats, omega, radius, gamma = p["feats"], p["omega"], p["radius"], p["mdp"].gamma
 
     def reference():
-        y = (1.0 - gamma) * batch.r + gamma * (feats.phi[batch.s_next, batch.a_next] @ state.omega)
+        y = (1.0 - gamma) * batch.r + gamma * (feats.phi[batch.s_next, batch.a_next] @ omega)
         gram, rhs = dense_sample_moments(feats.phi, batch, y)
         if ridge > 0.0:
             gram = gram + ridge * np.eye(feats.dim)
-        return dense_solve(gram, rhs, state.radius, p["tol"])
+        return dense_solve(gram, rhs, radius, p["tol"])
 
     assert_same_outcome(
-        lambda: critic_step_sampled(state, batch, feats, gamma, ridge=ridge, gram_tol=p["tol"]), reference
+        lambda: critic_step_sampled(omega, batch, feats, gamma, radius=radius, ridge=ridge, gram_tol=p["tol"]),
+        reference,
     )

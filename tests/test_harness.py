@@ -271,6 +271,13 @@ class TestCliSweep:
         assert main(argv) == 0
         assert (tmp_path / "sw" / "summary.csv").is_file()
 
+    def test_repeated_value_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BASE_CFG)
+        argv = ["sweep", "--config", cfg_path, "--param", "K", "--values", "2,4,2", "--out", str(tmp_path / "sw")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sstac: error: config: sweep values must be distinct; K=2 is listed more than once")
+        assert not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("algorithm, param", [("linear_exact", "N"), ("neural", "N"), ("linear_sampled", "N_a")])
     def test_sweep_over_a_key_the_algorithm_does_not_read_exits_2(self, tmp_path, capsys, algorithm, param):
@@ -335,6 +342,37 @@ class TestCliDiag:
         assert main(["diag", "--trace", str(trace_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"sstac: error: config: {manifest}: {cause}")
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda doc: {**doc, "config": [doc["config"]]}, "'config' must be a JSON object, got list"),
+            (lambda doc: {**doc, "config": {**doc["config"], "K": "8"}}, "config 'K' must be an integer, got '8'"),
+        ],
+        ids=["config-list", "K-string"],
+    )
+    def test_bad_manifest_config_exits_2_naming_file_and_key(self, tmp_path, capsys, edit, cause):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        manifest = trace_dir / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
+
+    def test_trace_without_a_read_column_exits_2_naming_it(self, tmp_path, capsys):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        csv_path = trace_dir / "trace.csv"
+        drop = BASE_COLUMNS.index("a_resid")
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        csv_path.write_text("".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows))
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: {csv_path}: missing column 'a_resid'\n"
+
+    def test_header_only_trace_exits_2(self, tmp_path, capsys):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        csv_path = trace_dir / "trace.csv"
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: {csv_path}: no rows after the header\n"
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert main(["diag", "--trace", str(tmp_path / "nope")]) == 2

@@ -3,7 +3,6 @@ import pytest
 
 from sstac import (
     ConditioningError,
-    LinearAcState,
     ParameterError,
     RunRng,
     TransitionBatch,
@@ -26,44 +25,29 @@ from sstac.linear_ac import project_l2
 from conftest import random_policy
 
 
-def make_state(theta, omega, k=0, beta=4.0, radius=20.0):
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    return LinearAcState(theta=theta, omega=omega, inv_tau=k / beta, k=k, beta=beta, radius=radius)
-
-
 class TestActorStep:
     def test_first_step_copies_critic(self):
-        st = make_state(theta=[5.0, -1.0], omega=[0.25, 0.5], k=0)
-        out = actor_step(st)
-        np.testing.assert_allclose(out.theta, [0.25, 0.5])
-        assert out.k == 1
-        assert out.inv_tau == 1.0 / st.beta
+        theta = actor_step(np.array([5.0, -1.0]), np.array([0.25, 0.5]), 0, 4.0)
+        np.testing.assert_allclose(theta, [0.25, 0.5])
 
     def test_second_step_averages(self):
-        st = make_state(theta=[1.0, 0.0], omega=[0.0, 1.0], k=1)
-        out = actor_step(st)  # theta_1 = omega_0 = (1, 0); omega_1 = (0, 1)
-        np.testing.assert_allclose(out.theta, [0.5, 0.5])
+        # theta_1 = omega_0 = (1, 0); omega_1 = (0, 1)
+        theta = actor_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, 4.0)
+        np.testing.assert_allclose(theta, [0.5, 0.5])
 
     def test_direct_formula_arithmetic(self):
         # beta=4, k=2, theta_2=(1,0), omega_2=(0,3): inv_tau_3=3/4,
         # theta_3 = (4/3) * (omega_2/4 + (2/4) theta_2) = (2/3, 1)
-        st = make_state(theta=[1.0, 0.0], omega=[0.0, 3.0], k=2, beta=4.0)
-        out = actor_step(st)
-        assert out.inv_tau == 0.75
-        np.testing.assert_allclose(out.theta, [2.0 / 3.0, 1.0], atol=1e-15)
+        theta = actor_step(np.array([1.0, 0.0]), np.array([0.0, 3.0]), 2, 4.0)
+        np.testing.assert_allclose(theta, [2.0 / 3.0, 1.0], atol=1e-15)
 
     def test_running_average_identity(self):
         rng = np.random.default_rng(0)
         omegas = rng.standard_normal((100, 3))
-        st = make_state(theta=np.zeros(3), omega=omegas[0], k=0, beta=10.0)
+        theta = np.zeros(3)
         for k in range(100):
-            out = actor_step(st)
-            np.testing.assert_allclose(out.theta, omegas[: k + 1].mean(axis=0), atol=1e-12)
-            next_omega = omegas[k + 1] if k + 1 < 100 else omegas[-1]
-            st = LinearAcState(
-                theta=out.theta, omega=next_omega, inv_tau=out.inv_tau, k=out.k, beta=st.beta, radius=st.radius
-            )
+            theta = actor_step(theta, omegas[k], k, 10.0)
+            np.testing.assert_allclose(theta, omegas[: k + 1].mean(axis=0), atol=1e-12)
 
 
 class TestProjection:
@@ -87,8 +71,7 @@ class TestCriticStepExact:
         pi = random_policy(rng, 2, 2)
         _, rho = stationary_dists(m, pi)
         omega_k = rng.standard_normal(4) * 0.2
-        st = make_state(theta=np.zeros(4), omega=omega_k, radius=100.0)
-        got = critic_step_exact(st, m, pi, feats, rho)
+        got = critic_step_exact(omega_k, m, pi, feats, rho, radius=100.0)
         expected = bellman_eval(m, pi, omega_k.reshape(2, 2)).reshape(-1)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -98,25 +81,22 @@ class TestCriticStepExact:
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(zero_m, pi)
-        st = make_state(theta=np.zeros(4), omega=np.zeros(4))
-        np.testing.assert_allclose(critic_step_exact(st, zero_m, pi, feats, rho), 0.0, atol=1e-14)
+        np.testing.assert_allclose(critic_step_exact(np.zeros(4), zero_m, pi, feats, rho, radius=20.0), 0.0, atol=1e-14)
 
     def test_zero_radius_projects_to_origin(self):
         m = chain2()
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(m, pi)
-        st = make_state(theta=np.zeros(4), omega=np.zeros(4), radius=0.0)
-        np.testing.assert_array_equal(critic_step_exact(st, m, pi, feats, rho), np.zeros(4))
+        np.testing.assert_array_equal(critic_step_exact(np.zeros(4), m, pi, feats, rho, radius=0.0), np.zeros(4))
 
     def test_missing_support_raises_conditioning(self):
         m = chain2()
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         rho = np.array([[0.5, 0.5], [0.0, 0.0]])  # no mass on state 1
-        st = make_state(theta=np.zeros(4), omega=np.zeros(4))
         with pytest.raises(ConditioningError) as exc:
-            critic_step_exact(st, m, pi, feats, rho)
+            critic_step_exact(np.zeros(4), m, pi, feats, rho, radius=20.0)
         assert exc.value.sigma_min is not None
         assert "zero-weight (s, a) pairs: 2" in str(exc.value)
 
@@ -130,17 +110,16 @@ class TestCriticStepSampled:
         always_go = np.array([[1.0, 0.0], [1.0, 0.0]])
         rng = np.random.default_rng(2)
         omega_k = rng.standard_normal(4) * 0.3
-        st = make_state(theta=np.zeros(4), omega=omega_k, radius=100.0)
 
         pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         s, a = pairs[:, 0], pairs[:, 1]
         s2 = np.where(a == 0, 1 - s, s)
         a2 = np.zeros(4, dtype=int)
         batch = TransitionBatch(gram_pairs=pairs, s=s, a=a, r=m.reward[s, a], s_next=s2, a_next=a2)
-        got = critic_step_sampled(st, batch, feats, m.gamma)
+        got = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=100.0)
 
         uniform_rho = np.full((2, 2), 0.25)
-        expected = critic_step_exact(st, m, always_go, feats, uniform_rho)
+        expected = critic_step_exact(omega_k, m, always_go, feats, uniform_rho, radius=100.0)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_inputs_give_zero(self):
@@ -148,23 +127,23 @@ class TestCriticStepSampled:
         zero_m = type(m)(transition=m.transition, reward=np.zeros((2, 2)), gamma=m.gamma, initial_dist=m.initial_dist)
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
-        st = make_state(theta=np.zeros(4), omega=np.zeros(4))
         batch = draw_batch(zero_m, np.full((2, 2), 0.25), pi, RunRng(3), 64)
-        np.testing.assert_allclose(critic_step_sampled(st, batch, feats, zero_m.gamma), 0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            critic_step_sampled(np.zeros(4), batch, feats, zero_m.gamma, radius=20.0), 0.0, atol=1e-14
+        )
 
     def test_singular_batch_raises_conditioning(self):
         m = chain2()
         feats = tabular_features(2, 2)
-        st = make_state(theta=np.zeros(4), omega=np.zeros(4))
         pairs = np.array([[0, 0], [0, 0], [0, 1], [1, 0]])  # (1,1) never sampled
         s, a = pairs[:, 0], pairs[:, 1]
         batch = TransitionBatch(
             gram_pairs=pairs, s=s, a=a, r=m.reward[s, a], s_next=1 - s, a_next=np.zeros(4, dtype=int)
         )
         with pytest.raises(ConditioningError, match="ridge"):
-            critic_step_sampled(st, batch, feats, m.gamma)
+            critic_step_sampled(np.zeros(4), batch, feats, m.gamma, radius=20.0)
         # the ridge rescues the same batch
-        out = critic_step_sampled(st, batch, feats, m.gamma, ridge=1e-6)
+        out = critic_step_sampled(np.zeros(4), batch, feats, m.gamma, radius=20.0, ridge=1e-6)
         assert np.all(np.isfinite(out))
 
     def test_error_decays_with_batch_size(self):
@@ -173,14 +152,13 @@ class TestCriticStepSampled:
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(m, pi)
         omega_k = exact_q_pi(m, pi).reshape(-1)
-        st = make_state(theta=np.zeros(4), omega=omega_k)
-        exact = critic_step_exact(st, m, pi, feats, rho)
+        exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
         rms = {}
         for n in (256, 4096):
             errs = []
             for seed in range(20):
                 batch = draw_batch(m, rho, pi, RunRng(seed), n)
-                w = critic_step_sampled(st, batch, feats, m.gamma)
+                w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
                 errs.append(np.linalg.norm(w - exact) ** 2)
             rms[n] = np.sqrt(np.mean(errs))
         assert rms[4096] < rms[256]

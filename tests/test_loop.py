@@ -2,7 +2,7 @@
 
 import pytest
 
-from sstac import ParameterError, SamplingError, chain2, neural_ac, run_linear_ac, run_neural_ac, tabular_features
+from sstac import ErgodicityError, ParameterError, chain2, neural_ac, run_linear_ac, run_neural_ac, tabular_features
 
 
 def linear(**kwargs):
@@ -27,13 +27,13 @@ def test_neural_loop_errors_name_the_iteration(monkeypatch):
     def fail_second_call(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            raise SamplingError("sampler provided 3 draws, inner loop needs 4")
+            raise ErgodicityError("power iteration did not converge")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(neural_ac, "critic_inner_loop", fail_second_call)
-    with pytest.raises(SamplingError) as exc:
+    with pytest.raises(ErgodicityError) as exc:
         neural(K=3)
-    assert type(exc.value) is SamplingError
-    assert exc.value.code == "sampling"
+    assert type(exc.value) is ErgodicityError
+    assert exc.value.code == "ergodicity"
     assert str(exc.value).count("k=1") == 1
-    assert str(exc.value) == "at k=1: sampler provided 3 draws, inner loop needs 4"
+    assert str(exc.value) == "at k=1: power iteration did not converge"

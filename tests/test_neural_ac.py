@@ -7,7 +7,6 @@ from sstac import (
     ContractViolationError,
     NeuralAcState,
     RunRng,
-    SamplingError,
     TabularMDP,
     actor_inner_loop,
     bellman_eval,
@@ -23,20 +22,9 @@ from sstac.policy import softmax_rows
 from sstac.trace import NEURAL_COLUMNS
 
 
-def make_state(m=8, depth=2, seed=0, radius=10.0, alpha=0.05, eta=0.05, n_actor=4, n_critic=4, k=0, beta=4.0):
+def make_state(m=8, depth=2, seed=0, radius=10.0, alpha=0.05, eta=0.05):
     shared = init_params(4, m, depth, seed)
-    return NeuralAcState(
-        actor=shared.clone(),
-        critic=shared.clone(),
-        inv_tau=k / beta,
-        k=k,
-        beta=beta,
-        radius=radius,
-        alpha=alpha,
-        eta=eta,
-        n_actor=n_actor,
-        n_critic=n_critic,
-    )
+    return NeuralAcState(actor=shared.clone(), critic=shared.clone(), radius=radius, alpha=alpha, eta=eta)
 
 
 def zero_chain2():
@@ -49,15 +37,12 @@ class TestStateInvariants:
         a = init_params(4, 8, 2, seed=0)
         b = init_params(4, 8, 2, seed=1)
         with pytest.raises(ContractViolationError, match="anchor"):
-            NeuralAcState(
-                actor=a, critic=b, inv_tau=0.0, k=0, beta=4.0, radius=10.0,
-                alpha=0.1, eta=0.1, n_actor=1, n_critic=1,
-            )
+            NeuralAcState(actor=a, critic=b, radius=10.0, alpha=0.1, eta=0.1)
 
 
 class TestActorInnerLoop:
     def test_dead_relu_point_is_a_fixed_point(self):
-        state = make_state(n_actor=1)
+        state = make_state()
         for w in state.actor.weights:
             w[:] = 0.0  # all pre-activations 0, sigma'(0)=0 kills the gradient
         enc = sa_encoding_table(2, 2)
@@ -69,7 +54,7 @@ class TestActorInnerLoop:
 
     def test_zero_residual_leaves_parameters_unchanged(self):
         # Target equal to the current energy everywhere: nothing to fit.
-        state = make_state(n_actor=16)
+        state = make_state()
         enc = sa_encoding_table(2, 2)
         f_table = forward_many(state.actor, enc.reshape(-1, 4)).reshape(2, 2)
         pairs = sample_sa(np.full((2, 2), 0.25), RunRng(0).stream("actor_loop"), 16)
@@ -88,7 +73,7 @@ class TestActorInnerLoop:
         for n in (200, 3200):
             mses = []
             for seed in range(20):
-                state = make_state(m=16, depth=2, seed=3, n_actor=n, alpha=1.0 / np.sqrt(n))
+                state = make_state(m=16, depth=2, seed=3, alpha=1.0 / np.sqrt(n))
                 pairs = sample_sa(rho, RunRng(seed).stream("actor_loop"), n)
                 out = actor_inner_loop(state, target, enc, pairs)
                 f_out = forward_many(out, flat).reshape(2, 2)
@@ -96,16 +81,15 @@ class TestActorInnerLoop:
             med[n] = float(np.median(mses))
         assert med[3200] < med[200]
 
-    def test_sampler_exhaustion(self):
-        state = make_state(n_actor=10)
-        enc = sa_encoding_table(2, 2)
-        with pytest.raises(SamplingError):
-            actor_inner_loop(state, np.zeros((2, 2)), enc, np.array([[0, 0]]))
+    def test_empty_draws_rejected(self):
+        # One SGD step per draw: no draws would average zero iterates into NaN weights.
+        with pytest.raises(ContractViolationError, match="at least one draw"):
+            actor_inner_loop(make_state(), np.zeros((2, 2)), sa_encoding_table(2, 2), np.zeros((0, 2), dtype=int))
 
     def test_every_iterate_stays_in_ball(self):
         # A tiny radius forces a projection at every step; the loop itself
         # asserts containment after each iterate.
-        state = make_state(n_actor=64, radius=0.05, alpha=0.5)
+        state = make_state(radius=0.05, alpha=0.5)
         enc = sa_encoding_table(2, 2)
         target = np.full((2, 2), 5.0)
         pairs = sample_sa(np.full((2, 2), 0.25), RunRng(2).stream("actor_loop"), 64)
@@ -126,10 +110,7 @@ class TestCriticInnerLoop:
         critic = DnnParams(weights=[w.copy()], sign_vector=np.array([1.0]), anchor=[w.copy()])
         assert abs(forward_many(critic, enc[0, 0][None, :])[0] - 0.5) < 1e-12
         assert abs(forward_many(critic, enc[1, 0][None, :])[0] - 0.2) < 1e-12
-        state = NeuralAcState(
-            actor=critic.clone(), critic=critic.clone(), inv_tau=0.0, k=0, beta=4.0,
-            radius=100.0, alpha=0.1, eta=0.1, n_actor=1, n_critic=1,
-        )
+        state = NeuralAcState(actor=critic.clone(), critic=critic.clone(), radius=100.0, alpha=0.1, eta=0.1)
         tuples = (np.array([0]), np.array([0]), np.array([1.0]), np.array([1]), np.array([0]))
         out = critic_inner_loop(state, tuples, enc, gamma)
         value, grads = gradient(state.critic, enc[0, 0])
@@ -138,7 +119,7 @@ class TestCriticInnerLoop:
 
     def test_zero_reward_zero_net_fixed_point(self):
         mdp = zero_chain2()
-        state = make_state(n_critic=8)
+        state = make_state()
         for w in state.critic.weights:
             w[:] = 0.0
         enc = sa_encoding_table(2, 2)
@@ -158,7 +139,7 @@ class TestCriticInnerLoop:
         for n in (200, 3200):
             mses = []
             for seed in range(20):
-                state = make_state(m=16, depth=2, seed=5, n_critic=n, eta=1.0 / np.sqrt(n))
+                state = make_state(m=16, depth=2, seed=5, eta=1.0 / np.sqrt(n))
                 q_k = forward_many(state.critic, flat).reshape(2, 2)
                 target = bellman_eval(mdp, pi, q_k)
                 tuples = sample_tuples(mdp, rho, pi, RunRng(seed).stream("critic_loop"), n)
@@ -173,7 +154,7 @@ class TestCriticInnerLoop:
         # snapshot must reproduce the output bit for bit.
         mdp = chain2()
         enc = sa_encoding_table(2, 2)
-        state = make_state(m=8, depth=2, seed=7, n_critic=32, eta=0.2)
+        state = make_state(m=8, depth=2, seed=7, eta=0.2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(mdp, pi)
         tuples = sample_tuples(mdp, rho, pi, RunRng(11).stream("critic_loop"), 32)
@@ -202,7 +183,7 @@ def test_averaged_iterate_identity_hand_tracked():
     # N = 3 steps, no projections: output must be the mean of iterates 1..3.
     mdp = chain2()
     enc = sa_encoding_table(2, 2)
-    state = make_state(m=4, depth=1, seed=13, n_actor=3, alpha=0.1, radius=1e6)
+    state = make_state(m=4, depth=1, seed=13, alpha=0.1, radius=1e6)
     target = np.full((2, 2), 0.7)
     pairs = np.array([[0, 0], [1, 1], [0, 1]])
     out = actor_inner_loop(state, target, enc, pairs)
