@@ -31,6 +31,12 @@ _COMMON_KEYS = {"mdp", "algorithm", "K", "seeds", "R", "beta"}
 
 _ARCH_KEYS = {"m", "H"}
 
+# Numeric config keys: (type, lower bound[, bound is exclusive]).
+_NUMBERS = {
+    "K": (int, 1), "N": (int, 1), "N_a": (int, 1), "N_c": (int, 1),
+    "R": (float, 0.0), "beta": (float, 0.0, True), "ridge": (float, 0.0),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,70 +82,47 @@ class ExperimentConfig:
         for key, required in reads.items():
             if required and key not in doc:
                 raise ConfigError(f"algorithm {algorithm!r} requires config key {key!r}")
-        K = _require_int(doc, "K", minimum=1)
+        numbers = {key: _number(doc, key, *spec) for key, spec in _NUMBERS.items() if key in doc}
         seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds
-        ):
+        if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
             raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+        repeated = _first_repeat(seeds)
+        if repeated is not None:
+            raise ConfigError(f"seeds must be distinct; seed {repeated} is listed more than once")
 
-        mdp_source = doc["mdp"]
-        if not isinstance(mdp_source, str):
+        # mdp.build_mdp resolves the source, and execute_run reports a bad one.
+        if not isinstance(doc["mdp"], str):
             raise ConfigError("mdp must be a builtin name, random(S,A,seed), or a JSON path")
-        if mdp_source not in ("chain2", "gridworld5") and not mdp_source.startswith("random("):
-            if not Path(mdp_source).is_file():
-                raise ConfigError(f"mdp file does not exist: {mdp_source}")
 
         arch = None
         if "arch" in doc:
             arch_doc = doc["arch"]
             if not isinstance(arch_doc, dict) or not set(arch_doc) <= _ARCH_KEYS:
                 raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
-            arch = (_require_int(arch_doc, "m", minimum=1), _require_int(arch_doc, "H", minimum=1))
+            arch = (_number(arch_doc, "m", int, 1), _number(arch_doc, "H", int, 1))
 
-        return cls(
-            mdp=mdp_source,
-            algorithm=algorithm,
-            K=K,
-            seeds=tuple(seeds),
-            N=_optional_int(doc, "N", minimum=1),
-            N_a=_optional_int(doc, "N_a", minimum=1),
-            N_c=_optional_int(doc, "N_c", minimum=1),
-            arch=arch,
-            R=_optional_float(doc, "R", minimum=0.0),
-            beta=_optional_float(doc, "beta", minimum=0.0, strict=True),
-            ridge=_optional_float(doc, "ridge", minimum=0.0),
-        )
+        return cls(mdp=doc["mdp"], algorithm=algorithm, seeds=tuple(seeds), arch=arch, **numbers)
 
 
-def _require_int(doc: dict, key: str, minimum: int) -> int:
+def _number(doc: dict, key: str, kind: type, minimum, strict: bool = False):
     value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _optional_int(doc: dict, key: str, minimum: int) -> int | None:
-    if key not in doc:
-        return None
-    return _require_int(doc, key, minimum)
-
-
-def _optional_float(doc: dict, key: str, minimum: float, strict: bool = False) -> float | None:
-    if key not in doc:
-        return None
-    value = doc[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if kind is int:
+        if type(value) is not int or value < minimum:
+            raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        return value
+    if type(value) not in (int, float):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     value = float(value)
-    if value < minimum or (strict and value <= minimum):
+    if not value >= minimum or (strict and value <= minimum):  # NaN fails the first test
         raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum}, got {value}")
     return value
 
 
+def _first_repeat(values: list):
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
+
+
 def _mdp_label(source: str) -> str:
-    if source in ("chain2", "gridworld5"):
-        return source
     if source.startswith("random("):
         return source.replace("(", "-").replace(",", "-").rstrip(")")
     return Path(source).stem
@@ -165,7 +148,10 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
         settings = {"mode": config.algorithm.removeprefix("linear_"), "N": config.N, "ridge": config.ridge}
     settings.update(seed=seed, radius=config.R, beta=config.beta)
     # A setting the config leaves unset (None) keeps the driver's default.
-    trace = driver(*args, **{name: value for name, value in settings.items() if value is not None})
+    try:
+        trace = driver(*args, **{name: value for name, value in settings.items() if value is not None})
+    except MemoryError as exc:  # an allocation the sizes ask for is refused outright
+        raise ConfigError(f"cannot allocate the run's arrays ({exc}); use smaller sizes (N, N_a, N_c, arch)") from exc
     params = trace.manifest.get("params", {})
     trace.manifest = {
         "config": config.to_dict(),
@@ -190,7 +176,7 @@ def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Pa
     return dirs
 
 
-SWEEPABLE = ("K", "N", "N_a", "N_c")
+SWEEPABLE = tuple(key for key, (kind, *_) in _NUMBERS.items() if kind is int)
 
 
 def sweep_command(
@@ -202,7 +188,7 @@ def sweep_command(
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
-    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    repeated = _first_repeat(values)
     if repeated is not None:
         raise ConfigError(f"sweep values must be distinct; {param}={repeated} is listed more than once")
     base = Path(out_dir or "sweep")

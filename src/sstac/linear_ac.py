@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 
 MODES = ("exact", "sampled")
 
+# A critic Gram whose smallest eigenvalue falls below this raises ConditioningError.
+_GRAM_TOL = 1e-12
+
 
 def project_l2(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered ball of the given radius."""
@@ -74,7 +77,7 @@ def _sample_moments(features: FeatureMap, batch: TransitionBatch, y: np.ndarray)
     return phi_gram.T @ phi_gram / n, (y[:, None] * phi[batch.s, batch.a]).mean(axis=0)
 
 
-def _solve_critic(gram, rhs, radius: float, tol: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
+def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
     """Conditioning check, least-squares solve and ball projection shared by both critics.
 
     ``gram`` is the dense Gram matrix, or its diagonal (1-D) for one-hot
@@ -86,10 +89,10 @@ def _solve_critic(gram, rhs, radius: float, tol: float, hint: str, *, ridge: flo
     if ridge > 0.0:
         ridged = gram + (ridge if diagonal else ridge * np.eye(len(gram)))
     sigma_min = min_eigenvalue(ridged)
-    if sigma_min < tol:
+    if sigma_min < _GRAM_TOL:
         zero = f"; zero-weight (s, a) pairs: {np.count_nonzero(gram == 0.0)}" if diagonal else ""
         raise ConditioningError(
-            f"Gram matrix is singular beyond tolerance (sigma_min={sigma_min:.3e} < {tol:.0e}{zero}); {hint}",
+            f"Gram matrix is singular beyond tolerance (sigma_min={sigma_min:.3e} < {_GRAM_TOL:.0e}{zero}); {hint}",
             sigma_min=sigma_min,
         )
     if not diagonal:
@@ -107,12 +110,11 @@ def critic_step_exact(
     rho_next: np.ndarray,
     *,
     radius: float,
-    gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Population least-squares critic under rho_next, projected onto the ball."""
     target = mdp_mod.bellman_eval(mdp, policy_next, features.value_table(omega))
     gram, rhs = _population_moments(features, rho_next, target)
-    return _solve_critic(gram, rhs, radius, gram_tol, "the evaluation distribution may lack support")
+    return _solve_critic(gram, rhs, radius, "the evaluation distribution may lack support")
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,6 @@ def critic_step_sampled(
     *,
     radius: float,
     ridge: float = 0.0,
-    gram_tol: float = 1e-12,
 ) -> np.ndarray:
     """Empirical projected least-squares critic from a transition batch."""
     if features.one_hot:
@@ -157,7 +158,7 @@ def critic_step_sampled(
         q_boot = features.phi[batch.s_next, batch.a_next] @ omega
     y = (1.0 - gamma) * batch.r + gamma * q_boot
     gram, rhs = _sample_moments(features, batch, y)
-    return _solve_critic(gram, rhs, radius, gram_tol, "increase N or enable the ridge", ridge=ridge)
+    return _solve_critic(gram, rhs, radius, "increase N or enable the ridge", ridge=ridge)
 
 
 def default_radius(mdp: mdp_mod.TabularMDP) -> float:

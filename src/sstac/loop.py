@@ -53,7 +53,7 @@ def run_single_timescale(
     of its message; its class and attributes are kept.
     """
     pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
-    q_star, pi_star = mdp_mod.optimal_q(mdp, tol=1e-12)
+    q_star, pi_star = mdp_mod.optimal_q(mdp)
     nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
 
     policies = [pi_k]

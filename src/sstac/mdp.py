@@ -31,12 +31,15 @@ _PROB_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 _DAMPING = 1e-6
 
+# Discount of every builtin MDP.
+_GAMMA = 0.9
 
-def _check_distribution(vec: np.ndarray, what: str, tol: float = _PROB_TOL) -> None:
-    if np.any(vec < -tol):
-        raise ContractViolationError(f"{what} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > tol:
-        raise ContractViolationError(f"{what} does not sum to 1 (got {float(vec.sum())!r})")
+
+def _check_size(n_states: int, n_actions: int) -> None:
+    if n_states < 1 or n_actions < 1:
+        raise ContractViolationError(f"an MDP needs n_states >= 1 and n_actions >= 1, got {n_states} and {n_actions}")
+    if n_states * n_actions > MAX_STATE_ACTIONS:
+        raise ContractViolationError(f"n_states * n_actions = {n_states * n_actions} exceeds cap {MAX_STATE_ACTIONS}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,7 @@ class TabularMDP:
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ContractViolationError(f"transition must have shape (S, A, S), got {p.shape}")
         n_states, n_actions, _ = p.shape
-        if n_states * n_actions > MAX_STATE_ACTIONS:
-            raise ContractViolationError(
-                f"n_states * n_actions = {n_states * n_actions} exceeds cap {MAX_STATE_ACTIONS}"
-            )
+        _check_size(n_states, n_actions)
         if r.shape != (n_states, n_actions):
             raise ContractViolationError(f"reward must have shape {(n_states, n_actions)}, got {r.shape}")
         if zeta.shape != (n_states,):
@@ -86,7 +86,10 @@ class TabularMDP:
             raise ContractViolationError(
                 f"transition row (s={s}, a={a}) sums to {row_sums[s, a]!r}, expected 1"
             )
-        _check_distribution(zeta, "initial_dist")
+        if np.any(zeta < -_PROB_TOL):
+            raise ContractViolationError("initial_dist has negative entries")
+        if abs(float(zeta.sum()) - 1.0) > _PROB_TOL:
+            raise ContractViolationError(f"initial_dist does not sum to 1 (got {float(zeta.sum())!r})")
         if np.any(np.abs(r) > self.r_max + 1e-12):
             raise ContractViolationError(f"|reward| exceeds declared r_max={self.r_max}")
 
@@ -148,15 +151,13 @@ def exact_q_pi(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     return q.reshape(mdp.n_states, mdp.n_actions)
 
 
-def optimal_q(mdp: TabularMDP, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
     """Optimal Q-table and a greedy deterministic policy (lowest action index on ties).
 
     Value iteration on the normalized optimality operator, stopped when the
-    sup-norm change is below ``tol * (1 - gamma) / (2 gamma)``.
+    sup-norm change is below ``1e-12 * (1 - gamma) / (2 gamma)``.
     """
-    if tol <= 0:
-        raise ContractViolationError("tol must be positive")
-    gamma = mdp.gamma
+    gamma, tol = mdp.gamma, 1e-12
     stop = tol if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(10_000_000):
@@ -270,10 +271,10 @@ def objective_J(mdp: TabularMDP, policy: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chain2(gamma: float = 0.9) -> TabularMDP:
+def chain2() -> TabularMDP:
     """Two-state chain: action 0 ("go") hops to the other state, action 1 ("stay") self-loops.
 
-    Reward is 1 in state 1 regardless of action; the start state is 0.
+    Reward is 1 in state 1 regardless of action; the start state is 0; gamma = 0.9.
     """
     p = np.zeros((2, 2, 2))
     p[0, 0, 1] = 1.0  # go
@@ -281,16 +282,16 @@ def chain2(gamma: float = 0.9) -> TabularMDP:
     p[1, 0, 0] = 1.0
     p[1, 1, 1] = 1.0
     r = np.array([[0.0, 0.0], [1.0, 1.0]])
-    return TabularMDP(transition=p, reward=r, gamma=gamma, initial_dist=np.array([1.0, 0.0]))
+    return TabularMDP(transition=p, reward=r, gamma=_GAMMA, initial_dist=np.array([1.0, 0.0]))
 
 
-def gridworld5(gamma: float = 0.9, slip: float = 0.1) -> TabularMDP:
-    """5x5 gridworld: four moves, slip-in-place probability, goal at the far corner.
+def gridworld5() -> TabularMDP:
+    """5x5 gridworld: four moves, slip-in-place probability 0.1, goal at the far corner, gamma = 0.9.
 
     The goal state pays reward 1 and teleports back to the start, which keeps
     the chain recurrent under any policy.
     """
-    size = 5
+    size, slip = 5, 0.1
     n_states = size * size
     goal = n_states - 1
     moves = [(-1, 0), (0, 1), (1, 0), (0, -1)]  # up, right, down, left
@@ -309,16 +310,17 @@ def gridworld5(gamma: float = 0.9, slip: float = 0.1) -> TabularMDP:
             p[s, a, s] += slip
     zeta = np.zeros(n_states)
     zeta[0] = 1.0
-    return TabularMDP(transition=p, reward=r, gamma=gamma, initial_dist=zeta)
+    return TabularMDP(transition=p, reward=r, gamma=_GAMMA, initial_dist=zeta)
 
 
-def random_mdp(n_states: int, n_actions: int, seed: int, gamma: float = 0.9) -> TabularMDP:
-    """Random dense MDP: Dirichlet(1) transition rows, uniform rewards in [0, 1]."""
+def random_mdp(n_states: int, n_actions: int, seed: int) -> TabularMDP:
+    """Random dense MDP: Dirichlet(1) transition rows, uniform rewards in [0, 1], gamma = 0.9."""
+    _check_size(n_states, n_actions)  # before drawing S * A * S transition entries
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
     r = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
     zeta = rng.dirichlet(np.ones(n_states))
-    return TabularMDP(transition=p, reward=r, gamma=gamma, initial_dist=zeta)
+    return TabularMDP(transition=p, reward=r, gamma=_GAMMA, initial_dist=zeta)
 
 
 _BUILTIN_RE = re.compile(r"^random\((\d+),(\d+),(\d+)\)$")

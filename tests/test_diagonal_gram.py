@@ -3,8 +3,8 @@
 Each property compares the library against the dense computation written
 out inline (matmul Gram, eigvalsh conditioning check, LAPACK solve), with
 ``np.array_equal``.  Pair weights include exact zeros and values within a
-few ulps of the conditioning tolerance, so both the accept and the reject
-branch of the check are exercised.
+few ulps of the fixed conditioning tolerance 1e-12, so both the accept and
+the reject branch of the check are exercised.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ _weight = st.one_of(
 
 @st.composite
 def problems(draw):
-    """Sizes, pair weights rho, a random MDP and policy, critic weights and a conditioning tolerance."""
+    """Sizes, pair weights rho, a random MDP and policy, and critic weights."""
     n_states = draw(st.integers(1, 4))
     n_actions = draw(st.integers(1, 3))
     rho = np.array(draw(st.lists(_weight, min_size=n_states * n_actions, max_size=n_states * n_actions)))
@@ -52,7 +52,6 @@ def problems(draw):
         "policy": rng.dirichlet(np.ones(n_actions), size=n_states),
         "omega": rng.standard_normal(n_states * n_actions) * draw(st.sampled_from([0.1, 5.0])),
         "radius": draw(st.sampled_from([0.05, 100.0])),
-        "tol": draw(st.sampled_from([GRAM_TOL, 1e-3, 0.0])),
         "rng": rng,
     }
 
@@ -78,9 +77,9 @@ def dense_gram(feats, rho):
     return (flat * rho.reshape(-1, 1)).T @ flat
 
 
-def dense_solve(gram, rhs, radius, tol):
+def dense_solve(gram, rhs, radius):
     sigma_min = float(np.linalg.eigvalsh(gram)[0])
-    if sigma_min < tol:
+    if sigma_min < GRAM_TOL:
         raise ConditioningError("dense reference", sigma_min=sigma_min)
     return project_l2(np.linalg.solve(gram, rhs), radius)
 
@@ -89,7 +88,7 @@ def dense_population(p, rho):
     feats = p["feats"]
     target = bellman_eval(p["mdp"], p["policy"], feats.phi @ p["omega"])
     rhs = np.einsum("sa,sad->d", rho * target, feats.phi)
-    return dense_solve(dense_gram(feats, rho), rhs, p["radius"], p["tol"])
+    return dense_solve(dense_gram(feats, rho), rhs, p["radius"])
 
 
 def dense_sample_moments(phi, batch, y):
@@ -126,9 +125,7 @@ def test_gram_matrix_and_min_singular_match_dense(p):
 @given(problems())
 def test_exact_critic_matches_dense_solve(p):
     assert_same_outcome(
-        lambda: critic_step_exact(
-            p["omega"], p["mdp"], p["policy"], p["feats"], p["rho"], radius=p["radius"], gram_tol=p["tol"]
-        ),
+        lambda: critic_step_exact(p["omega"], p["mdp"], p["policy"], p["feats"], p["rho"], radius=p["radius"]),
         lambda: dense_population(p, p["rho"]),
     )
 
@@ -144,9 +141,9 @@ def test_sampled_critic_matches_dense_solve(p, n, ridge):
         gram, rhs = dense_sample_moments(feats.phi, batch, y)
         if ridge > 0.0:
             gram = gram + ridge * np.eye(feats.dim)
-        return dense_solve(gram, rhs, radius, p["tol"])
+        return dense_solve(gram, rhs, radius)
 
     assert_same_outcome(
-        lambda: critic_step_sampled(omega, batch, feats, gamma, radius=radius, ridge=ridge, gram_tol=p["tol"]),
+        lambda: critic_step_sampled(omega, batch, feats, gamma, radius=radius, ridge=ridge),
         reference,
     )

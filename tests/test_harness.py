@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,17 @@ BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "seeds": [0]}
 
 
 BAD_MDP_CAUSE = {
+    "missing": "No such file or directory",
     "undecodable": "codec can't decode",
     "truncated": "Expecting",
     "wrong_type": "invalid literal for int()",
     "nan_reward": "reward entry (1, 0) is nan",
 }
+
+
+# Linux's overcommit mode 1 grants every allocation, so a refused one cannot be provoked safely.
+_OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+ALWAYS_OVERCOMMITS = _OVERCOMMIT.is_file() and _OVERCOMMIT.read_text().strip() == "1"
 
 
 def write_config(tmp_path, doc):
@@ -74,10 +81,6 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({**BASE_CFG, "beta": -1})
         with pytest.raises(ConfigError, match="N"):
             ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "linear_sampled"})
-
-    def test_missing_mdp_file(self):
-        with pytest.raises(ConfigError, match="does not exist"):
-            ExperimentConfig.from_dict({**BASE_CFG, "mdp": "/nonexistent/m.json"})
 
     def test_arch_rejects_input_dimension(self):
         # The input dimension is always S + A; a "d" entry would be ignored.
@@ -151,6 +154,14 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key, bound", [("R", ">="), ("beta", ">"), ("ridge", ">=")])
+    def test_nan_number_exits_2(self, tmp_path, capsys, key, bound):
+        # JSON's NaN token parses; every comparison with it is False, so a NaN ridge was silently ignored.
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: float("nan")})
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: {key} must be {bound} 0.0, got nan\n"
+        assert not (tmp_path / "r").exists()
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64})
         assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
@@ -206,7 +217,7 @@ class TestCliRun:
         assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
-    @pytest.mark.parametrize("case", ["undecodable", "truncated", "wrong_type", "nan_reward"])
+    @pytest.mark.parametrize("case", ["missing", "undecodable", "truncated", "wrong_type", "nan_reward"])
     def test_bad_mdp_file_exits_2_naming_path(self, tmp_path, capsys, verb, case):
         doc = mdp_to_json(chain2())
         if case == "wrong_type":
@@ -215,7 +226,8 @@ class TestCliRun:
             doc["reward"][1][0] = float("nan")  # written as the bare token NaN, which json.load accepts
         text = json.dumps(doc).encode()
         mdp_path = tmp_path / "mdp.json"
-        mdp_path.write_bytes({"undecodable": b"\xff\xfe" + text, "truncated": text[: len(text) // 2]}.get(case, text))
+        if case != "missing":
+            mdp_path.write_bytes({"undecodable": b"\xff\xfe" + text, "truncated": text[: len(text) // 2]}.get(case, text))
         cfg_path = write_config(tmp_path, {**BASE_CFG, "mdp": str(mdp_path)})
         argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "r")]
         argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
@@ -223,6 +235,45 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith(f"sstac: error: config: cannot load MDP {str(mdp_path)!r}")
         assert BAD_MDP_CAUSE[case] in err
+        assert not (tmp_path / "r").exists()
+
+    def test_repeated_seed_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "seeds": [0, 1, 0]})
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err == "sstac: error: config: seeds must be distinct; seed 0 is listed more than once\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "source, cause",
+        [
+            ("random(0,2,1)", "an MDP needs n_states >= 1 and n_actions >= 1, got 0 and 2"),
+            ("random(4097,1,0)", "n_states * n_actions = 4097 exceeds cap 4096"),
+        ],
+        ids=["empty", "over-cap"],
+    )
+    def test_random_mdp_size_exits_2_before_drawing(self, tmp_path, capsys, source, cause):
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "mdp": source})
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"sstac: error: config: cannot load MDP {source!r}: {cause}\n"
+        # numpy reports its array buffers to tracemalloc: no S x A x S table was drawn.
+        assert peak < 10 * 2**20, peak
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.skipif(ALWAYS_OVERCOMMITS, reason="the kernel would grant the terabytes and the run would fill them")
+    def test_refused_allocation_exits_2(self, tmp_path, capsys):
+        # 10**12 draws ask for 7.28 TiB at once; the allocator refuses before touching memory.
+        cfg = {"mdp": "chain2", "algorithm": "linear_sampled", "K": 1, "N": 1000000000000, "seeds": [0]}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sstac: error: config: cannot allocate the run's arrays (Unable to allocate")
+        assert err.endswith("; use smaller sizes (N, N_a, N_c, arch)\n")
+        assert not (tmp_path / "r").exists()
 
     def test_determinism_across_invocations(self, tmp_path):
         cfg_path = write_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -63,6 +64,10 @@ class TestConstruction:
         fields[table][index] = bad
         with pytest.raises(ContractViolationError, match=re.escape(f"{table} entry {index} is {bad}")):
             TabularMDP(gamma=0.9, **fields)
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ContractViolationError, match=r"n_states >= 1 and n_actions >= 1, got 0 and 2"):
+            TabularMDP(transition=np.zeros((0, 2, 0)), reward=np.zeros((0, 2)), gamma=0.9, initial_dist=[])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_r_max(self, chain, bad):
@@ -191,7 +196,7 @@ class TestOptimalQ:
         np.testing.assert_array_equal(greedy, [[1.0, 0.0, 0.0]])
 
     def test_greedy_value_matches_q_star(self, mdp5):
-        q_star, greedy = optimal_q(mdp5, tol=1e-10)
+        q_star, greedy = optimal_q(mdp5)
         np.testing.assert_allclose(exact_q_pi(mdp5, greedy), q_star, atol=1e-10)
 
 
@@ -256,7 +261,7 @@ class TestStationaryDists:
 
 class TestVisitationDist:
     def test_gamma_zero_limit(self):
-        m = random_mdp(4, 2, seed=31, gamma=1e-12)
+        m = dataclasses.replace(random_mdp(4, 2, seed=31), gamma=1e-12)
         rng = np.random.default_rng(32)
         pi = random_policy(rng, 4, 2)
         rho = visitation_dist(m, pi)

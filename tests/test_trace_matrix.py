@@ -1,0 +1,85 @@
+"""Byte identity of every trace in a fixed 57-case matrix.
+
+Each case runs one driver (or one config through ``execute_run``) and is
+pinned by the sha256 of its ``trace.csv`` text, or, for a case that raises,
+by the error class and message.  The hashes live in
+``data/trace_matrix.json``.  Regenerate that file only for a deliberate,
+logged trace change:
+
+    PYTHONPATH=src python tests/test_trace_matrix.py
+"""
+
+import hashlib
+import json
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+from sstac import ExperimentConfig, build_mdp, execute_run, random_features, run_linear_ac, run_neural_ac, tabular_features
+
+PINS = Path(__file__).parent / "data" / "trace_matrix.json"
+
+MDPS = ("chain2", "gridworld5", "random(16,4,7)", "random(64,8,0)")
+FEATURES = {
+    "tabular": lambda mdp: tabular_features(mdp.n_states, mdp.n_actions),
+    "random6": lambda mdp: random_features(mdp.n_states, mdp.n_actions, 6, seed=3),
+}
+MODES = {
+    "exact": {"mode": "exact"},
+    "sampled512-ridge": {"mode": "sampled", "N": 512, "ridge": 1e-3},
+    "sampled4096": {"mode": "sampled", "N": 4096},
+}
+CONFIGS = {
+    "gridworld5-exact-R-beta": {"mdp": "gridworld5", "algorithm": "linear_exact", "K": 5, "R": 25.0, "beta": 1.5},
+    "random16-sampled": {"mdp": "random(16,4,7)", "algorithm": "linear_sampled", "K": 4, "N": 512, "ridge": 1e-3},
+    "chain2-neural": {"mdp": "chain2", "algorithm": "neural", "K": 2, "arch": {"m": 8, "H": 2}, "N_a": 16, "N_c": 16},
+}
+
+
+def _linear(source, feature, mode, seed):
+    mdp = build_mdp(source)
+    return run_linear_ac(mdp, FEATURES[feature](mdp), 6, seed=seed, **MODES[mode]).to_csv_text()
+
+
+def _neural(source, seed):
+    return run_neural_ac(build_mdp(source), 8, 2, 3, n_actor=20, n_critic=20, seed=seed).to_csv_text()
+
+
+def _config(name):
+    trace = execute_run(ExperimentConfig.from_dict(CONFIGS[name]), 0)
+    return trace.manifest["run_id"] + "\n" + trace.to_csv_text()
+
+
+CASES = {
+    **{
+        f"linear/{source}/{feature}/{mode}/seed{seed}": partial(_linear, source, feature, mode, seed)
+        for source in MDPS
+        for feature in FEATURES
+        for mode in MODES
+        for seed in (0, 1)
+    },
+    **{f"neural/{source}/seed{seed}": partial(_neural, source, seed) for source in MDPS[:3] for seed in (0, 1)},
+    **{f"config/{name}": partial(_config, name) for name in CONFIGS},
+}
+
+
+def outcome(run) -> dict:
+    try:
+        text = run()
+    except Exception as exc:  # a pinned failure is part of the contract too
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_pins_cover_exactly_the_matrix():
+    assert sorted(json.loads(PINS.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_pinned_hash(case):
+    assert outcome(CASES[case]) == json.loads(PINS.read_text())[case]
+
+
+if __name__ == "__main__":
+    PINS.write_text(json.dumps({case: outcome(run) for case, run in sorted(CASES.items())}, indent=1) + "\n")
