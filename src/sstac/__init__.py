@@ -49,7 +49,7 @@ from .deep_net import (
     project_ball,
     sa_encoding_table,
 )
-from .neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop, run_neural_ac
+from .neural_ac import actor_inner_loop, critic_inner_loop, run_neural_ac
 from .diagnostics import IterDiag, error_decomposition
-from .trace import BASE_COLUMNS, NEURAL_COLUMNS, RunTrace, load_trace
+from .trace import RunTrace, load_trace
 from .harness import ExperimentConfig, diag_checks, execute_run, run_command, run_id, sweep_command

@@ -19,7 +19,7 @@ _ZERO = 1e-300  # guards log() of fully underflowed policy entries
 
 @dataclass
 class IterDiag:
-    """Scalar diagnostics for one coupled actor/critic update."""
+    """Scalar diagnostics for one coupled actor/critic update, named and ordered as trace columns."""
 
     gap: float  # E_rho*[Q* - Q^{pi_next}], rho* = nu* pi*
     eps_c_l2: float  # critic statistical error, L2 under rho_next
@@ -30,7 +30,7 @@ class IterDiag:
     eps_b: float  # E_nu*[ |actor-error inner product vs pi_k| ]
     phi_star: float  # density-ratio norm ||d rho* / d rho_next||_{rho_next,2}
     sigma_star: float  # min singular value of the feature Gram under rho_next
-    j_pi: float  # objective of pi_next
+    J_pi: float  # objective of pi_next
     kl_to_opt: float  # E_nu*[ KL(pi*||pi_next) ]
     a_resid: float  # residual of the three-term decomposition identity
 
@@ -90,7 +90,7 @@ def error_decomposition(
         eps_b=float(nu_star @ eps_b_rows),
         phi_star=density_ratio_l2(rho_star, rho_next),
         sigma_star=float(gram_min_singular(features, rho_next)),
-        j_pi=float(np.sum(mdp.initial_dist[:, None] * pi_next * q_pi_next)),
+        J_pi=float(np.sum(mdp.initial_dist[:, None] * pi_next * q_pi_next)),
         kl_to_opt=kl_to_opt,
         a_resid=a_resid,
     )

@@ -115,6 +115,8 @@ def _number(doc: dict, key: str, kind: type, minimum, strict: bool = False):
     value = float(value)
     if not value >= minimum or (strict and value <= minimum):  # NaN fails the first test
         raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum}, got {value}")
+    if math.isinf(value):  # JSON's Infinity token parses too
+        raise ConfigError(f"{key} must be finite, got {value}")
     return value
 
 
@@ -123,8 +125,9 @@ def _first_repeat(values: list):
 
 
 def _mdp_label(source: str) -> str:
-    if source.startswith("random("):
-        return source.replace("(", "-").replace(",", "-").rstrip(")")
+    compact = source.replace(" ", "")  # as build_mdp reads random(S, A, seed)
+    if compact.startswith("random("):
+        return compact.replace("(", "-").replace(",", "-").rstrip(")")
     return Path(source).stem
 
 

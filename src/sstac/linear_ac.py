@@ -21,7 +21,7 @@ from .features import FeatureMap, gram_matrix, min_eigenvalue
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
-from .trace import BASE_COLUMNS, RunTrace
+from .trace import RunTrace
 
 log = logging.getLogger(__name__)
 
@@ -181,8 +181,8 @@ def run_linear_ac(
     """Run the full linear actor-critic loop for iterations k = 0 .. K.
 
     Returns a RunTrace with one diagnostic row per iteration (K+1 rows) and
-    in-memory history (policies, weight iterates, exact oracles).  Fully
-    deterministic given the seed.
+    in-memory history (policies and the weight iterates ``theta``, ``omega``).
+    Fully deterministic given the seed.
     """
     radius_val = float(radius) if radius is not None else default_radius(mdp)
     beta_val = resolve_beta(K, beta, radius_val)
@@ -222,7 +222,8 @@ def run_linear_ac(
 
         theta_hist.append(theta.copy())
         omega_hist.append(omega.copy())
-        return pi_next, rho_next, features.value_table(omega), inv_tau_next, float(np.linalg.norm(theta)), critic_norm
+        logged = {"inv_tau": inv_tau_next, "actor_norm": float(np.linalg.norm(theta)), "critic_norm": critic_norm}
+        return pi_next, rho_next, features.value_table(omega), logged
 
     params = {
         "algorithm": f"linear_{mode}",
@@ -240,7 +241,6 @@ def run_linear_ac(
         q_0=features.value_table(omega),
         beta=beta_val,
         features=features,
-        columns=list(BASE_COLUMNS),
         params=params,
     )
     trace.history.update(theta=theta_hist, omega=omega_hist)

@@ -3,7 +3,6 @@ one actor and one critic step per k, scored by the exact oracles."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,10 +20,10 @@ def resolve_beta(K: int, beta: float | None, radius: float) -> float:
     if K < 1:
         raise ParameterError("K must be >= 1")
     beta_val = float(beta) if beta is not None else math.sqrt(K)
-    if beta_val <= 0:
-        raise ParameterError("beta must be positive")
-    if not radius >= 0.0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
+    if not 0.0 < beta_val < math.inf:
+        raise ParameterError(f"beta must be positive and finite, got {beta_val}")
+    if not 0.0 <= radius < math.inf:
+        raise ParameterError(f"radius must be finite and >= 0, got {radius}")
     return beta_val
 
 
@@ -36,7 +35,6 @@ def run_single_timescale(
     q_0: np.ndarray,
     beta: float,
     features,
-    columns: list[str],
     params: dict,
 ) -> RunTrace:
     """Run ``step`` for k = 0 .. K and score every update against the exact oracles.
@@ -46,22 +44,23 @@ def run_single_timescale(
     under the optimal policy's stationary measure rho* = nu* pi*.
 
     ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
-    ``(pi_next, rho_next, q_next, inv_tau, actor_norm, critic_norm, *extra)``:
-    the new policy, its stationary state-action distribution, the new critic
-    table, then the values of the trace columns after ``kl_to_opt, a_resid``.
+    ``(pi_next, rho_next, q_next, logged)``: the new policy, its stationary
+    state-action distribution, the new critic table, and a dict of the
+    driver's own trace columns.  The trace columns are ``k``, the fields of
+    ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.
     """
     pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
     q_star, pi_star = mdp_mod.optimal_q(mdp)
-    nu_star, rho_star = mdp_mod.stationary_dists(mdp, pi_star)
+    nu_star, _ = mdp_mod.stationary_dists(mdp, pi_star)
 
     policies = [pi_k]
     rows: list[list[float]] = []
     cum_regret = 0.0
     for k in range(K + 1):
         try:
-            pi_next, rho_next, q_next, *tail = step(k, pi_k, q_k)
+            pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
             q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
             diag, _ = error_decomposition(
                 mdp,
@@ -81,17 +80,11 @@ def run_single_timescale(
             exc.args = (f"at k={k}: {exc}",)
             raise
         cum_regret += diag.gap
-        # IterDiag's fields follow the trace columns, with cum_regret after gap.
-        gap, *scores = dataclasses.astuple(diag)
-        rows.append([k, gap, cum_regret, *scores, *tail])
+        # "gap" keeps its place when vars(diag) repeats it, so cum_regret follows it.
+        row = {"k": k, "gap": diag.gap, "cum_regret": cum_regret, **vars(diag), **logged}
+        rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
         policies.append(pi_k)
 
-    history = {
-        "policies": policies,
-        "q_star": q_star,
-        "pi_star": pi_star,
-        "nu_star": nu_star,
-        "rho_star": rho_star,
-    }
-    return RunTrace(manifest={"rng_id": RNG_ID, "params": params}, columns=columns, rows=rows, history=history)
+    manifest = {"rng_id": RNG_ID, "params": params}
+    return RunTrace(manifest=manifest, columns=list(row), rows=rows, history={"policies": policies})

@@ -20,10 +20,6 @@ from .errors import ContractViolationError, ErgodicityError
 # Desk-scale cap: everything is dense, so keep tables small.
 MAX_STATE_ACTIONS = 4096
 
-# Dense stationary-distribution solve is used below this many states when
-# power iteration stalls (periodic or slowly mixing chains).
-DENSE_FALLBACK_STATES = 64
-
 _PROB_TOL = 1e-12
 
 # Stationary-distribution solve: residual target, and the weight of the uniform
@@ -187,18 +183,13 @@ def _dense_stationary(p_pi: np.ndarray) -> np.ndarray:
     return nu / nu.sum()
 
 
-def stationary_dists(
-    mdp: TabularMDP,
-    policy: np.ndarray,
-    *,
-    max_iter: int = 50_000,
-) -> tuple[np.ndarray, np.ndarray]:
+def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary state and state-action distributions of ``policy``.
 
-    Damped power iteration with an undamped polish phase (plain iterates and
-    their Cesaro average are both checked, which settles periodic chains),
-    then a dense least-squares fallback for small chains.  Raises
-    ErgodicityError when no iterate meets the residual tolerance.
+    Damped power iteration with an undamped polish phase; a chain that does
+    not settle that way (periodic or slowly mixing) gets the exact S x S
+    least-squares solve instead.  Raises ErgodicityError, naming the residual
+    reached, when that solve misses the tolerance too.
     """
     pi = check_policy_matrix(mdp, policy)
     p_pi = policy_transition(mdp, pi)
@@ -206,7 +197,7 @@ def stationary_dists(
     uniform = np.full(n, 1.0 / n)
 
     nu = uniform.copy()
-    for _ in range(max_iter):
+    for _ in range(50_000):
         nu_next = (1.0 - _DAMPING) * (nu @ p_pi) + _DAMPING * uniform
         if float(np.abs(nu_next - nu).sum()) <= _DAMPING * 1e-3:
             nu = nu_next
@@ -217,33 +208,22 @@ def stationary_dists(
     if _stationary_residual(nu, p_pi) <= 0.5 * _STATIONARY_TOL:
         result = nu
     else:
-        # Undamped polish: geometric convergence for aperiodic chains; the
-        # running Cesaro average handles oscillating (periodic) ones.
+        # Undamped polish: geometric convergence for aperiodic chains.
         cur = nu.copy()
-        acc = np.zeros(n)
-        for t in range(1, 20_001):
+        for _ in range(20_000):
             cur = cur @ p_pi
-            acc += cur
             if _stationary_residual(cur, p_pi) <= 0.5 * _STATIONARY_TOL:
                 result = cur
                 break
-            if t % 64 == 0:
-                avg = acc / t
-                if _stationary_residual(avg, p_pi) <= 0.5 * _STATIONARY_TOL:
-                    result = avg
-                    break
-
-    if result is None and n <= DENSE_FALLBACK_STATES:
-        candidate = _dense_stationary(p_pi)
-        if _stationary_residual(candidate, p_pi) <= _STATIONARY_TOL:
-            result = candidate
 
     if result is None:
-        raise ErgodicityError(
-            f"stationary distribution did not converge to residual {_STATIONARY_TOL} "
-            f"for the given policy (n_states={n}); the induced chain may be "
-            "reducible or periodic"
-        )
+        result = _dense_stationary(p_pi)
+        residual = _stationary_residual(result, p_pi)
+        if residual > _STATIONARY_TOL:
+            raise ErgodicityError(
+                f"stationary distribution did not converge: the exact solve reached residual {residual:.3e} "
+                f"> {_STATIONARY_TOL} for the given policy (n_states={n}); the induced chain may be reducible"
+            )
     nu = np.clip(result, 0.0, None)
     nu /= nu.sum()
     rho = nu[:, None] * pi

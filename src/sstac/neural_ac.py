@@ -11,9 +11,7 @@ anchor initialization, and return the average of their iterates.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +30,7 @@ from .features import FeatureMap
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
-from .trace import NEURAL_COLUMNS, RunTrace
-
-
-@dataclass
-class NeuralAcState:
-    """Actor/critic networks plus their projection radius and inner-loop stepsizes."""
-
-    actor: DnnParams
-    critic: DnnParams
-    radius: float  # shared by both networks
-    alpha: float  # actor inner stepsize
-    eta: float  # critic inner stepsize
-
-    def __post_init__(self):
-        same_anchor = all(
-            np.array_equal(wa, wc) for wa, wc in zip(self.actor.anchor, self.critic.anchor)
-        )
-        if not same_anchor or not np.array_equal(self.actor.sign_vector, self.critic.sign_vector):
-            raise ContractViolationError("actor and critic must share the same anchor initialization")
+from .trace import RunTrace
 
 
 def _sgd_averaged(
@@ -85,10 +65,13 @@ def _sgd_averaged(
 
 
 def actor_inner_loop(
-    state: NeuralAcState,
+    actor: DnnParams,
     target_table: np.ndarray,
     encodings: np.ndarray,
     pairs: np.ndarray,
+    *,
+    radius: float,
+    alpha: float,
 ) -> DnnParams:
     """Fit the actor energy to the KL-regularized target by projected SGD.
 
@@ -97,14 +80,17 @@ def actor_inner_loop(
     """
     inputs = encodings[pairs[:, 0], pairs[:, 1]]
     targets = target_table[pairs[:, 0], pairs[:, 1]]
-    return _sgd_averaged(state.actor.clone(), state.radius, state.alpha, inputs, targets)
+    return _sgd_averaged(actor.clone(), radius, alpha, inputs, targets)
 
 
 def critic_inner_loop(
-    state: NeuralAcState,
+    critic: DnnParams,
     tuples,
     encodings: np.ndarray,
     gamma: float,
+    *,
+    radius: float,
+    eta: float,
 ) -> DnnParams:
     """One-step bootstrap regression by projected SGD with frozen targets.
 
@@ -114,11 +100,11 @@ def critic_inner_loop(
     """
     s, a, r, s_next, a_next = tuples
     snapshot = forward_many(
-        state.critic, encodings.reshape(-1, encodings.shape[2])
+        critic, encodings.reshape(-1, encodings.shape[2])
     ).reshape(encodings.shape[:2])
     targets = (1.0 - gamma) * r + gamma * snapshot[s_next, a_next]
     inputs = encodings[s, a]
-    return _sgd_averaged(state.critic.clone(), state.radius, state.eta, inputs, targets)
+    return _sgd_averaged(critic.clone(), radius, eta, inputs, targets)
 
 
 def run_neural_ac(
@@ -137,7 +123,8 @@ def run_neural_ac(
 
     The stepsizes are ``n_actor^{-1/2}`` and ``n_critic^{-1/2}``; the
     temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
-    ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.
+    ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.  The
+    trace's history holds the policies and the final ``actor`` and ``critic``.
     """
     beta_val = resolve_beta(K, beta, radius)
     if n_actor < 1 or n_critic < 1:
@@ -152,38 +139,38 @@ def run_neural_ac(
 
     rng = RunRng(seed)
     shared_init = init_params(d, m, depth, rng.stream("init"))
-    state = NeuralAcState(
-        actor=shared_init.clone(), critic=shared_init.clone(), radius=radius, alpha=alpha_val, eta=eta_val
-    )
-    f_k = forward_many(state.actor, enc_flat).reshape(n_states, n_actions)
+    # One initialization for both networks, so they share its anchor and sign vector.
+    actor, critic = shared_init.clone(), shared_init.clone()
+    f_k = forward_many(actor, enc_flat).reshape(n_states, n_actions)
 
     def step(k, pi_k, q_k):
-        nonlocal state, f_k
+        nonlocal actor, critic, f_k
         inv_tau, inv_tau_next = k / beta_val, (k + 1) / beta_val
         target_actor = (q_k / beta_val + inv_tau * f_k) / (inv_tau + 1.0 / beta_val)
 
         _, rho_k = mdp_mod.stationary_dists(mdp, pi_k)
         pairs = sample_sa(rho_k, rng.stream("actor_loop"), n_actor)
-        actor_next = actor_inner_loop(state, target_actor, encodings, pairs)
+        actor = actor_inner_loop(actor, target_actor, encodings, pairs, radius=radius, alpha=alpha_val)
 
-        f_next = forward_many(actor_next, enc_flat).reshape(n_states, n_actions)
+        f_next = forward_many(actor, enc_flat).reshape(n_states, n_actions)
         pi_next = softmax_rows(inv_tau_next * f_next)
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
         tuples = sample_tuples(mdp, rho_next, pi_next, rng.stream("critic_loop"), n_critic)
-        critic_next = critic_inner_loop(state, tuples, encodings, mdp.gamma)
-        q_next = forward_many(critic_next, enc_flat).reshape(n_states, n_actions)
+        critic = critic_inner_loop(critic, tuples, encodings, mdp.gamma, radius=radius, eta=eta_val)
+        q_next = forward_many(critic, enc_flat).reshape(n_states, n_actions)
 
-        actor_mse = float(np.sum(rho_k * (f_next - target_actor) ** 2))
-        bellman_target = mdp_mod.bellman_eval(mdp, pi_next, q_k)
-        critic_mse = float(np.sum(rho_next * (q_next - bellman_target) ** 2))
-        actor_gap = float(np.mean([linearization_gap(actor_next, x) for x in enc_flat]))
-        critic_gap = float(np.mean([linearization_gap(critic_next, x) for x in enc_flat]))
-
-        state = dataclasses.replace(state, actor=actor_next, critic=critic_next)
+        logged = {
+            "inv_tau": inv_tau_next,
+            "actor_norm": float(actor.anchor_distances().max()),
+            "critic_norm": float(critic.anchor_distances().max()),
+            "actor_mse": float(np.sum(rho_k * (f_next - target_actor) ** 2)),
+            "critic_mse": float(np.sum(rho_next * (q_next - mdp_mod.bellman_eval(mdp, pi_next, q_k)) ** 2)),
+            "actor_lin_gap": float(np.mean([linearization_gap(actor, x) for x in enc_flat])),
+            "critic_lin_gap": float(np.mean([linearization_gap(critic, x) for x in enc_flat])),
+        }
         f_k = f_next
-        norms = float(actor_next.anchor_distances().max()), float(critic_next.anchor_distances().max())
-        return pi_next, rho_next, q_next, inv_tau_next, *norms, actor_mse, critic_mse, actor_gap, critic_gap
+        return pi_next, rho_next, q_next, logged
 
     params = {
         "algorithm": "neural",
@@ -203,11 +190,10 @@ def run_neural_ac(
         mdp,
         K,
         step,
-        q_0=forward_many(state.critic, enc_flat).reshape(n_states, n_actions),
+        q_0=forward_many(critic, enc_flat).reshape(n_states, n_actions),
         beta=beta_val,
         features=FeatureMap(phi=encodings),
-        columns=list(NEURAL_COLUMNS),
         params=params,
     )
-    trace.history["final_state"] = state
+    trace.history.update(actor=actor, critic=critic)
     return trace

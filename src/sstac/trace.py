@@ -14,29 +14,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# Fixed column order.  Linear and neural runs share the base schema; neural
-# runs append the inner-loop columns.
-BASE_COLUMNS = [
-    "k",
-    "gap",
-    "cum_regret",
-    "eps_c_l2",
-    "eps_c_sup",
-    "e_sup",
-    "theta_kl",
-    "eps_a",
-    "eps_b",
-    "phi_star",
-    "sigma_star",
-    "J_pi",
-    "kl_to_opt",
-    "a_resid",
-    "inv_tau",
-    "actor_norm",
-    "critic_norm",
-]
-NEURAL_COLUMNS = BASE_COLUMNS + ["actor_mse", "critic_mse", "actor_lin_gap", "critic_lin_gap"]
-
 TRACE_FILENAME = "trace.csv"
 MANIFEST_FILENAME = "manifest.json"
 

@@ -32,7 +32,7 @@ from sstac import (
 from sstac.deep_net import forward_many, gradient, init_params, project_ball, sa_encoding_table
 from sstac.harness import ExperimentConfig, execute_run
 from sstac.linear_ac import actor_step, critic_step_exact, critic_step_sampled, draw_batch
-from sstac.neural_ac import NeuralAcState, actor_inner_loop, critic_inner_loop
+from sstac.neural_ac import actor_inner_loop, critic_inner_loop
 
 from conftest import random_policy
 from test_deep_net import FD_MATRIX, finite_difference_grads, sample_away_from_kinks
@@ -248,11 +248,11 @@ def test_c8_neural_end_to_end_trend():
     enc = sa_encoding_table(2, 2)
     flat = enc.reshape(-1, 4)
     probe = run_neural_ac(m, 32, 2, 4, n_actor=200, n_critic=200, seed=3)
-    state = probe.history["final_state"]
-    beta = probe.manifest["params"]["beta"]
+    actor, critic = probe.history["actor"], probe.history["critic"]
+    beta, radius = probe.manifest["params"]["beta"], probe.manifest["params"]["radius"]
     inv_tau = (4 + 1) / beta  # tau_{K+1}^{-1} after the probe's last update, K = 4
-    f_k = forward_many(state.actor, flat).reshape(2, 2)
-    q_k = forward_many(state.critic, flat).reshape(2, 2)
+    f_k = forward_many(actor, flat).reshape(2, 2)
+    q_k = forward_many(critic, flat).reshape(2, 2)
     from sstac.policy import softmax_rows
 
     pi_k = softmax_rows(inv_tau * f_k)
@@ -262,17 +262,13 @@ def test_c8_neural_end_to_end_trend():
     for n in (400, 6400):
         a_mses, c_mses = [], []
         for seed in range(10):
-            s2 = NeuralAcState(
-                actor=state.actor.clone(), critic=state.critic.clone(), radius=state.radius,
-                alpha=1.0 / np.sqrt(n), eta=1.0 / np.sqrt(n),
-            )
             rng = RunRng(800 + seed)
             pairs = sample_sa(rho_k, rng.stream("actor_loop"), n)
-            a_out = actor_inner_loop(s2, target, enc, pairs)
+            a_out = actor_inner_loop(actor, target, enc, pairs, radius=radius, alpha=1.0 / np.sqrt(n))
             f_out = forward_many(a_out, flat).reshape(2, 2)
             a_mses.append(float(np.sum(rho_k * (f_out - target) ** 2)))
             tuples = sample_tuples(m, rho_k, pi_k, rng.stream("critic_loop"), n)
-            c_out = critic_inner_loop(s2, tuples, enc, m.gamma)
+            c_out = critic_inner_loop(critic, tuples, enc, m.gamma, radius=radius, eta=1.0 / np.sqrt(n))
             q_out = forward_many(c_out, flat).reshape(2, 2)
             bellman_target = bellman_eval(m, pi_k, q_k)
             c_mses.append(float(np.sum(rho_k * (q_out - bellman_target) ** 2)))

@@ -19,9 +19,9 @@ from sstac.harness import (
     sweep_command,
 )
 from sstac.mdp import mdp_to_json
-from sstac.trace import BASE_COLUMNS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chain2" / "trace.csv"
+GOLDEN_COLUMNS = GOLDEN.read_text().splitlines()[0].split(",")
 
 BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "seeds": [0]}
 
@@ -103,6 +103,12 @@ class TestExperimentConfig:
         cfg2 = ExperimentConfig.from_dict({**BASE_CFG, "mdp": "random(10,5,7)"})
         assert run_id(cfg2, 0) == "linear_exact-random-10-5-7-K4-seed0"
 
+    def test_run_id_drops_spaces_in_random_source(self):
+        # build_mdp reads "random(4, 2, 1)" as random(4,2,1); both spellings name one run.
+        spaced = ExperimentConfig.from_dict({**BASE_CFG, "mdp": "random(4, 2, 1)"})
+        compact = ExperimentConfig.from_dict({**BASE_CFG, "mdp": "random(4,2,1)"})
+        assert run_id(spaced, 0) == run_id(compact, 0) == "linear_exact-random-4-2-1-K4-seed0"
+
 
 class TestExecuteRun:
     def test_manifest_schema_and_config_echo(self):
@@ -124,11 +130,12 @@ class TestExecuteRun:
         assert trace.to_csv_text() == GOLDEN.read_text()
 
     def test_schema_columns_are_stable(self):
-        assert BASE_COLUMNS[:12] == [
+        assert GOLDEN_COLUMNS == [
             "k", "gap", "cum_regret", "eps_c_l2", "eps_c_sup", "e_sup",
             "theta_kl", "eps_a", "eps_b", "phi_star", "sigma_star", "J_pi",
+            "kl_to_opt", "a_resid", "inv_tau", "actor_norm", "critic_norm",
         ]
-        assert GOLDEN.read_text().splitlines()[0] == ",".join(BASE_COLUMNS)
+        assert execute_run(ExperimentConfig.from_dict(BASE_CFG), 0).columns == GOLDEN_COLUMNS
 
 
 class TestCliRun:
@@ -154,12 +161,25 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("key, bound", [("R", ">="), ("beta", ">"), ("ridge", ">=")])
-    def test_nan_number_exits_2(self, tmp_path, capsys, key, bound):
-        # JSON's NaN token parses; every comparison with it is False, so a NaN ridge was silently ignored.
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: float("nan")})
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("R", "nan", "R must be >= 0.0, got nan"),
+            ("beta", "nan", "beta must be > 0.0, got nan"),
+            ("ridge", "nan", "ridge must be >= 0.0, got nan"),
+            ("R", "inf", "R must be finite, got inf"),
+            ("beta", "inf", "beta must be finite, got inf"),
+            ("ridge", "inf", "ridge must be finite, got inf"),
+            ("R", "-inf", "R must be >= 0.0, got -inf"),
+        ],
+        ids=["R->=", "beta->", "ridge->=", "R-inf", "beta-inf", "ridge-inf", "R--inf"],
+    )
+    def test_nan_number_exits_2(self, tmp_path, capsys, key, value, message):
+        # JSON's NaN and Infinity tokens parse; every comparison with NaN is False, so a NaN
+        # ridge was silently ignored, and an infinite ridge zeroed every critic solve.
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: float(value)})
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err == f"sstac: error: config: {key} must be {bound} 0.0, got nan\n"
+        assert capsys.readouterr().err == f"sstac: error: config: {message}\n"
         assert not (tmp_path / "r").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
@@ -367,7 +387,7 @@ class TestCliDiag:
         trace_dir = self._fresh_trace_dir(tmp_path)
         lines = (trace_dir / "trace.csv").read_text().splitlines()
         cells = lines[4].split(",")
-        cells[BASE_COLUMNS.index(column)] = text
+        cells[GOLDEN_COLUMNS.index(column)] = text
         lines[4] = ",".join(cells)
         (trace_dir / "trace.csv").write_text("\n".join(lines) + "\n")
         return trace_dir
@@ -412,7 +432,7 @@ class TestCliDiag:
     def test_trace_without_a_read_column_exits_2_naming_it(self, tmp_path, capsys):
         trace_dir = self._fresh_trace_dir(tmp_path)
         csv_path = trace_dir / "trace.csv"
-        drop = BASE_COLUMNS.index("a_resid")
+        drop = GOLDEN_COLUMNS.index("a_resid")
         rows = [line.split(",") for line in csv_path.read_text().splitlines()]
         csv_path.write_text("".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows))
         assert main(["diag", "--trace", str(trace_dir)]) == 2

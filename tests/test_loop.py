@@ -1,5 +1,7 @@
 """The shared single-timescale loop, checked through both entry points."""
 
+import math
+
 import pytest
 
 from sstac import ErgodicityError, ParameterError, chain2, neural_ac, run_linear_ac, run_neural_ac, tabular_features
@@ -14,7 +16,10 @@ def neural(**kwargs):
 
 
 @pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
-@pytest.mark.parametrize("key, value", [("K", 0), ("beta", -1.0), ("radius", -1.0)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("K", 0), ("beta", -1.0), ("radius", -1.0), ("beta", math.inf), ("beta", math.nan), ("radius", math.inf)],
+)
 def test_shared_parameter_validation(run, key, value):
     with pytest.raises(ParameterError):
         run(**{key: value})

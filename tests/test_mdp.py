@@ -19,6 +19,7 @@ from sstac import (
     stationary_dists,
     visitation_dist,
 )
+from sstac import mdp as mdp_module
 from sstac.mdp import load_mdp, mdp_from_json, mdp_to_json
 
 from conftest import random_policy
@@ -237,26 +238,47 @@ class TestStationaryDists:
             p_pi = np.einsum("sa,sat->st", pi, mdp5.transition)
             assert np.abs(nu @ p_pi - nu).sum() <= 1e-10
 
-    def test_unconverged_chain_raises(self):
-        # 65-state birth-death chain (too large for the dense fallback) with
-        # tiny transition rates: mixing far exceeds the iteration budget.
-        n = 65
-        p = np.zeros((n, 1, n))
-        up, down = 1e-4, 2e-4
-        for i in range(n):
-            stay = 1.0
-            if i + 1 < n:
-                p[i, 0, i + 1] = up
-                stay -= up
-            if i - 1 >= 0:
-                p[i, 0, i - 1] = down
-                stay -= down
-            p[i, 0, i] = stay
+    @staticmethod
+    def _single_action_chain(p_pi):
+        n = len(p_pi)
         zeta = np.zeros(n)
         zeta[0] = 1.0
-        m = TabularMDP(transition=p, reward=np.zeros((n, 1)), gamma=0.9, initial_dist=zeta)
-        with pytest.raises(ErgodicityError):
-            stationary_dists(m, np.ones((n, 1)), max_iter=2000)
+        return TabularMDP(transition=p_pi[:, None, :], reward=np.zeros((n, 1)), gamma=0.9, initial_dist=zeta)
+
+    @staticmethod
+    def _path_chain(n):
+        # Irreducible period-2 walk on an n-state path.
+        p_pi = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        p_pi[0, 1] = p_pi[-1, -2] = 1.0
+        return p_pi
+
+    def test_slowly_mixing_chain_is_solved(self):
+        # 65-state birth-death chain with tiny transition rates: power iteration
+        # does not settle in its budget, so the exact solve answers.
+        n, up, down = 65, 1e-4, 2e-4
+        p_pi = up * np.eye(n, k=1) + down * np.eye(n, k=-1)
+        p_pi += np.diag(1.0 - p_pi.sum(axis=1))
+        nu, rho = stationary_dists(self._single_action_chain(p_pi), np.ones((n, 1)))
+        assert np.abs(nu @ p_pi - nu).sum() <= 1e-10
+        # Detailed balance: nu_{i+1} / nu_i = up / down.
+        ratio = up / down
+        np.testing.assert_allclose(nu, ratio ** np.arange(n) * (1 - ratio) / (1 - ratio**n), atol=1e-10)
+        np.testing.assert_array_equal(rho[:, 0], nu)
+
+    def test_periodic_path_chain_is_solved(self):
+        # The iterates oscillate forever, so the exact solve answers.
+        n = 65
+        p_pi = self._path_chain(n)
+        nu, _ = stationary_dists(self._single_action_chain(p_pi), np.ones((n, 1)))
+        assert np.abs(nu @ p_pi - nu).sum() <= 1e-10
+        expected = np.full(n, 1.0 / (n - 1))
+        expected[[0, -1]] = 0.5 / (n - 1)
+        np.testing.assert_allclose(nu, expected, atol=1e-12)
+
+    def test_failed_exact_solve_names_its_residual(self, monkeypatch):
+        monkeypatch.setattr(mdp_module, "_dense_stationary", lambda p_pi: np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ErgodicityError, match=r"exact solve reached residual 2\.000e\+00"):
+            stationary_dists(self._single_action_chain(self._path_chain(3)), np.ones((3, 1)))
 
 
 class TestVisitationDist:

@@ -5,7 +5,6 @@ import pytest
 
 from sstac import (
     ContractViolationError,
-    NeuralAcState,
     RunRng,
     TabularMDP,
     actor_inner_loop,
@@ -19,12 +18,16 @@ from sstac import (
 )
 from sstac.deep_net import DnnParams, forward_many, gradient, init_params, sa_encoding_table
 from sstac.policy import softmax_rows
-from sstac.trace import NEURAL_COLUMNS
+
+NEURAL_COLUMNS = [
+    "k", "gap", "cum_regret", "eps_c_l2", "eps_c_sup", "e_sup", "theta_kl", "eps_a", "eps_b",
+    "phi_star", "sigma_star", "J_pi", "kl_to_opt", "a_resid", "inv_tau", "actor_norm", "critic_norm",
+    "actor_mse", "critic_mse", "actor_lin_gap", "critic_lin_gap",
+]
 
 
-def make_state(m=8, depth=2, seed=0, radius=10.0, alpha=0.05, eta=0.05):
-    shared = init_params(4, m, depth, seed)
-    return NeuralAcState(actor=shared.clone(), critic=shared.clone(), radius=radius, alpha=alpha, eta=eta)
+def make_net(m=8, depth=2, seed=0):
+    return init_params(4, m, depth, seed)
 
 
 def zero_chain2():
@@ -32,34 +35,26 @@ def zero_chain2():
     return TabularMDP(transition=m.transition, reward=np.zeros((2, 2)), gamma=m.gamma, initial_dist=m.initial_dist)
 
 
-class TestStateInvariants:
-    def test_rejects_mismatched_anchors(self):
-        a = init_params(4, 8, 2, seed=0)
-        b = init_params(4, 8, 2, seed=1)
-        with pytest.raises(ContractViolationError, match="anchor"):
-            NeuralAcState(actor=a, critic=b, radius=10.0, alpha=0.1, eta=0.1)
-
-
 class TestActorInnerLoop:
     def test_dead_relu_point_is_a_fixed_point(self):
-        state = make_state()
-        for w in state.actor.weights:
+        actor = make_net()
+        for w in actor.weights:
             w[:] = 0.0  # all pre-activations 0, sigma'(0)=0 kills the gradient
         enc = sa_encoding_table(2, 2)
         target = np.ones((2, 2))
         pairs = np.array([[0, 0]])
-        out = actor_inner_loop(state, target, enc, pairs)
+        out = actor_inner_loop(actor, target, enc, pairs, radius=10.0, alpha=0.05)
         for w in out.weights:
             np.testing.assert_array_equal(w, 0.0)
 
     def test_zero_residual_leaves_parameters_unchanged(self):
         # Target equal to the current energy everywhere: nothing to fit.
-        state = make_state()
+        actor = make_net()
         enc = sa_encoding_table(2, 2)
-        f_table = forward_many(state.actor, enc.reshape(-1, 4)).reshape(2, 2)
+        f_table = forward_many(actor, enc.reshape(-1, 4)).reshape(2, 2)
         pairs = sample_sa(np.full((2, 2), 0.25), RunRng(0).stream("actor_loop"), 16)
-        out = actor_inner_loop(state, f_table, enc, pairs)
-        for w_out, w_in in zip(out.weights, state.actor.weights):
+        out = actor_inner_loop(actor, f_table, enc, pairs, radius=10.0, alpha=0.05)
+        for w_out, w_in in zip(out.weights, actor.weights):
             np.testing.assert_allclose(w_out, w_in, atol=1e-14)
 
     def test_population_mse_decreases_with_more_steps(self):
@@ -73,9 +68,9 @@ class TestActorInnerLoop:
         for n in (200, 3200):
             mses = []
             for seed in range(20):
-                state = make_state(m=16, depth=2, seed=3, alpha=1.0 / np.sqrt(n))
+                actor = make_net(m=16, depth=2, seed=3)
                 pairs = sample_sa(rho, RunRng(seed).stream("actor_loop"), n)
-                out = actor_inner_loop(state, target, enc, pairs)
+                out = actor_inner_loop(actor, target, enc, pairs, radius=10.0, alpha=1.0 / np.sqrt(n))
                 f_out = forward_many(out, flat).reshape(2, 2)
                 mses.append(float(np.sum(rho * (f_out - target) ** 2)))
             med[n] = float(np.median(mses))
@@ -84,16 +79,17 @@ class TestActorInnerLoop:
     def test_empty_draws_rejected(self):
         # One SGD step per draw: no draws would average zero iterates into NaN weights.
         with pytest.raises(ContractViolationError, match="at least one draw"):
-            actor_inner_loop(make_state(), np.zeros((2, 2)), sa_encoding_table(2, 2), np.zeros((0, 2), dtype=int))
+            actor_inner_loop(
+                make_net(), np.zeros((2, 2)), sa_encoding_table(2, 2), np.zeros((0, 2), dtype=int), radius=10.0, alpha=0.05
+            )
 
     def test_every_iterate_stays_in_ball(self):
         # A tiny radius forces a projection at every step; the loop itself
         # asserts containment after each iterate.
-        state = make_state(radius=0.05, alpha=0.5)
         enc = sa_encoding_table(2, 2)
         target = np.full((2, 2), 5.0)
         pairs = sample_sa(np.full((2, 2), 0.25), RunRng(2).stream("actor_loop"), 64)
-        out = actor_inner_loop(state, target, enc, pairs)
+        out = actor_inner_loop(make_net(), target, enc, pairs, radius=0.05, alpha=0.5)
         assert float(out.anchor_distances().max()) <= 0.05 + 1e-9
 
 
@@ -110,22 +106,21 @@ class TestCriticInnerLoop:
         critic = DnnParams(weights=[w.copy()], sign_vector=np.array([1.0]), anchor=[w.copy()])
         assert abs(forward_many(critic, enc[0, 0][None, :])[0] - 0.5) < 1e-12
         assert abs(forward_many(critic, enc[1, 0][None, :])[0] - 0.2) < 1e-12
-        state = NeuralAcState(actor=critic.clone(), critic=critic.clone(), radius=100.0, alpha=0.1, eta=0.1)
         tuples = (np.array([0]), np.array([0]), np.array([1.0]), np.array([1]), np.array([0]))
-        out = critic_inner_loop(state, tuples, enc, gamma)
-        value, grads = gradient(state.critic, enc[0, 0])
-        expected = state.critic.weights[0] - 0.1 * 0.22 * grads[0]
+        out = critic_inner_loop(critic, tuples, enc, gamma, radius=100.0, eta=0.1)
+        value, grads = gradient(critic, enc[0, 0])
+        expected = critic.weights[0] - 0.1 * 0.22 * grads[0]
         np.testing.assert_allclose(out.weights[0], expected, atol=1e-14)
 
     def test_zero_reward_zero_net_fixed_point(self):
         mdp = zero_chain2()
-        state = make_state()
-        for w in state.critic.weights:
+        critic = make_net()
+        for w in critic.weights:
             w[:] = 0.0
         enc = sa_encoding_table(2, 2)
         pi = np.full((2, 2), 0.5)
         tuples = sample_tuples(mdp, np.full((2, 2), 0.25), pi, RunRng(3).stream("critic_loop"), 8)
-        out = critic_inner_loop(state, tuples, enc, mdp.gamma)
+        out = critic_inner_loop(critic, tuples, enc, mdp.gamma, radius=10.0, eta=0.05)
         for w in out.weights:
             np.testing.assert_array_equal(w, 0.0)
 
@@ -139,11 +134,11 @@ class TestCriticInnerLoop:
         for n in (200, 3200):
             mses = []
             for seed in range(20):
-                state = make_state(m=16, depth=2, seed=5, eta=1.0 / np.sqrt(n))
-                q_k = forward_many(state.critic, flat).reshape(2, 2)
+                critic = make_net(m=16, depth=2, seed=5)
+                q_k = forward_many(critic, flat).reshape(2, 2)
                 target = bellman_eval(mdp, pi, q_k)
                 tuples = sample_tuples(mdp, rho, pi, RunRng(seed).stream("critic_loop"), n)
-                out = critic_inner_loop(state, tuples, enc, mdp.gamma)
+                out = critic_inner_loop(critic, tuples, enc, mdp.gamma, radius=10.0, eta=1.0 / np.sqrt(n))
                 q_out = forward_many(out, flat).reshape(2, 2)
                 mses.append(float(np.sum(rho * (q_out - target) ** 2)))
             med[n] = float(np.median(mses))
@@ -154,25 +149,25 @@ class TestCriticInnerLoop:
         # snapshot must reproduce the output bit for bit.
         mdp = chain2()
         enc = sa_encoding_table(2, 2)
-        state = make_state(m=8, depth=2, seed=7, eta=0.2)
+        critic = make_net(m=8, depth=2, seed=7)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(mdp, pi)
         tuples = sample_tuples(mdp, rho, pi, RunRng(11).stream("critic_loop"), 32)
-        out = critic_inner_loop(state, tuples, enc, mdp.gamma)
+        out = critic_inner_loop(critic, tuples, enc, mdp.gamma, radius=10.0, eta=0.2)
 
         s, a, r, s2, a2 = tuples
-        snapshot_table = forward_many(state.critic, enc.reshape(-1, 4)).reshape(2, 2)
+        snapshot_table = forward_many(critic, enc.reshape(-1, 4)).reshape(2, 2)
         frozen_targets = (1.0 - mdp.gamma) * r + mdp.gamma * snapshot_table[s2, a2]
         from sstac.deep_net import project_ball_inplace
 
-        work = state.critic.clone()
+        work = critic.clone()
         acc = [np.zeros_like(w) for w in work.weights]
         for n in range(32):
             value, grads = gradient(work, enc[s[n], a[n]])
             resid = value - frozen_targets[n]
             for h in range(work.depth):
-                work.weights[h] -= state.eta * resid * grads[h]
-            project_ball_inplace(work, state.radius)
+                work.weights[h] -= 0.2 * resid * grads[h]
+            project_ball_inplace(work, 10.0)
             for h in range(work.depth):
                 acc[h] += work.weights[h]
         for got, expected in zip(out.weights, (acc_h / 32 for acc_h in acc)):
@@ -183,12 +178,12 @@ def test_averaged_iterate_identity_hand_tracked():
     # N = 3 steps, no projections: output must be the mean of iterates 1..3.
     mdp = chain2()
     enc = sa_encoding_table(2, 2)
-    state = make_state(m=4, depth=1, seed=13, alpha=0.1, radius=1e6)
+    actor = make_net(m=4, depth=1, seed=13)
     target = np.full((2, 2), 0.7)
     pairs = np.array([[0, 0], [1, 1], [0, 1]])
-    out = actor_inner_loop(state, target, enc, pairs)
+    out = actor_inner_loop(actor, target, enc, pairs, radius=1e6, alpha=0.1)
 
-    work = state.actor.clone()
+    work = actor.clone()
     iterates = []
     for n in range(3):
         value, grads = gradient(work, enc[pairs[n, 0], pairs[n, 1]])
