@@ -1,6 +1,6 @@
 """Exact MDP oracles on the two-state chain.
 
-Shows the value of a fixed policy from the dense linear solve, the Bellman
+Shows the value of a fixed policy from an S×S solve for V^π, the Bellman
 fixed-point property, the optimal policy from value iteration, and the
 stationary / occupancy distributions.
 """

@@ -30,7 +30,6 @@ from .features import FeatureMap, gram_matrix, gram_min_singular, random_feature
 from .policy import kl, kl_regularized_argmax, softmax_rows
 from .sampling import RNG_ID, RunRng, sample_sa, sample_tuples
 from .linear_ac import (
-    TransitionBatch,
     actor_step,
     critic_step_exact,
     critic_step_sampled,

@@ -11,7 +11,6 @@ as a sampled projected least-squares step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +57,23 @@ def _population_moments(features: FeatureMap, rho: np.ndarray, target: np.ndarra
     return gram, np.einsum("sa,sad->d", weighted, features.phi)
 
 
-def _sample_moments(features: FeatureMap, batch: TransitionBatch, y: np.ndarray):
-    """Empirical Gram over the batch's Gram pairs and right-hand side mean(y phi[s, a]).
+def _sample_moments(features: FeatureMap, gram_pairs: np.ndarray, s: np.ndarray, a: np.ndarray, y: np.ndarray):
+    """Empirical Gram over the Gram pairs and right-hand side mean(y phi[s, a]).
 
     For one-hot features the Gram is diagonal (pair visit frequencies) and
     both moments are bin sums over the flat pair index s * A + a, which add
     the same terms in the same order as the dense sums.
     """
-    n = batch.size
+    n = len(s)
     if features.one_hot:
         n_actions = features.n_actions
-        pairs = batch.gram_pairs[:, 0] * n_actions + batch.gram_pairs[:, 1]
+        pairs = gram_pairs[:, 0] * n_actions + gram_pairs[:, 1]
         gram = np.bincount(pairs, minlength=features.dim) / n
-        rhs = np.bincount(batch.s * n_actions + batch.a, weights=y, minlength=features.dim) / n
+        rhs = np.bincount(s * n_actions + a, weights=y, minlength=features.dim) / n
         return gram, rhs
     phi = features.phi
-    phi_gram = phi[batch.gram_pairs[:, 0], batch.gram_pairs[:, 1]]
-    return phi_gram.T @ phi_gram / n, (y[:, None] * phi[batch.s, batch.a]).mean(axis=0)
+    phi_gram = phi[gram_pairs[:, 0], gram_pairs[:, 1]]
+    return phi_gram.T @ phi_gram / n, (y[:, None] * phi[s, a]).mean(axis=0)
 
 
 def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
@@ -117,47 +116,33 @@ def critic_step_exact(
     return _solve_critic(gram, rhs, radius, "the evaluation distribution may lack support")
 
 
-@dataclass(frozen=True)
-class TransitionBatch:
-    """Sampled data for one critic update: Gram pairs and target tuples."""
+def draw_batch(mdp: mdp_mod.TabularMDP, rho: np.ndarray, policy_next: np.ndarray, rng: RunRng, n: int):
+    """Draw the two sample sets of one sampled critic update from independent streams.
 
-    gram_pairs: np.ndarray  # (N, 2) (s, a) drawn from rho
-    s: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
-    s_next: np.ndarray
-    a_next: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.s)
-
-
-def draw_batch(
-    mdp: mdp_mod.TabularMDP, rho: np.ndarray, policy_next: np.ndarray, rng: RunRng, n: int
-) -> TransitionBatch:
-    """Draw the two sample sets of one sampled critic update from independent streams."""
+    Returns ``(gram_pairs, tuples)``: an (n, 2) array of (s, a) pairs for the
+    Gram and the (s, a, r, s', a') arrays of ``sample_tuples`` for the target.
+    """
     gram_pairs = sample_sa(rho, rng.stream("gram_batch"), n)
-    s, a, r, s_next, a_next = sample_tuples(mdp, rho, policy_next, rng.stream("target_batch"), n)
-    return TransitionBatch(gram_pairs=gram_pairs, s=s, a=a, r=r, s_next=s_next, a_next=a_next)
+    return gram_pairs, sample_tuples(mdp, rho, policy_next, rng.stream("target_batch"), n)
 
 
 def critic_step_sampled(
     omega: np.ndarray,
-    batch: TransitionBatch,
+    batch: tuple,
     features: FeatureMap,
     gamma: float,
     *,
     radius: float,
     ridge: float = 0.0,
 ) -> np.ndarray:
-    """Empirical projected least-squares critic from a transition batch."""
+    """Empirical projected least-squares critic from a ``(gram_pairs, tuples)`` batch of ``draw_batch``."""
+    gram_pairs, (s, a, r, s_next, a_next) = batch
     if features.one_hot:
-        q_boot = omega[batch.s_next * features.n_actions + batch.a_next]
+        q_boot = omega[s_next * features.n_actions + a_next]
     else:
-        q_boot = features.phi[batch.s_next, batch.a_next] @ omega
-    y = (1.0 - gamma) * batch.r + gamma * q_boot
-    gram, rhs = _sample_moments(features, batch, y)
+        q_boot = features.phi[s_next, a_next] @ omega
+    y = (1.0 - gamma) * r + gamma * q_boot
+    gram, rhs = _sample_moments(features, gram_pairs, s, a, y)
     return _solve_critic(gram, rhs, radius, "increase N or enable the ridge", ridge=ridge)
 
 

@@ -3,8 +3,8 @@
 All value functions here use the normalized return convention
 ``Q(s, a) = (1 - gamma) * E[sum_t gamma^t r_t]``, so every Q-table is bounded
 by ``r_max`` regardless of the discount.  Operators are exact: expectations
-are sums over the finite state-action space and policy evaluation is a dense
-linear solve.
+are sums over the finite state-action space and policy evaluation is an S×S
+solve for V^π.
 """
 
 from __future__ import annotations
@@ -130,21 +130,21 @@ def bellman_eval(mdp: TabularMDP, policy: np.ndarray, q: np.ndarray) -> np.ndarr
     return (1.0 - mdp.gamma) * mdp.reward + mdp.gamma * apply_P_pi(mdp, policy, q)
 
 
-def policy_transition(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
-    """State-to-state kernel induced by a policy: P_pi[s, s'] = sum_a pi[s, a] P[s, a, s']."""
-    pi = check_policy_matrix(mdp, policy)
+def policy_transition(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
+    """State-to-state kernel of an already checked policy: P_pi[s, s'] = sum_a pi[s, a] P[s, a, s']."""
     return np.einsum("sa,sat->st", pi, mdp.transition)
 
 
 def exact_q_pi(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
-    """Action-value table of ``policy``, from the dense solve (I - gamma P^pi) Q = (1-gamma) r."""
+    """Action-value table of ``policy``, from an S×S solve for V^π.
+
+    V = (I - gamma P_pi)^{-1} (1-gamma) r_pi with r_pi[s] = sum_a pi[s, a] r[s, a],
+    then Q = (1-gamma) r + gamma P V.
+    """
     pi = check_policy_matrix(mdp, policy)
-    n = mdp.n_states * mdp.n_actions
-    # M[(s,a),(s',a')] = P[s,a,s'] * pi[s',a']
-    m = np.einsum("sat,tb->satb", mdp.transition, pi).reshape(n, n)
-    rhs = (1.0 - mdp.gamma) * mdp.reward.reshape(n)
-    q = np.linalg.solve(np.eye(n) - mdp.gamma * m, rhs)
-    return q.reshape(mdp.n_states, mdp.n_actions)
+    r_pi = (pi * mdp.reward).sum(axis=1)
+    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * policy_transition(mdp, pi), (1.0 - mdp.gamma) * r_pi)
+    return (1.0 - mdp.gamma) * mdp.reward + mdp.gamma * (mdp.transition @ v)
 
 
 def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:

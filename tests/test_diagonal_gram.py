@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from sstac import (
     ConditioningError,
-    TransitionBatch,
     bellman_eval,
     critic_step_exact,
     critic_step_sampled,
@@ -57,19 +56,13 @@ def problems(draw):
 
 
 def draw_batch_arrays(p, n):
-    """A TransitionBatch of n uniform pairs; small n leaves pairs undrawn."""
+    """A ``(gram_pairs, (s, a, r, s', a'))`` batch of n uniform pairs; small n leaves pairs undrawn."""
     n_states, n_actions = p["rho"].shape
     rng = p["rng"]
     gram_pairs = np.stack([rng.integers(0, n_states, n), rng.integers(0, n_actions, n)], axis=1)
     s, a = rng.integers(0, n_states, n), rng.integers(0, n_actions, n)
-    return TransitionBatch(
-        gram_pairs=gram_pairs,
-        s=s,
-        a=a,
-        r=p["mdp"].reward[s, a],
-        s_next=rng.integers(0, n_states, n),
-        a_next=rng.integers(0, n_actions, n),
-    )
+    s_next, a_next = rng.integers(0, n_states, n), rng.integers(0, n_actions, n)
+    return gram_pairs, (s, a, p["mdp"].reward[s, a], s_next, a_next)
 
 
 def dense_gram(feats, rho):
@@ -91,9 +84,9 @@ def dense_population(p, rho):
     return dense_solve(dense_gram(feats, rho), rhs, p["radius"])
 
 
-def dense_sample_moments(phi, batch, y):
-    phi_gram = phi[batch.gram_pairs[:, 0], batch.gram_pairs[:, 1]]
-    return phi_gram.T @ phi_gram / batch.size, (y[:, None] * phi[batch.s, batch.a]).mean(axis=0)
+def dense_sample_moments(phi, gram_pairs, s, a, y):
+    phi_gram = phi[gram_pairs[:, 0], gram_pairs[:, 1]]
+    return phi_gram.T @ phi_gram / len(s), (y[:, None] * phi[s, a]).mean(axis=0)
 
 
 def assert_same_outcome(got, reference):
@@ -134,11 +127,12 @@ def test_exact_critic_matches_dense_solve(p):
 @given(problems(), st.integers(1, 40), st.sampled_from([0.0, 1e-6, 1e-3]))
 def test_sampled_critic_matches_dense_solve(p, n, ridge):
     batch = draw_batch_arrays(p, n)
+    gram_pairs, (s, a, r, s_next, a_next) = batch
     feats, omega, radius, gamma = p["feats"], p["omega"], p["radius"], p["mdp"].gamma
 
     def reference():
-        y = (1.0 - gamma) * batch.r + gamma * (feats.phi[batch.s_next, batch.a_next] @ omega)
-        gram, rhs = dense_sample_moments(feats.phi, batch, y)
+        y = (1.0 - gamma) * r + gamma * (feats.phi[s_next, a_next] @ omega)
+        gram, rhs = dense_sample_moments(feats.phi, gram_pairs, s, a, y)
         if ridge > 0.0:
             gram = gram + ridge * np.eye(feats.dim)
         return dense_solve(gram, rhs, radius)

@@ -5,7 +5,6 @@ from sstac import (
     ConditioningError,
     ParameterError,
     RunRng,
-    TransitionBatch,
     actor_step,
     bellman_eval,
     chain2,
@@ -115,7 +114,7 @@ class TestCriticStepSampled:
         s, a = pairs[:, 0], pairs[:, 1]
         s2 = np.where(a == 0, 1 - s, s)
         a2 = np.zeros(4, dtype=int)
-        batch = TransitionBatch(gram_pairs=pairs, s=s, a=a, r=m.reward[s, a], s_next=s2, a_next=a2)
+        batch = pairs, (s, a, m.reward[s, a], s2, a2)
         got = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=100.0)
 
         uniform_rho = np.full((2, 2), 0.25)
@@ -137,9 +136,7 @@ class TestCriticStepSampled:
         feats = tabular_features(2, 2)
         pairs = np.array([[0, 0], [0, 0], [0, 1], [1, 0]])  # (1,1) never sampled
         s, a = pairs[:, 0], pairs[:, 1]
-        batch = TransitionBatch(
-            gram_pairs=pairs, s=s, a=a, r=m.reward[s, a], s_next=1 - s, a_next=np.zeros(4, dtype=int)
-        )
+        batch = pairs, (s, a, m.reward[s, a], 1 - s, np.zeros(4, dtype=int))
         with pytest.raises(ConditioningError, match="ridge"):
             critic_step_sampled(np.zeros(4), batch, feats, m.gamma, radius=20.0)
         # the ridge rescues the same batch
@@ -234,8 +231,8 @@ class TestRunLinearAc:
         # The k=0 critic step draws its batch under pi_1, the uniform policy.
         pi_1 = softmax_rows(np.zeros((m.n_states, m.n_actions)))
         _, rho_1 = stationary_dists(m, pi_1)
-        batch = draw_batch(m, rho_1, pi_1, RunRng(0), 1024)
-        undrawn = feats.dim - len(np.unique(batch.gram_pairs[:, 0] * m.n_actions + batch.gram_pairs[:, 1]))
+        gram_pairs, _ = draw_batch(m, rho_1, pi_1, RunRng(0), 1024)
+        undrawn = feats.dim - len(np.unique(gram_pairs[:, 0] * m.n_actions + gram_pairs[:, 1]))
         assert undrawn > 0
         assert "at k=0:" in str(exc.value)
         assert f"zero-weight (s, a) pairs: {undrawn})" in str(exc.value)

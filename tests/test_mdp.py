@@ -11,11 +11,13 @@ from sstac import (
     TabularMDP,
     apply_P_pi,
     bellman_eval,
+    build_mdp,
     chain2,
     exact_q_pi,
     objective_J,
     optimal_q,
     random_mdp,
+    softmax_rows,
     stationary_dists,
     visitation_dist,
 )
@@ -119,9 +121,17 @@ class TestBellmanEval:
         out = bellman_eval(mdp5, pi, np.zeros((5, 3)))
         np.testing.assert_allclose(out, (1 - mdp5.gamma) * mdp5.reward)
 
-    def test_exact_q_is_fixed_point(self, chain):
-        q = exact_q_pi(chain, ALWAYS_GO)
-        np.testing.assert_allclose(bellman_eval(chain, ALWAYS_GO, q), q, atol=1e-10)
+    @pytest.mark.parametrize("kind", ["softmax", "deterministic"])
+    @pytest.mark.parametrize("source", ["chain2", "gridworld5", "random(16,4,7)", "random(64,8,0)"])
+    def test_exact_q_is_fixed_point(self, source, kind):
+        m = build_mdp(source)
+        rng = np.random.default_rng(5)
+        if kind == "softmax":
+            pi = softmax_rows(2.0 * rng.standard_normal((m.n_states, m.n_actions)))
+        else:
+            pi = np.eye(m.n_actions)[rng.integers(0, m.n_actions, m.n_states)]
+        q = exact_q_pi(m, pi)
+        np.testing.assert_allclose(bellman_eval(m, pi, q), q, rtol=0, atol=1e-12)
 
 
 class TestExactQPi:
