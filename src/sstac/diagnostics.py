@@ -49,12 +49,11 @@ def error_decomposition(
     rho_next: np.ndarray,
     beta: float,
     features,
-) -> tuple[IterDiag, dict]:
-    """All §-style analysis quantities for one update, plus the raw tables.
+) -> IterDiag:
+    """All §-style analysis quantities for one update, reduced to the scalars of ``IterDiag``.
 
-    The returned dict carries the three decomposition tables (under keys
-    ``a1``, ``a2``, ``a3``), the critic error table ``eps_c``, and the
-    tracking error table ``e``.
+    The decomposition tables a1, a2, a3 and the critic and tracking error
+    tables are built and reduced here; none of them outlives the call.
     """
     gamma = mdp.gamma
     t_next_q_omega_k = mdp_mod.bellman_eval(mdp, pi_next, q_omega_k)
@@ -80,7 +79,7 @@ def error_decomposition(
 
     rho_star = nu_star[:, None] * pi_star
 
-    diag = IterDiag(
+    return IterDiag(
         gap=float(np.sum(rho_star * (q_star - q_pi_next))),
         eps_c_l2=float(np.sqrt(np.sum(rho_next * eps_c**2))),
         eps_c_sup=float(np.max(np.abs(eps_c))),
@@ -94,8 +93,6 @@ def error_decomposition(
         kl_to_opt=kl_to_opt,
         a_resid=a_resid,
     )
-    tables = {"a1": a1, "a2": a2, "a3": a3, "eps_c": eps_c, "e": e_table}
-    return diag, tables
 
 
 def density_ratio_l2(rho_star: np.ndarray, rho_base: np.ndarray) -> float:

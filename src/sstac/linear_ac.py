@@ -96,8 +96,6 @@ def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) ->
         )
     if not diagonal:
         return project_l2(np.linalg.solve(ridged, rhs), radius)
-    if not np.all(ridged):
-        raise np.linalg.LinAlgError("Singular matrix")
     return project_l2(rhs / ridged, radius)
 
 
@@ -166,8 +164,8 @@ def run_linear_ac(
     """Run the full linear actor-critic loop for iterations k = 0 .. K.
 
     Returns a RunTrace with one diagnostic row per iteration (K+1 rows) and
-    in-memory history (policies and the weight iterates ``theta``, ``omega``).
-    Fully deterministic given the seed.
+    an empty ``history``: only the current theta_k and omega_k are kept from
+    one iteration to the next.  Fully deterministic given the seed.
     """
     radius_val = float(radius) if radius is not None else default_radius(mdp)
     beta_val = resolve_beta(K, beta, radius_val)
@@ -180,8 +178,6 @@ def run_linear_ac(
         log.info("ridge %g active in sampled critic updates", ridge)
 
     theta, omega = np.zeros(features.dim), np.zeros(features.dim)
-    theta_hist = [theta.copy()]
-    omega_hist = [omega.copy()]
     omega_sum = np.zeros(features.dim)
 
     def step(k, pi_k, q_k):
@@ -205,8 +201,6 @@ def run_linear_ac(
         if critic_norm > radius_val + 1e-12:
             raise SstacError("critic projection invariant violated")
 
-        theta_hist.append(theta.copy())
-        omega_hist.append(omega.copy())
         logged = {"inv_tau": inv_tau_next, "actor_norm": float(np.linalg.norm(theta)), "critic_norm": critic_norm}
         return pi_next, rho_next, features.value_table(omega), logged
 
@@ -219,7 +213,7 @@ def run_linear_ac(
         "radius": radius_val,
         "ridge": ridge,
     }
-    trace = run_single_timescale(
+    return run_single_timescale(
         mdp,
         K,
         step,
@@ -228,5 +222,3 @@ def run_linear_ac(
         features=features,
         params=params,
     )
-    trace.history.update(theta=theta_hist, omega=omega_hist)
-    return trace

@@ -55,14 +55,13 @@ def run_single_timescale(
     q_star, pi_star = mdp_mod.optimal_q(mdp)
     nu_star, _ = mdp_mod.stationary_dists(mdp, pi_star)
 
-    policies = [pi_k]
     rows: list[list[float]] = []
     cum_regret = 0.0
     for k in range(K + 1):
         try:
             pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
             q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
-            diag, _ = error_decomposition(
+            diag = error_decomposition(
                 mdp,
                 pi_k=pi_k,
                 pi_next=pi_next,
@@ -84,7 +83,6 @@ def run_single_timescale(
         row = {"k": k, "gap": diag.gap, "cum_regret": cum_regret, **vars(diag), **logged}
         rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
-        policies.append(pi_k)
 
     manifest = {"rng_id": RNG_ID, "params": params}
-    return RunTrace(manifest=manifest, columns=list(row), rows=rows, history={"policies": policies})
+    return RunTrace(manifest=manifest, columns=list(row), rows=rows)

@@ -204,27 +204,21 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
             break
         nu = nu_next
 
-    result = None
-    if _stationary_residual(nu, p_pi) <= 0.5 * _STATIONARY_TOL:
-        result = nu
+    # Undamped polish, geometric for aperiodic chains; each product both tests nu and steps it.
+    for _ in range(20_001):
+        nu_next = nu @ p_pi
+        if float(np.abs(nu_next - nu).sum()) <= 0.5 * _STATIONARY_TOL:
+            break
+        nu = nu_next
     else:
-        # Undamped polish: geometric convergence for aperiodic chains.
-        cur = nu.copy()
-        for _ in range(20_000):
-            cur = cur @ p_pi
-            if _stationary_residual(cur, p_pi) <= 0.5 * _STATIONARY_TOL:
-                result = cur
-                break
-
-    if result is None:
-        result = _dense_stationary(p_pi)
-        residual = _stationary_residual(result, p_pi)
+        nu = _dense_stationary(p_pi)
+        residual = _stationary_residual(nu, p_pi)
         if residual > _STATIONARY_TOL:
             raise ErgodicityError(
                 f"stationary distribution did not converge: the exact solve reached residual {residual:.3e} "
                 f"> {_STATIONARY_TOL} for the given policy (n_states={n}); the induced chain may be reducible"
             )
-    nu = np.clip(result, 0.0, None)
+    nu = np.clip(nu, 0.0, None)
     nu /= nu.sum()
     rho = nu[:, None] * pi
     return nu, rho

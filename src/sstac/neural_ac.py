@@ -124,7 +124,7 @@ def run_neural_ac(
     The stepsizes are ``n_actor^{-1/2}`` and ``n_critic^{-1/2}``; the
     temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
     ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.  The
-    trace's history holds the policies and the final ``actor`` and ``critic``.
+    trace's history holds only the final ``actor`` and ``critic`` networks.
     """
     beta_val = resolve_beta(K, beta, radius)
     if n_actor < 1 or n_critic < 1:

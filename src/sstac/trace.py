@@ -26,7 +26,11 @@ def _format_cell(column: str, value) -> str:
 
 @dataclass
 class RunTrace:
-    """Manifest plus K+1 diagnostic rows; ``history`` holds in-memory extras."""
+    """Manifest plus K+1 diagnostic rows.
+
+    ``history`` is not saved: a neural run puts its final ``actor`` and
+    ``critic`` there, and no run keeps anything per iteration beyond its rows.
+    """
 
     manifest: dict
     columns: list[str]

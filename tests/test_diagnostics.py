@@ -41,7 +41,7 @@ class TestErrorDecomposition:
         rng = np.random.default_rng(0)
         pi = random_policy(rng, 2, 2)
         q = exact_q_pi(m, pi)
-        diag, _ = error_decomposition(m, **decomposition_inputs(m, pi, pi, q, q))
+        diag = error_decomposition(m, **decomposition_inputs(m, pi, pi, q, q))
         assert diag.e_sup < 1e-12
         assert abs(diag.theta_kl) < 1e-12
 
@@ -53,12 +53,9 @@ class TestErrorDecomposition:
             pi_next = random_policy(rng, 4, 3)
             q_k = rng.standard_normal((4, 3))
             q_next = rng.standard_normal((4, 3))
-            diag, tables = error_decomposition(
-                m, **decomposition_inputs(m, pi_k, pi_next, q_k, q_next)
-            )
+            diag = error_decomposition(m, **decomposition_inputs(m, pi_k, pi_next, q_k, q_next))
+            # Non-finite tables would make a_resid NaN, which fails this bound too.
             assert diag.a_resid < 1e-10
-            total = tables["a1"] + tables["a2"] + tables["a3"]
-            assert np.all(np.isfinite(total))
 
     def test_linear_exact_run_actor_errors_vanish(self):
         # With linear energies the KL-regularized subproblem is solved

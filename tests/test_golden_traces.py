@@ -1,27 +1,16 @@
-"""Byte pins for the neural loop and the sampled linear critic (C9 pins linear exact)."""
+"""Byte pin for the neural loop at seed 2, a run no other test pins.
+
+C9 pins the linear exact golden; ``test_trace_matrix.py`` pins the sampled
+linear critic and the neural loop at seeds 0 and 1 by sha256.
+"""
 
 from pathlib import Path
 
-import pytest
-
-from sstac import build_mdp, chain2, run_linear_ac, run_neural_ac, tabular_features
+from sstac import chain2, run_neural_ac
 
 DATA = Path(__file__).parent / "data"
 
 
-def neural_chain2():
-    return run_neural_ac(chain2(), 8, 2, 3, n_actor=20, n_critic=20, seed=2)
-
-
-def sampled_random16():
-    mdp = build_mdp("random(16,4,7)")
-    features = tabular_features(mdp.n_states, mdp.n_actions)
-    return run_linear_ac(mdp, features, 6, mode="sampled", N=512, ridge=1e-3, seed=0)
-
-
-@pytest.mark.parametrize(
-    "golden, run",
-    [("golden_neural_chain2", neural_chain2), ("golden_sampled_random16", sampled_random16)],
-)
-def test_trace_matches_golden_bytes(golden, run):
-    assert run().to_csv_text() == (DATA / golden / "trace.csv").read_text()
+def test_neural_trace_matches_golden_bytes():
+    trace = run_neural_ac(chain2(), 8, 2, 3, n_actor=20, n_critic=20, seed=2)
+    assert trace.to_csv_text() == (DATA / "golden_neural_chain2" / "trace.csv").read_text()

@@ -194,6 +194,11 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "byte 8" in err and err.startswith("sstac: error: config:")
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("sstac: error: config: cannot read config file:")
+        assert not (tmp_path / "r").exists()
+
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "bogus": True})
         assert main(["run", "--config", cfg_path]) == 2
@@ -342,12 +347,21 @@ class TestCliSweep:
         assert main(argv) == 0
         assert (tmp_path / "sw" / "summary.csv").is_file()
 
-    def test_repeated_value_exits_2_before_any_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("2,4,2", "sweep values must be distinct; K=2 is listed more than once"),
+            ("4,x", "--values must be comma-separated integers"),
+            (",", "--values must list at least one value"),
+        ],
+        ids=["repeated", "non-integer", "empty"],
+    )
+    def test_bad_values_exit_2_before_any_run(self, tmp_path, capsys, values, message):
         cfg_path = write_config(tmp_path, BASE_CFG)
-        argv = ["sweep", "--config", cfg_path, "--param", "K", "--values", "2,4,2", "--out", str(tmp_path / "sw")]
+        argv = ["sweep", "--config", cfg_path, "--param", "K", "--values", values, "--out", str(tmp_path / "sw")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("sstac: error: config: sweep values must be distinct; K=2 is listed more than once")
+        assert err.startswith(f"sstac: error: config: {message}")
         assert not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("algorithm, param", [("linear_exact", "N"), ("neural", "N"), ("linear_sampled", "N_a")])
@@ -392,13 +406,22 @@ class TestCliDiag:
         (trace_dir / "trace.csv").write_text("\n".join(lines) + "\n")
         return trace_dir
 
-    def test_nan_cell_exits_2_naming_line_and_column(self, tmp_path, capsys):
-        # Every diag comparison with NaN is False, so a NaN cell would pass all checks.
-        trace_dir = self._trace_dir_with_cell(tmp_path, "cum_regret", "nan")
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            # Every diag comparison with NaN is False, so a NaN cell would pass all checks.
+            ("nan", "column 'cum_regret' is nan"),
+            ("x", "could not convert string to float: 'x'"),
+            ("1.0,2.0", f"expected {len(GOLDEN_COLUMNS)} cells, got {len(GOLDEN_COLUMNS) + 1}"),
+        ],
+        ids=["nan", "non-numeric", "ragged"],
+    )
+    def test_bad_cell_exits_2_naming_line(self, tmp_path, capsys, text, cause):
+        trace_dir = self._trace_dir_with_cell(tmp_path, "cum_regret", text)
         assert main(["diag", "--trace", str(trace_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("sstac: error: config:")
-        assert "trace.csv:5: column 'cum_regret' is nan" in err
+        assert f"trace.csv:5: {cause}" in err
 
     def test_infinite_phi_star_is_accepted(self, tmp_path, capsys):
         # phi_star is infinite when rho_{k+1} lacks support; that is a value, not corruption.

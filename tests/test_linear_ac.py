@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sstac import (
     RunRng,
     actor_step,
     bellman_eval,
+    build_mdp,
     chain2,
     critic_step_exact,
     critic_step_sampled,
@@ -14,6 +17,7 @@ from sstac import (
     exact_q_pi,
     gridworld5,
     kl_regularized_argmax,
+    objective_J,
     run_linear_ac,
     softmax_rows,
     stationary_dists,
@@ -166,11 +170,9 @@ class TestRunLinearAc:
         m = chain2()
         feats = tabular_features(2, 2)
         trace = run_linear_ac(m, feats, 1, mode="exact", seed=0)
-        theta = trace.history["theta"]
-        omega = trace.history["omega"]
-        np.testing.assert_array_equal(theta[1], omega[0])
-        # omega_0 = 0 so pi_1 is uniform = softmax(Q_{omega_0}/beta)
-        np.testing.assert_allclose(trace.history["policies"][1], 0.5, atol=1e-15)
+        # theta_1 = omega_0 = 0, so pi_1 = softmax(Q_{omega_0}/beta) is uniform.
+        assert trace.column("actor_norm")[0] == 0.0
+        assert trace.column("J_pi")[0] == pytest.approx(objective_J(m, np.full((2, 2), 0.5)), abs=1e-15)
 
     def test_final_gap_improves_on_uniform(self):
         m = chain2()
@@ -201,24 +203,28 @@ class TestRunLinearAc:
         feats = tabular_features(2, 2)
         for mode, kwargs in [("exact", {}), ("sampled", {"N": 128})]:
             trace = run_linear_ac(m, feats, 12, mode=mode, seed=1, radius=0.45, **kwargs)
-            for w in trace.history["omega"]:
-                assert np.linalg.norm(w) <= 0.45 + 1e-12
+            # critic_norm in row k is ||omega_{k+1}||.
+            assert max(trace.column("critic_norm")) <= 0.45 + 1e-12
 
     def test_policy_identity_with_closed_form_improvement(self):
         # The materialized pi_{k+1} must equal the KL-regularized argmax of
-        # (pi_k, Q_{omega_k}, beta) row by row.
+        # (pi_k, Q_{omega_k}, beta) row by row.  The steps are replayed by
+        # hand, and their norms must be the driver's trace columns exactly.
         m = chain2()
         feats = tabular_features(2, 2)
         trace = run_linear_ac(m, feats, 24, mode="exact", seed=0)
-        beta = trace.manifest["params"]["beta"]
-        theta = trace.history["theta"]
-        omega = trace.history["omega"]
-        policies = trace.history["policies"]
-        for k in range(24):
-            logits_k = (k / beta) * feats.value_table(theta[k])
-            q_k = feats.value_table(omega[k])
-            improved = kl_regularized_argmax(logits_k, q_k, beta)
-            np.testing.assert_allclose(policies[k + 1], improved, atol=1e-10)
+        params = trace.manifest["params"]
+        beta = params["beta"]
+        theta, omega = np.zeros(feats.dim), np.zeros(feats.dim)
+        for k, (actor_norm, critic_norm) in enumerate(zip(trace.column("actor_norm"), trace.column("critic_norm"))):
+            improved = kl_regularized_argmax((k / beta) * feats.value_table(theta), feats.value_table(omega), beta)
+            theta = actor_step(theta, omega, k, beta)
+            pi_next = softmax_rows(((k + 1) / beta) * feats.value_table(theta))
+            np.testing.assert_allclose(pi_next, improved, atol=1e-10)
+            _, rho_next = stationary_dists(m, pi_next)
+            omega = critic_step_exact(omega, m, pi_next, feats, rho_next, radius=params["radius"])
+            assert float(np.linalg.norm(theta)) == actor_norm
+            assert float(np.linalg.norm(omega)) == critic_norm
 
     def test_conditioning_error_names_iteration_and_unvisited_pairs(self):
         # Without a ridge, N=1024 draws on gridworld5's 100 pairs leave some undrawn at k=0.
@@ -245,3 +251,24 @@ class TestRunLinearAc:
             run_linear_ac(m, feats, 4, mode="bogus")
         with pytest.raises(ParameterError):
             run_linear_ac(m, feats, 4, mode="sampled", N=0)
+
+    @pytest.mark.parametrize("mode, kwargs", [("exact", {}), ("sampled", {"N": 256, "ridge": 1e-3})], ids=["exact", "sampled"])
+    def test_retained_memory_is_the_trace_rows(self, mode, kwargs):
+        # A run keeps theta_k and omega_k only; what it retains per iteration is one
+        # trace row (under 1 KB), not the 512-dim iterates or the policy tables.
+        m = build_mdp("random(64,8,0)")
+        feats = tabular_features(m.n_states, m.n_actions)
+        run_linear_ac(m, feats, 2, mode=mode, **kwargs)  # first-call caches stay out of the measurement
+
+        def retained(K):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                trace = run_linear_ac(m, feats, K, mode=mode, **kwargs)
+                assert trace.history == {}
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        per_iteration = (retained(160) - retained(32)) / 128
+        assert per_iteration < 2048, per_iteration

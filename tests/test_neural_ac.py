@@ -203,6 +203,8 @@ class TestRunNeuralAc:
         for row in trace.rows:
             assert len(row) == len(NEURAL_COLUMNS)
             assert all(np.isfinite(v) for v in row)
+        # Only the final networks outlive the run; nothing per iteration.
+        assert set(trace.history) == {"actor", "critic"}
 
     def test_deterministic_per_seed(self):
         a = run_neural_ac(chain2(), 8, 2, 2, n_actor=16, n_critic=16, seed=4)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ class TestToMatrix:
 
     def test_closed_form_quarter_three_quarters(self):
         np.testing.assert_allclose(softmax_rows(np.array([[0.0, np.log(3.0)]])), [[0.25, 0.75]], atol=1e-14)
+
+    def test_clamps_extreme_logits_with_one_warning(self, caplog):
+        # Unclamped, exp(-800) and exp(-900) underflow to 0; clamped at +-700, both rows keep exp(-700).
+        tiny = np.exp(-700.0)
+        with caplog.at_level(logging.WARNING, logger="sstac.policy"):
+            pi = softmax_rows(np.array([[800.0, 0.0], [-900.0, 0.0]]))
+        np.testing.assert_array_equal(pi, np.array([[1.0, tiny], [tiny, 1.0]]) / (1.0 + tiny))
+        assert [r.getMessage() for r in caplog.records] == ["clamping logits with |value| > 700 (max 900)"]
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
