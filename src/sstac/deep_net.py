@@ -164,10 +164,7 @@ def sa_encoding_table(n_states: int, n_actions: int) -> np.ndarray:
 
     Shape (S, A, S + A).
     """
-    d = n_states + n_actions
-    table = np.zeros((n_states, n_actions, d))
-    for s in range(n_states):
-        for a in range(n_actions):
-            table[s, a, s] = 1.0 / np.sqrt(2.0)
-            table[s, a, n_states + a] = 1.0 / np.sqrt(2.0)
+    table = np.zeros((n_states, n_actions, n_states + n_actions))
+    s, a = np.indices((n_states, n_actions))
+    table[s, a, s] = table[s, a, n_states + a] = 1.0 / np.sqrt(2.0)
     return table

@@ -180,6 +180,7 @@ def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Pa
 
 
 SWEEPABLE = tuple(key for key, (kind, *_) in _NUMBERS.items() if kind is int)
+_SUMMARY_COLUMNS = ("param_value", "seed", "final_gap", "cum_regret", "regret_over_sqrtK")
 
 
 def sweep_command(
@@ -205,25 +206,12 @@ def sweep_command(
     for value, seed, derived in jobs:
         trace = execute_run(derived, seed)
         trace.save(base / run_id(derived, seed))
-        final_gap = trace.rows[-1][trace.columns.index("gap")]
-        cum = trace.rows[-1][trace.columns.index("cum_regret")]
-        results.append(
-            {
-                "param_value": value,
-                "seed": seed,
-                "final_gap": final_gap,
-                "cum_regret": cum,
-                "regret_over_sqrtK": cum / math.sqrt(derived.K),
-            }
-        )
+        final_gap, cum = trace.column("gap")[-1], trace.column("cum_regret")[-1]
+        results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(derived.K)))))
     results.sort(key=lambda row: (row["param_value"], row["seed"]))
     base.mkdir(parents=True, exist_ok=True)
-    lines = ["param_value,seed,final_gap,cum_regret,regret_over_sqrtK"]
-    for row in results:
-        lines.append(
-            f"{row['param_value']},{row['seed']},{row['final_gap']!r},"
-            f"{row['cum_regret']!r},{row['regret_over_sqrtK']!r}"
-        )
+    # repr writes ints as str does and floats in their shortest round-trip form.
+    lines = [",".join(_SUMMARY_COLUMNS)] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
     summary = base / "summary.csv"
     summary.write_text("\n".join(lines) + "\n")
     return summary, results
@@ -244,74 +232,39 @@ class DiagCheck:
     detail: str = ""
 
 
+# The columns diag_checks and diag_series_csv read.
+_DIAG_COLUMNS = ("k", "gap", "cum_regret", "a_resid", "theta_kl", "kl_to_opt", "eps_c_sup", "e_sup", "eps_c_l2")
+
+
 def diag_checks(trace: RunTrace) -> list[DiagCheck]:
-    """Recompute the stored-trace identities and report pass/fail per invariant."""
+    """Recompute the stored-trace identities and report pass/fail per invariant.
+
+    Each invariant bounds every row, so a NaN in a column it reads fails it.
+    """
+    col = {name: np.array(trace.column(name), dtype=float) for name in _DIAG_COLUMNS}
     checks = []
-    k_expected = trace.manifest.get("config", {}).get("K")
-    if k_expected is not None:
-        ok = len(trace.rows) == k_expected + 1
-        checks.append(
-            DiagCheck("row-count", ok, "" if ok else f"expected {k_expected + 1} rows, found {len(trace.rows)}")
-        )
 
-    gap = trace.column("gap")
-    cum = trace.column("cum_regret")
-    bad_row = None
-    running = 0.0
-    for k, g in enumerate(gap):
-        running += g
-        if abs(running - cum[k]) > 1e-9 * max(1.0, abs(running)):
-            bad_row = k
-            break
-        running = cum[k]
-    checks.append(
-        DiagCheck(
-            "regret-consistency",
-            bad_row is None,
-            "" if bad_row is None else f"cum_regret mismatch at row k={bad_row}",
-        )
-    )
+    def check(name: str, within_bound, detail) -> None:
+        failed = np.flatnonzero(~np.asarray(within_bound))  # detail(k) names the first failing row k
+        checks.append(DiagCheck(name, not failed.size, detail(int(failed[0])) if failed.size else ""))
 
-    a_resid = trace.column("a_resid")
-    worst = int(np.argmax(a_resid))
-    ok = a_resid[worst] <= 1e-10
-    checks.append(
-        DiagCheck(
-            "decomposition-identity",
-            ok,
-            "" if ok else f"A1+A2+A3 residual {a_resid[worst]:.3e} at row k={worst}",
-        )
-    )
-
-    theta_kl = trace.column("theta_kl")
-    kl_to_opt = trace.column("kl_to_opt")
-    kl_initial = theta_kl[0] + kl_to_opt[0]
-    partial = 0.0
-    bad_row = None
-    for k in range(len(theta_kl)):
-        partial += theta_kl[k]
-        if abs(partial - (kl_initial - kl_to_opt[k])) > 1e-9:
-            bad_row = k
-            break
-    checks.append(
-        DiagCheck(
-            "kl-telescoping",
-            bad_row is None,
-            "" if bad_row is None else f"telescoped KL mismatch at row k={bad_row}",
-        )
-    )
-
-    algorithm = trace.manifest.get("config", {}).get("algorithm")
-    if algorithm == "linear_exact":
-        eps_sup = max(trace.column("eps_c_sup"))
-        ok = eps_sup <= 1e-9
-        checks.append(
-            DiagCheck(
-                "exact-critic-eps-c",
-                ok,
-                "" if ok else f"eps_c sup norm {eps_sup:.3e} exceeds 1e-9",
-            )
-        )
+    config = trace.manifest.get("config", {})
+    if config.get("K") is not None:
+        expected, found = config["K"] + 1, len(trace.rows)
+        check("row-count", found == expected, lambda _: f"expected {expected} rows, found {found}")
+    cum = col["cum_regret"]
+    running = np.concatenate(([0.0], cum[:-1])) + col["gap"]  # cum_regret_{k-1} + gap_k
+    within = np.abs(running - cum) <= 1e-9 * np.maximum(1.0, np.abs(running))
+    check("regret-consistency", within, lambda k: f"cum_regret mismatch at row k={k}")
+    a_resid = col["a_resid"]
+    check("decomposition-identity", a_resid <= 1e-10, lambda k: f"A1+A2+A3 residual {a_resid[k]:.3e} at row k={k}")
+    # The actor's KL steps telescope: theta_kl_0 + ... + theta_kl_k = KL_0 - kl_to_opt_k.
+    theta_kl, kl_to_opt = col["theta_kl"], col["kl_to_opt"]
+    within = np.abs(np.cumsum(theta_kl) - (theta_kl[0] + kl_to_opt[0] - kl_to_opt)) <= 1e-9
+    check("kl-telescoping", within, lambda k: f"telescoped KL mismatch at row k={k}")
+    if config.get("algorithm") == "linear_exact":
+        eps_sup = col["eps_c_sup"]
+        check("exact-critic-eps-c", eps_sup <= 1e-9, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} exceeds 1e-9")
     return checks
 
 
@@ -324,10 +277,6 @@ def diag_series_csv(trace: RunTrace) -> str:
         for k, v in zip(ks, values):
             lines.append(f"{series},{int(k)},{v!r}")
     return "\n".join(lines) + "\n"
-
-
-# The columns diag_checks and diag_series_csv read.
-_DIAG_COLUMNS = ("k", "gap", "cum_regret", "a_resid", "theta_kl", "kl_to_opt", "eps_c_sup", "e_sup", "eps_c_l2")
 
 
 def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
