@@ -7,7 +7,7 @@ around the initialization.
 import numpy as np
 
 from sstac.deep_net import (
-    forward_value,
+    forward,
     gradient,
     init_params,
     linearization_gap,
@@ -35,9 +35,9 @@ def main():
         j = int(rng.integers(net.weights[h].shape[1]))
         orig = net.weights[h][i, j]
         net.weights[h][i, j] = orig + step
-        up = forward_value(net, x)
+        up = forward(net, x)[0]
         net.weights[h][i, j] = orig - step
-        down = forward_value(net, x)
+        down = forward(net, x)[0]
         net.weights[h][i, j] = orig
         fd = (up - down) / (2 * step)
         worst = max(worst, abs(fd - grads[h][i, j]) / max(abs(fd), 1e-8))

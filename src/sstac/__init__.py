@@ -41,7 +41,6 @@ from .deep_net import (
     DnnParams,
     forward,
     forward_many,
-    forward_value,
     gradient,
     init_params,
     linearization_gap,

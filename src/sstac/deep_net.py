@@ -64,40 +64,28 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
     return DnnParams(weights=weights, sign_vector=signs, anchor=[w.copy() for w in weights])
 
 
-def _check_input(params: DnnParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_dim,):
-        raise ContractViolationError(f"input must have shape ({params.input_dim},), got {x.shape}")
-    return x
+def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The layer recursion for one input (d,) or a batch (n, d): outputs, activations, pre-activations."""
+    scale = 1.0 / np.sqrt(params.width)
+    activations, pre_activations = [xs], []
+    for w in params.weights:
+        pre_activations.append(activations[-1] @ w)
+        activations.append(scale * np.maximum(pre_activations[-1], 0.0))
+    return activations[-1] @ params.sign_vector, activations, pre_activations
 
 
 def forward(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Network output plus cached layer activations and pre-activations."""
-    x = _check_input(params, x)
-    scale = 1.0 / np.sqrt(params.width)
-    activations = [x]
-    pre_activations = []
-    h = x
-    for w in params.weights:
-        z = w.T @ h
-        pre_activations.append(z)
-        h = scale * np.maximum(z, 0.0)
-        activations.append(h)
-    return float(params.sign_vector @ h), activations, pre_activations
-
-
-def forward_value(params: DnnParams, x: np.ndarray) -> float:
-    return forward(params, x)[0]
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.input_dim,):
+        raise ContractViolationError(f"input must have shape ({params.input_dim},), got {x.shape}")
+    value, activations, pre_activations = _layers(params, x)
+    return float(value), activations, pre_activations
 
 
 def forward_many(params: DnnParams, xs: np.ndarray) -> np.ndarray:
     """Vectorized outputs for a batch of inputs with shape (n, d)."""
-    xs = np.asarray(xs, dtype=float)
-    scale = 1.0 / np.sqrt(params.width)
-    h = xs
-    for w in params.weights:
-        h = scale * np.maximum(h @ w, 0.0)
-    return h @ params.sign_vector
+    return _layers(params, np.asarray(xs, dtype=float))[0]
 
 
 def gradient(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
@@ -151,7 +139,7 @@ def linearization_gap(params: DnnParams, x: np.ndarray) -> float:
     linear_term = sum(
         float(np.sum((w - w0) * g)) for w, w0, g in zip(params.weights, params.anchor, grads0)
     )
-    return abs(forward_value(params, x) - value0 - linear_term)
+    return abs(forward(params, x)[0] - value0 - linear_term)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,9 @@ def sweep_command(
 ) -> tuple[Path, list[dict]]:
     """One run per (value, seed), run one after another.
 
-    Writes summary.csv with one row per run and returns its path plus rows.
+    Each run is saved under its run id, plus ``-<param><value>`` unless the
+    parameter is K (which the run id names already).  Writes summary.csv with
+    one row per run and returns its path plus rows.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
@@ -205,7 +207,9 @@ def sweep_command(
     results = []
     for value, seed, derived in jobs:
         trace = execute_run(derived, seed)
-        trace.save(base / run_id(derived, seed))
+        if param != "K":
+            trace.manifest["run_id"] += f"-{param}{value}"
+        trace.save(base / trace.manifest["run_id"])
         final_gap, cum = trace.column("gap")[-1], trace.column("cum_regret")[-1]
         results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(derived.K)))))
     results.sort(key=lambda row: (row["param_value"], row["seed"]))
@@ -256,15 +260,17 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
     running = np.concatenate(([0.0], cum[:-1])) + col["gap"]  # cum_regret_{k-1} + gap_k
     within = np.abs(running - cum) <= 1e-9 * np.maximum(1.0, np.abs(running))
     check("regret-consistency", within, lambda k: f"cum_regret mismatch at row k={k}")
-    a_resid = col["a_resid"]
-    check("decomposition-identity", a_resid <= 1e-10, lambda k: f"A1+A2+A3 residual {a_resid[k]:.3e} at row k={k}")
+    a_resid = col["a_resid"]  # a_resid and eps_c_sup are sup norms, so 0 bounds them below
+    within = (0.0 <= a_resid) & (a_resid <= 1e-10)
+    check("decomposition-identity", within, lambda k: f"A1+A2+A3 residual {a_resid[k]:.3e} at row k={k}")
     # The actor's KL steps telescope: theta_kl_0 + ... + theta_kl_k = KL_0 - kl_to_opt_k.
     theta_kl, kl_to_opt = col["theta_kl"], col["kl_to_opt"]
     within = np.abs(np.cumsum(theta_kl) - (theta_kl[0] + kl_to_opt[0] - kl_to_opt)) <= 1e-9
     check("kl-telescoping", within, lambda k: f"telescoped KL mismatch at row k={k}")
     if config.get("algorithm") == "linear_exact":
         eps_sup = col["eps_c_sup"]
-        check("exact-critic-eps-c", eps_sup <= 1e-9, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} exceeds 1e-9")
+        within = (0.0 <= eps_sup) & (eps_sup <= 1e-9)
+        check("exact-critic-eps-c", within, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} at row k={k} outside [0, 1e-9]")
     return checks
 
 

@@ -318,6 +318,20 @@ class TestCliSweep:
         header = summary_path.read_text().splitlines()[0]
         assert header == "param_value,seed,final_gap,cum_regret,regret_over_sqrtK"
 
+    def test_non_k_sweep_saves_every_run(self, tmp_path):
+        # The run id names K but not N, so each N value's runs get their own suffix.
+        cfg = ExperimentConfig.from_dict(
+            {"mdp": "random(6,3,1)", "algorithm": "linear_sampled", "K": 4, "seeds": [0, 1], "N": 256, "ridge": 1e-3}
+        )
+        _, rows = sweep_command(cfg, "N", [512, 128], out_dir=str(tmp_path / "sw"))
+        names = {f"linear_sampled-random-6-3-1-K4-seed{row['seed']}-N{row['param_value']}": row for row in rows}
+        assert len(names) == 4
+        assert {p.name for p in (tmp_path / "sw").iterdir() if p.is_dir()} == set(names)
+        for name, row in names.items():
+            trace = load_trace(tmp_path / "sw" / name)
+            assert trace.manifest["run_id"] == name
+            assert row["final_gap"] == trace.column("gap")[-1]
+
     def test_regret_over_sqrtk_column_arithmetic(self, tmp_path):
         cfg = ExperimentConfig.from_dict(BASE_CFG)
         _, rows = sweep_command(cfg, "K", [4, 16], out_dir=str(tmp_path / "sw"))
@@ -398,9 +412,20 @@ class TestCliDiag:
             ("cum_regret", "100.0", "regret-consistency: cum_regret mismatch at row k=3"),
             ("a_resid", "0.001", "decomposition-identity: A1+A2+A3 residual 1.000e-03 at row k=3"),
             ("theta_kl", "100.0", "kl-telescoping: telescoped KL mismatch at row k=3"),
-            ("eps_c_sup", "0.001", "exact-critic-eps-c: eps_c sup norm 1.000e-03 exceeds 1e-9"),
+            ("eps_c_sup", "0.001", "exact-critic-eps-c: eps_c sup norm 1.000e-03 at row k=3 outside [0, 1e-9]"),
+            # Both columns are sup norms, so a negative value is as impossible as a large one.
+            ("a_resid", "-1.0", "decomposition-identity: A1+A2+A3 residual -1.000e+00 at row k=3"),
+            ("a_resid", "-inf", "decomposition-identity: A1+A2+A3 residual -inf at row k=3"),
+            ("eps_c_sup", "-1.0", "exact-critic-eps-c: eps_c sup norm -1.000e+00 at row k=3 outside [0, 1e-9]"),
+            ("eps_c_sup", "-inf", "exact-critic-eps-c: eps_c sup norm -inf at row k=3 outside [0, 1e-9]"),
         ],
-        ids=DIAG_CHECK_NAMES,
+        ids=[
+            *DIAG_CHECK_NAMES,
+            "decomposition-identity-negative",
+            "decomposition-identity-neg-inf",
+            "exact-critic-eps-c-negative",
+            "exact-critic-eps-c-neg-inf",
+        ],
     )
     def test_corrupted_trace_fails_one_check(self, tmp_path, capsys, column, value, failure):
         # K edits the manifest; every other case edits the k=3 cell of that trace column.
