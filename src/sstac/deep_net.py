@@ -56,7 +56,7 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
     ``seed`` is an int or a Generator, which is drawn from in place.
     """
     if d < 1 or m < 1 or depth < 1:
-        raise ContractViolationError("d, m, and depth must all be >= 1")
+        raise ContractViolationError(f"d, m, and depth must all be >= 1, got {d}, {m} and {depth}")
     rng = np.random.default_rng(seed)
     shapes = [(d, m)] + [(m, m)] * (depth - 1)
     weights = [rng.standard_normal(shape) for shape in shapes]
@@ -114,7 +114,7 @@ _BALL_SLACK = 1e-12
 def project_ball(params: DnnParams, radius: float) -> DnnParams:
     """Copy of ``params`` projected by ``project_ball_inplace``."""
     if radius < 0:
-        raise ContractViolationError("radius must be >= 0")
+        raise ContractViolationError(f"radius must be >= 0, got {radius}")
     out = params.clone()
     project_ball_inplace(out, radius)
     return out

@@ -77,7 +77,7 @@ def tabular_features(n_states: int, n_actions: int) -> FeatureMap:
 def random_features(n_states: int, n_actions: int, dim: int, seed: int) -> FeatureMap:
     """Seeded Gaussian features normalized to unit length."""
     if dim < 1:
-        raise ContractViolationError("feature dimension must be >= 1")
+        raise ContractViolationError(f"feature dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((n_states, n_actions, dim))
     phi /= np.linalg.norm(phi, axis=2, keepdims=True)

@@ -10,13 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .errors import ConfigError
 from .features import tabular_features
 from .linear_ac import run_linear_ac
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
-from .sampling import RNG_ID
 from .trace import MANIFEST_FILENAME, TRACE_FILENAME, RunTrace, load_trace
 
 # Config keys each algorithm reads beyond mdp, algorithm, K, seeds, R and
@@ -136,7 +134,7 @@ def run_id(config: ExperimentConfig, seed: int) -> str:
 
 
 def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
-    """Run one seed of an experiment and attach the full manifest."""
+    """Run one seed of an experiment; adds what only the config knows to the run's manifest."""
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     try:
@@ -155,17 +153,12 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
         trace = driver(*args, **{name: value for name, value in settings.items() if value is not None})
     except MemoryError as exc:  # an allocation the sizes ask for is refused outright
         raise ConfigError(f"cannot allocate the run's arrays ({exc}); use smaller sizes (N, N_a, N_c, arch)") from exc
-    params = trace.manifest.get("params", {})
-    trace.manifest = {
-        "config": config.to_dict(),
-        "rng_id": RNG_ID,
-        "version": __version__,
-        "started_at": started.isoformat(),
-        "duration_s": time.perf_counter() - t0,
-        "seed": seed,
-        "run_id": run_id(config, seed),
-        "params": params,
-    }
+    trace.manifest.update(
+        config=config.to_dict(),
+        started_at=started.isoformat(),
+        duration_s=time.perf_counter() - t0,
+        run_id=run_id(config, seed),
+    )
     return trace
 
 
@@ -175,7 +168,7 @@ def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Pa
     dirs = []
     for seed in config.seeds:
         trace = execute_run(config, seed)
-        dirs.append(trace.save(base / run_id(config, seed)))
+        dirs.append(trace.save(base / trace.manifest["run_id"]))
     return dirs
 
 
@@ -252,10 +245,9 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
         failed = np.flatnonzero(~np.asarray(within_bound))  # detail(k) names the first failing row k
         checks.append(DiagCheck(name, not failed.size, detail(int(failed[0])) if failed.size else ""))
 
-    config = trace.manifest.get("config", {})
-    if config.get("K") is not None:
-        expected, found = config["K"] + 1, len(trace.rows)
-        check("row-count", found == expected, lambda _: f"expected {expected} rows, found {found}")
+    params = trace.manifest["params"]  # every run writes it; diag_command checks its type
+    expected, found = params["K"] + 1, len(trace.rows)
+    check("row-count", found == expected, lambda _: f"expected {expected} rows, found {found}")
     cum = col["cum_regret"]
     running = np.concatenate(([0.0], cum[:-1])) + col["gap"]  # cum_regret_{k-1} + gap_k
     within = np.abs(running - cum) <= 1e-9 * np.maximum(1.0, np.abs(running))
@@ -267,7 +259,7 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
     theta_kl, kl_to_opt = col["theta_kl"], col["kl_to_opt"]
     within = np.abs(np.cumsum(theta_kl) - (theta_kl[0] + kl_to_opt[0] - kl_to_opt)) <= 1e-9
     check("kl-telescoping", within, lambda k: f"telescoped KL mismatch at row k={k}")
-    if config.get("algorithm") == "linear_exact":
+    if params["algorithm"] == "linear_exact":
         eps_sup = col["eps_c_sup"]
         within = (0.0 <= eps_sup) & (eps_sup <= 1e-9)
         check("exact-critic-eps-c", within, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} at row k={k} outside [0, 1e-9]")
@@ -289,11 +281,9 @@ def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
     trace_dir = Path(trace_dir)
     trace = load_trace(trace_dir)
     manifest_path, csv_path = trace_dir / MANIFEST_FILENAME, trace_dir / TRACE_FILENAME
-    config = trace.manifest.get("config", {})
-    if not isinstance(config, dict):
-        raise ConfigError(f"{manifest_path}: 'config' must be a JSON object, got {type(config).__name__}")
-    if config.get("K") is not None and type(config["K"]) is not int:
-        raise ConfigError(f"{manifest_path}: config 'K' must be an integer, got {config['K']!r}")
+    params = trace.manifest.get("params")
+    if not (isinstance(params, dict) and type(params.get("K")) is int and isinstance(params.get("algorithm"), str)):
+        raise ConfigError(f"{manifest_path}: 'params' must be an object with an integer 'K' and a string 'algorithm'")
     missing = next((c for c in _DIAG_COLUMNS if c not in trace.columns), None)
     if missing is not None:
         raise ConfigError(f"{csv_path}: missing column {missing!r}")

@@ -172,7 +172,7 @@ def run_linear_ac(
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "sampled" and N < 1:
-        raise ParameterError("N must be >= 1 in sampled mode")
+        raise ParameterError(f"N must be >= 1 in sampled mode, got {N}")
     rng = RunRng(seed)
     if ridge > 0.0:
         log.info("ridge %g active in sampled critic updates", ridge)
@@ -199,7 +199,7 @@ def run_linear_ac(
             omega = critic_step_sampled(omega, batch, features, mdp.gamma, radius=radius_val, ridge=ridge)
         critic_norm = float(np.linalg.norm(omega))
         if critic_norm > radius_val + 1e-12:
-            raise SstacError("critic projection invariant violated")
+            raise SstacError(f"critic projection invariant violated: norm {critic_norm!r} > radius {radius_val!r}")
 
         logged = {"inv_tau": inv_tau_next, "actor_norm": float(np.linalg.norm(theta)), "critic_norm": critic_norm}
         return pi_next, rho_next, features.value_table(omega), logged

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import mdp as mdp_mod
+from . import __version__, mdp as mdp_mod
 from .diagnostics import error_decomposition
 from .errors import ParameterError, SstacError
 from .policy import softmax_rows
@@ -18,7 +18,7 @@ from .trace import RunTrace
 def resolve_beta(K: int, beta: float | None, radius: float) -> float:
     """Validate the parameters every driver shares; returns beta, sqrt(K) by default."""
     if K < 1:
-        raise ParameterError("K must be >= 1")
+        raise ParameterError(f"K must be >= 1, got {K}")
     beta_val = float(beta) if beta is not None else math.sqrt(K)
     if not 0.0 < beta_val < math.inf:
         raise ParameterError(f"beta must be positive and finite, got {beta_val}")
@@ -49,7 +49,8 @@ def run_single_timescale(
     driver's own trace columns.  The trace columns are ``k``, the fields of
     ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
-    of its message; its class and attributes are kept.
+    of its message; its class and attributes are kept.  The manifest holds
+    what every run shares: ``rng_id``, ``version`` and the driver's ``params``.
     """
     pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
     q_star, pi_star = mdp_mod.optimal_q(mdp)
@@ -84,5 +85,5 @@ def run_single_timescale(
         rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
 
-    manifest = {"rng_id": RNG_ID, "params": params}
+    manifest = {"rng_id": RNG_ID, "version": __version__, "params": params}
     return RunTrace(manifest=manifest, columns=list(row), rows=rows)

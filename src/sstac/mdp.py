@@ -31,6 +31,21 @@ _DAMPING = 1e-6
 _GAMMA = 0.9
 
 
+def _check_probabilities(name: str, table: np.ndarray) -> None:
+    """Reject a negative entry, or a row (the last axis) that does not sum to 1, naming the first."""
+    # np.any before the index lookup: check_policy_matrix runs several times per iteration.
+    if np.any(table < -_PROB_TOL):
+        index = tuple(map(int, np.argwhere(table < -_PROB_TOL)[0]))
+        raise ContractViolationError(f"{name} entry {index} is {float(table[index])!r}, negative")
+    sums = table.sum(axis=-1)
+    off = np.abs(sums - 1.0) > _PROB_TOL
+    if np.any(off):
+        # initial_dist is 1-D: its one sum is 0-d, in which np.argwhere finds no index.
+        index = tuple(map(int, np.argwhere(off)[0])) if sums.ndim else ()
+        where = f" row {index}" if index else ""
+        raise ContractViolationError(f"{name}{where} sums to {float(sums[index])!r}, expected 1")
+
+
 def _check_size(n_states: int, n_actions: int) -> None:
     if n_states < 1 or n_actions < 1:
         raise ContractViolationError(f"an MDP needs n_states >= 1 and n_actions >= 1, got {n_states} and {n_actions}")
@@ -73,19 +88,8 @@ class TabularMDP:
             raise ContractViolationError(f"r_max must be finite, got {self.r_max!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ContractViolationError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if np.any(p < -_PROB_TOL):
-            raise ContractViolationError("transition has negative entries")
-        row_sums = p.sum(axis=2)
-        bad = np.argwhere(np.abs(row_sums - 1.0) > _PROB_TOL)
-        if bad.size:
-            s, a = bad[0]
-            raise ContractViolationError(
-                f"transition row (s={s}, a={a}) sums to {row_sums[s, a]!r}, expected 1"
-            )
-        if np.any(zeta < -_PROB_TOL):
-            raise ContractViolationError("initial_dist has negative entries")
-        if abs(float(zeta.sum()) - 1.0) > _PROB_TOL:
-            raise ContractViolationError(f"initial_dist does not sum to 1 (got {float(zeta.sum())!r})")
+        _check_probabilities("transition", p)
+        _check_probabilities("initial_dist", zeta)
         if np.any(np.abs(r) > self.r_max + 1e-12):
             raise ContractViolationError(f"|reward| exceeds declared r_max={self.r_max}")
 
@@ -105,10 +109,7 @@ def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"policy must have shape {(mdp.n_states, mdp.n_actions)}, got {pi.shape}"
         )
-    if np.any(pi < -_PROB_TOL):
-        raise ContractViolationError("policy has negative entries")
-    if np.any(np.abs(pi.sum(axis=1) - 1.0) > _PROB_TOL):
-        raise ContractViolationError("policy rows must sum to 1")
+    _check_probabilities("policy", pi)
     return pi
 
 

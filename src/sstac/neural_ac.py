@@ -56,8 +56,9 @@ def _sgd_averaged(
         for h in range(work.depth):
             work.weights[h] -= stepsize * resid * grads[h]
         project_ball_inplace(work, radius)
-        if float(work.anchor_distances().max()) > radius + 1e-9:
-            raise SstacError("inner iterate escaped the projection ball")
+        distance = float(work.anchor_distances().max())
+        if distance > radius + 1e-9:
+            raise SstacError(f"inner iterate escaped the projection ball: distance {distance!r} > radius {radius!r}")
         for h in range(work.depth):
             acc[h] += work.weights[h]
     averaged = [a / n_steps for a in acc]
@@ -128,7 +129,7 @@ def run_neural_ac(
     """
     beta_val = resolve_beta(K, beta, radius)
     if n_actor < 1 or n_critic < 1:
-        raise ParameterError("inner iteration counts must be >= 1")
+        raise ParameterError(f"inner iteration counts must be >= 1, got N_a={n_actor} and N_c={n_critic}")
     alpha_val = 1.0 / math.sqrt(n_actor)
     eta_val = 1.0 / math.sqrt(n_critic)
 

@@ -18,7 +18,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; logits beyond +-700 are clamped."""
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
-        raise ContractViolationError("softmax requires finite logits")
+        index = tuple(map(int, np.argwhere(~np.isfinite(z))[0]))
+        raise ContractViolationError(f"softmax requires finite logits; logit {index} is {float(z[index])}")
     if np.any(np.abs(z) > LOGIT_CLAMP):
         log.warning("clamping logits with |value| > %g (max %g)", LOGIT_CLAMP, np.abs(z).max())
         z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)

@@ -37,8 +37,11 @@ class RunRng:
 def categorical(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
     """n i.i.d. draws from a probability vector, via inverse CDF."""
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ContractViolationError("categorical probabilities must be nonnegative and sum to 1")
+    smallest, total = float(np.min(p, initial=np.inf)), float(p.sum())
+    if smallest < 0 or abs(total - 1.0) > 1e-9:
+        raise ContractViolationError(
+            f"categorical probabilities must be nonnegative and sum to 1; smallest {smallest!r}, sum {total!r}"
+        )
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, rng.random(n), side="right")
     return np.minimum(idx, len(p) - 1)

@@ -10,6 +10,7 @@ from sstac.deep_net import forward, init_params, project_ball
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.harness import ExperimentConfig
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json, mdp_to_json
+from sstac.linear_ac import run_linear_ac
 from sstac.neural_ac import run_neural_ac
 from sstac.policy import kl, softmax_rows
 from sstac.sampling import categorical
@@ -38,7 +39,11 @@ CASES = {
     ),
     "deep_net-negative-radius": (
         lambda: project_ball(init_params(3, 4, 1, seed=0), -1.0),
-        ContractViolationError, "radius must be >= 0",
+        ContractViolationError, "radius must be >= 0, got -1.0",
+    ),
+    "deep_net-zero-width": (
+        lambda: init_params(3, 0, 1, seed=0),
+        ContractViolationError, "d, m, and depth must all be >= 1, got 3, 0 and 1",
     ),
     "features-phi-rank": (
         lambda: FeatureMap(phi=np.zeros((2, 2))),
@@ -50,7 +55,7 @@ CASES = {
     ),
     "features-zero-dim": (
         lambda: random_features(2, 2, 0, seed=0),
-        ContractViolationError, "feature dimension must be >= 1",
+        ContractViolationError, "feature dimension must be >= 1, got 0",
     ),
     "features-rho-shape": (
         lambda: gram_matrix(tabular_features(2, 2), np.zeros(3)),
@@ -82,11 +87,11 @@ CASES = {
     ),
     "mdp-negative-transition": (
         lambda: chain2_with(transition=np.tile([-0.5, 1.5], (2, 2, 1))),
-        ContractViolationError, "transition has negative entries",
+        ContractViolationError, "transition entry (0, 0, 0) is -0.5, negative",
     ),
     "mdp-negative-initial-dist": (
         lambda: chain2_with(initial_dist=np.array([-0.5, 1.5])),
-        ContractViolationError, "initial_dist has negative entries",
+        ContractViolationError, "initial_dist entry (0,) is -0.5, negative",
     ),
     "mdp-policy-shape": (
         lambda: check_policy_matrix(chain2(), np.full((2, 3), 1 / 3)),
@@ -94,7 +99,11 @@ CASES = {
     ),
     "mdp-negative-policy": (
         lambda: check_policy_matrix(chain2(), np.array([[-0.5, 1.5], [0.5, 0.5]])),
-        ContractViolationError, "policy has negative entries",
+        ContractViolationError, "policy entry (0, 0) is -0.5, negative",
+    ),
+    "mdp-policy-row-sum": (
+        lambda: check_policy_matrix(chain2(), np.array([[0.5, 0.5], [0.5, 0.75]])),
+        ContractViolationError, "policy row (1,) sums to 1.25, expected 1",
     ),
     "mdp-q-shape": (
         lambda: apply_P_pi(chain2(), np.full((2, 2), 0.5), np.zeros(3)),
@@ -106,11 +115,19 @@ CASES = {
     ),
     "neural_ac-inner-count": (
         lambda: run_neural_ac(chain2(), 8, 2, 1, n_actor=0),
-        ParameterError, "inner iteration counts must be >= 1",
+        ParameterError, "inner iteration counts must be >= 1, got N_a=0 and N_c=400",
+    ),
+    "linear_ac-zero-K": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),
+        ParameterError, "K must be >= 1, got 0",
+    ),
+    "linear_ac-sampled-zero-N": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", N=0),
+        ParameterError, "N must be >= 1 in sampled mode, got 0",
     ),
     "policy-nonfinite-logits": (
         lambda: softmax_rows(np.array([[np.nan, 0.0]])),
-        ContractViolationError, "softmax requires finite logits",
+        ContractViolationError, "softmax requires finite logits; logit (0, 0) is nan",
     ),
     "policy-kl-shapes": (
         lambda: kl(np.full(2, 1 / 2), np.full(3, 1 / 3)),
@@ -118,7 +135,7 @@ CASES = {
     ),
     "sampling-probs": (
         lambda: categorical(np.random.default_rng(0), np.array([0.5, 0.6]), 1),
-        ContractViolationError, "categorical probabilities must be nonnegative and sum to 1",
+        ContractViolationError, "categorical probabilities must be nonnegative and sum to 1; smallest 0.5, sum 1.1",
     ),
     "trace-empty-csv": (
         empty_trace,

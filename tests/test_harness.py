@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sstac import ConfigError, SstacError, chain2, load_trace
+from sstac import ConfigError, SstacError, chain2, load_trace, run_linear_ac, tabular_features
 from sstac.cli import main
 from sstac.harness import (
     ALGORITHMS,
@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_chain2" / "trace.csv"
 GOLDEN_COLUMNS = GOLDEN.read_text().splitlines()[0].split(",")
 
 BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "seeds": [0]}
+LOOP_MANIFEST_KEYS = ("rng_id", "version", "params")
 DIAG_CHECK_NAMES = ["row-count", "regret-consistency", "decomposition-identity", "kl-telescoping", "exact-critic-eps-c"]
 
 
@@ -114,11 +115,17 @@ class TestExperimentConfig:
 class TestExecuteRun:
     def test_manifest_schema_and_config_echo(self):
         cfg = ExperimentConfig.from_dict(BASE_CFG)
-        trace = execute_run(cfg, 0)
-        manifest = trace.manifest
-        for key in ("config", "rng_id", "version", "started_at", "duration_s"):
-            assert key in manifest
+        manifest = execute_run(cfg, 0).manifest
+        assert set(manifest) == {*LOOP_MANIFEST_KEYS, "config", "started_at", "duration_s", "run_id"}
         assert ExperimentConfig.from_dict(manifest["config"]) == cfg
+        assert manifest["run_id"] == run_id(cfg, 0)
+
+    def test_cli_adds_to_the_run_record_and_rewrites_none_of_it(self):
+        # Each manifest key has one writer: the loop writes the run record, execute_run only adds to it.
+        api = run_linear_ac(chain2(), tabular_features(2, 2), 4).manifest
+        assert set(api) == set(LOOP_MANIFEST_KEYS)
+        manifest = execute_run(ExperimentConfig.from_dict(BASE_CFG), 0).manifest
+        assert {key: manifest[key] for key in LOOP_MANIFEST_KEYS} == api
 
     def test_trace_row_count(self):
         cfg = ExperimentConfig.from_dict({**BASE_CFG, "K": 7})
@@ -428,12 +435,12 @@ class TestCliDiag:
         ],
     )
     def test_corrupted_trace_fails_one_check(self, tmp_path, capsys, column, value, failure):
-        # K edits the manifest; every other case edits the k=3 cell of that trace column.
+        # K edits the manifest's params; every other case edits the k=3 cell of that trace column.
         if column == "K":
             trace_dir = self._fresh_trace_dir(tmp_path)
             manifest = trace_dir / "manifest.json"
             doc = json.loads(manifest.read_text())
-            manifest.write_text(json.dumps({**doc, "config": {**doc["config"], "K": value}}))
+            manifest.write_text(json.dumps({**doc, "params": {**doc["params"], "K": value}}))
         else:
             trace_dir = self._trace_dir_with_cell(tmp_path, column, value)
         assert main(["diag", "--trace", str(trace_dir)]) == 1
@@ -473,19 +480,39 @@ class TestCliDiag:
         assert err.startswith(f"sstac: error: config: {manifest}: {cause}")
 
     @pytest.mark.parametrize(
-        "edit, cause",
+        "edit",
         [
-            (lambda doc: {**doc, "config": [doc["config"]]}, "'config' must be a JSON object, got list"),
-            (lambda doc: {**doc, "config": {**doc["config"], "K": "8"}}, "config 'K' must be an integer, got '8'"),
+            lambda doc: {key: value for key, value in doc.items() if key != "params"},
+            lambda doc: {**doc, "params": [doc["params"]]},
+            lambda doc: {**doc, "params": {**doc["params"], "K": "8"}},
+            lambda doc: {**doc, "params": {**doc["params"], "K": 8.0}},
+            lambda doc: {**doc, "params": {key: v for key, v in doc["params"].items() if key != "algorithm"}},
         ],
-        ids=["config-list", "K-string"],
+        ids=["params-missing", "params-list", "K-string", "K-float", "algorithm-missing"],
     )
-    def test_bad_manifest_config_exits_2_naming_file_and_key(self, tmp_path, capsys, edit, cause):
+    def test_bad_manifest_params_exits_2_naming_file_and_key(self, tmp_path, capsys, edit):
         trace_dir = self._fresh_trace_dir(tmp_path)
         manifest = trace_dir / "manifest.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         assert main(["diag", "--trace", str(trace_dir)]) == 2
+        cause = "'params' must be an object with an integer 'K' and a string 'algorithm'"
         assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
+
+    def test_python_api_trace_gets_every_check(self, tmp_path, capsys):
+        # A trace saved without the CLI has no config section; diag reads K and the algorithm from params.
+        trace = run_linear_ac(chain2(), tabular_features(2, 2), 8, mode="exact")
+        trace.rows = trace.rows[:4]
+        trace.rows[3][trace.columns.index("eps_c_sup")] = 1.0
+        trace_dir = trace.save(tmp_path / "api-run")
+        assert main(["diag", "--trace", str(trace_dir)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:5] == [
+            "FAIL row-count: expected 9 rows, found 4",
+            "PASS regret-consistency",
+            "PASS decomposition-identity",
+            "PASS kl-telescoping",
+            "FAIL exact-critic-eps-c: eps_c sup norm 1.000e+00 at row k=3 outside [0, 1e-9]",
+        ]
 
     def test_trace_without_a_read_column_exits_2_naming_it(self, tmp_path, capsys):
         trace_dir = self._fresh_trace_dir(tmp_path)

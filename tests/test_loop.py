@@ -2,9 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from sstac import ErgodicityError, ParameterError, chain2, neural_ac, run_linear_ac, run_neural_ac, tabular_features
+from sstac import (
+    ErgodicityError,
+    ParameterError,
+    SstacError,
+    chain2,
+    linear_ac,
+    neural_ac,
+    run_linear_ac,
+    run_neural_ac,
+    tabular_features,
+)
 
 
 def linear(**kwargs):
@@ -42,3 +53,23 @@ def test_neural_loop_errors_name_the_iteration(monkeypatch):
     assert exc.value.code == "ergodicity"
     assert str(exc.value).count("k=1") == 1
     assert str(exc.value) == "at k=1: power iteration did not converge"
+
+
+def test_broken_critic_projection_names_norm_and_radius(monkeypatch):
+    # A critic step that skips its projection leaves omega = (2, 0, 0, 0) outside the radius-1 ball.
+    monkeypatch.setattr(linear_ac, "critic_step_exact", lambda omega, *args, radius: np.eye(4)[0] * 2.0 * radius)
+    with pytest.raises(SstacError) as exc:
+        linear(radius=1.0)
+    assert type(exc.value) is SstacError
+    assert str(exc.value) == "at k=0: critic projection invariant violated: norm 2.0 > radius 1.0"
+
+
+def test_broken_ball_projection_names_distance_and_radius(monkeypatch):
+    monkeypatch.setattr(neural_ac, "project_ball_inplace", lambda params, radius: None)
+    with pytest.raises(SstacError) as exc:
+        neural(radius=0.0)
+    assert type(exc.value) is SstacError
+    prefix = "at k=0: inner iterate escaped the projection ball: distance "
+    message = str(exc.value)
+    assert message.startswith(prefix) and message.endswith(" > radius 0.0")
+    assert float(message[len(prefix) : -len(" > radius 0.0")]) > 1e-9

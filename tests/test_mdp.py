@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sstac import (
     ContractViolationError,
@@ -35,13 +38,13 @@ class TestConstruction:
         p = np.zeros((2, 1, 2))
         p[0, 0, 0] = 0.5  # row sums to 0.5
         p[1, 0, 1] = 1.0
-        with pytest.raises(ContractViolationError, match=r"\(s=0, a=0\)"):
+        with pytest.raises(ContractViolationError, match=r"^transition row \(0, 0\) sums to 0\.5, expected 1$"):
             TabularMDP(transition=p, reward=np.zeros((2, 1)), gamma=0.9, initial_dist=[1.0, 0.0])
 
     def test_rejects_bad_initial_dist(self):
         p = np.zeros((2, 1, 2))
         p[:, 0, 0] = 1.0
-        with pytest.raises(ContractViolationError, match="initial_dist"):
+        with pytest.raises(ContractViolationError, match=r"^initial_dist sums to 1\.29+8, expected 1$"):
             TabularMDP(transition=p, reward=np.zeros((2, 1)), gamma=0.9, initial_dist=[0.7, 0.6])
 
     def test_rejects_reward_above_r_max(self):
@@ -339,31 +342,45 @@ class TestObjective:
         assert objective_J(chain, ALWAYS_GO) > objective_J(chain, ALWAYS_STAY)
 
 
+mdp_seeds = st.integers(0, (1 << 30) - 1)
+
+
+def _normalize_rows(weights):
+    weights = np.where(weights.sum(axis=1, keepdims=True) > 0.0, weights, 1.0)  # an all-zero row becomes uniform
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def policies(n_states, n_actions):
+    """Row-stochastic (S, A) matrices, deterministic rows and zero entries included."""
+    weights = arrays(np.float64, (n_states, n_actions), elements=st.floats(0.0, 1.0, allow_subnormal=False))
+    return weights.map(_normalize_rows)
+
+
+def q_tables(n_states, n_actions):
+    return arrays(np.float64, (n_states, n_actions), elements=st.floats(-4.0, 4.0))
+
+
 class TestProperties:
-    def test_gamma_contraction(self):
-        rng = np.random.default_rng(50)
-        for _ in range(200):
-            m = random_mdp(4, 3, seed=int(rng.integers(1 << 30)))
-            pi = random_policy(rng, 4, 3)
-            q1 = rng.standard_normal((4, 3))
-            q2 = rng.standard_normal((4, 3))
-            lhs = np.max(np.abs(bellman_eval(m, pi, q1) - bellman_eval(m, pi, q2)))
-            assert lhs <= m.gamma * np.max(np.abs(q1 - q2)) + 1e-12
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(mdp_seeds, policies(4, 3), q_tables(4, 3), q_tables(4, 3))
+    def test_gamma_contraction(self, seed, pi, q1, q2):
+        m = random_mdp(4, 3, seed=seed)
+        lhs = np.max(np.abs(bellman_eval(m, pi, q1) - bellman_eval(m, pi, q2)))
+        assert lhs <= m.gamma * np.max(np.abs(q1 - q2)) + 1e-12
 
-    def test_q_bounded_by_r_max(self):
-        rng = np.random.default_rng(51)
-        for _ in range(50):
-            m = random_mdp(4, 2, seed=int(rng.integers(1 << 30)))
-            pi = random_policy(rng, 4, 2)
-            q = exact_q_pi(m, pi)
-            assert np.all(np.abs(q) <= m.r_max + 1e-12)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(mdp_seeds, policies(4, 2))
+    def test_q_bounded_by_r_max(self, seed, pi):
+        m = random_mdp(4, 2, seed=seed)
+        q = exact_q_pi(m, pi)
+        assert np.all(np.abs(q) <= m.r_max + 1e-12)
 
-    def test_optimality_dominance(self, mdp5):
-        q_star, _ = optimal_q(mdp5)
-        rng = np.random.default_rng(52)
-        for _ in range(50):
-            q = exact_q_pi(mdp5, random_policy(rng, 5, 3))
-            assert np.all(q_star >= q - 1e-8)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(mdp_seeds, policies(5, 3))
+    def test_optimality_dominance(self, seed, pi):
+        m = random_mdp(5, 3, seed=seed)
+        q_star, _ = optimal_q(m)
+        assert np.all(q_star >= exact_q_pi(m, pi) - 1e-8)
 
 
 class TestSerialization:
@@ -382,7 +399,7 @@ class TestSerialization:
         doc["transition"][0][0] = [0.4, 0.4]  # row no longer sums to 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ContractViolationError, match=r"\(s=0, a=0\)"):
+        with pytest.raises(ContractViolationError, match=r"^transition row \(0, 0\) sums to 0\.8, expected 1$"):
             load_mdp(path)
 
     def test_loader_rejects_nan(self, chain, tmp_path):
