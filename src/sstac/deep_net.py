@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_shape
 
 # Subgradient convention at the ReLU kink: derivative 0 at exactly 0.
 
@@ -76,10 +76,7 @@ def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndar
 
 def forward(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Network output plus cached layer activations and pre-activations."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_dim,):
-        raise ContractViolationError(f"input must have shape ({params.input_dim},), got {x.shape}")
-    value, activations, pre_activations = _layers(params, x)
+    value, activations, pre_activations = _layers(params, check_shape("input", x, (params.input_dim,)))
     return float(value), activations, pre_activations
 
 

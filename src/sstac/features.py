@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_finite, check_shape
 
 _NORM_TOL = 1e-12
 
@@ -29,10 +29,7 @@ class FeatureMap:
         object.__setattr__(self, "phi", phi)
         if phi.ndim != 3:
             raise ContractViolationError(f"phi must have shape (S, A, d), got {phi.shape}")
-        bad = np.argwhere(~np.isfinite(phi).all(axis=2))
-        if len(bad):
-            s, a = (int(i) for i in bad[0])
-            raise ContractViolationError(f"features must be finite; phi[{s}, {a}] is {phi[s, a].tolist()!r}")
+        check_finite("phi", phi)
         norms = np.linalg.norm(phi, axis=2)
         if np.any(norms > 1.0 + _NORM_TOL):
             raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
@@ -61,10 +58,7 @@ class FeatureMap:
 
     def value_table(self, weights: np.ndarray) -> np.ndarray:
         """Linear function table: result[s, a] = weights . phi[s, a]."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.dim,):
-            raise ContractViolationError(f"weights must have shape ({self.dim},), got {w.shape}")
-        return self.phi @ w
+        return self.phi @ check_shape("weights", weights, (self.dim,))
 
 
 def tabular_features(n_states: int, n_actions: int) -> FeatureMap:
@@ -86,11 +80,7 @@ def random_features(n_states: int, n_actions: int, dim: int, seed: int) -> Featu
 
 def gram_matrix(features: FeatureMap, rho: np.ndarray) -> np.ndarray:
     """Second-moment matrix E_rho[phi phi^T]; for one-hot features its diagonal, rho flattened (1-D)."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (features.n_states, features.n_actions):
-        raise ContractViolationError(
-            f"rho must have shape {(features.n_states, features.n_actions)}, got {rho.shape}"
-        )
+    rho = check_shape("rho", rho, (features.n_states, features.n_actions))
     if features.one_hot:
         return rho.flatten()
     flat_phi = features.phi.reshape(-1, features.dim)

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ErgodicityError
+from .errors import ContractViolationError, ErgodicityError, check_finite, check_probabilities, check_shape
 
 # Desk-scale cap: everything is dense, so keep tables small.
 MAX_STATE_ACTIONS = 4096
-
-_PROB_TOL = 1e-12
 
 # Stationary-distribution solve: residual target, and the weight of the uniform
 # restart mixed into each power-iteration step.
@@ -29,21 +27,6 @@ _DAMPING = 1e-6
 
 # Discount of every builtin MDP.
 _GAMMA = 0.9
-
-
-def _check_probabilities(name: str, table: np.ndarray) -> None:
-    """Reject a negative entry, or a row (the last axis) that does not sum to 1, naming the first."""
-    # np.any before the index lookup: check_policy_matrix runs several times per iteration.
-    if np.any(table < -_PROB_TOL):
-        index = tuple(map(int, np.argwhere(table < -_PROB_TOL)[0]))
-        raise ContractViolationError(f"{name} entry {index} is {float(table[index])!r}, negative")
-    sums = table.sum(axis=-1)
-    off = np.abs(sums - 1.0) > _PROB_TOL
-    if np.any(off):
-        # initial_dist is 1-D: its one sum is 0-d, in which np.argwhere finds no index.
-        index = tuple(map(int, np.argwhere(off)[0])) if sums.ndim else ()
-        where = f" row {index}" if index else ""
-        raise ContractViolationError(f"{name}{where} sums to {float(sums[index])!r}, expected 1")
 
 
 def _check_size(n_states: int, n_actions: int) -> None:
@@ -65,31 +48,22 @@ class TabularMDP:
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
-        r = np.asarray(self.reward, dtype=float)
-        zeta = np.asarray(self.initial_dist, dtype=float)
         object.__setattr__(self, "transition", p)
-        object.__setattr__(self, "reward", r)
-        object.__setattr__(self, "initial_dist", zeta)
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ContractViolationError(f"transition must have shape (S, A, S), got {p.shape}")
         n_states, n_actions, _ = p.shape
         _check_size(n_states, n_actions)
-        if r.shape != (n_states, n_actions):
-            raise ContractViolationError(f"reward must have shape {(n_states, n_actions)}, got {r.shape}")
-        if zeta.shape != (n_states,):
-            raise ContractViolationError(f"initial_dist must have shape ({n_states},), got {zeta.shape}")
-        # Every comparison below is False for NaN, so non-finite entries must be rejected first.
-        for name, table in (("transition", p), ("reward", r), ("initial_dist", zeta)):
-            bad = np.argwhere(~np.isfinite(table))
-            if bad.size:
-                index = tuple(int(i) for i in bad[0])
-                raise ContractViolationError(f"{name} entry {index} is {float(table[index])}, not finite")
+        r = check_shape("reward", self.reward, (n_states, n_actions))
+        zeta = check_shape("initial_dist", self.initial_dist, (n_states,))
+        object.__setattr__(self, "reward", r)
+        object.__setattr__(self, "initial_dist", zeta)
+        check_probabilities("transition", p)
+        check_probabilities("initial_dist", zeta)
+        check_finite("reward", r)  # NaN passes the r_max bound below
         if not np.isfinite(self.r_max):
             raise ContractViolationError(f"r_max must be finite, got {self.r_max!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ContractViolationError(f"gamma must lie in [0, 1), got {self.gamma}")
-        _check_probabilities("transition", p)
-        _check_probabilities("initial_dist", zeta)
         if np.any(np.abs(r) > self.r_max + 1e-12):
             raise ContractViolationError(f"|reward| exceeds declared r_max={self.r_max}")
 
@@ -104,12 +78,8 @@ class TabularMDP:
 
 def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     """Validate that ``policy`` is an (S, A) row-stochastic matrix for ``mdp``."""
-    pi = np.asarray(policy, dtype=float)
-    if pi.shape != (mdp.n_states, mdp.n_actions):
-        raise ContractViolationError(
-            f"policy must have shape {(mdp.n_states, mdp.n_actions)}, got {pi.shape}"
-        )
-    _check_probabilities("policy", pi)
+    pi = check_shape("policy", policy, (mdp.n_states, mdp.n_actions))
+    check_probabilities("policy", pi)
     return pi
 
 
@@ -119,9 +89,7 @@ def apply_P_pi(mdp: TabularMDP, policy: np.ndarray, q: np.ndarray) -> np.ndarray
     result[s, a] = sum_{s'} P[s, a, s'] sum_{a'} policy[s', a'] q[s', a'].
     """
     pi = check_policy_matrix(mdp, policy)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (mdp.n_states, mdp.n_actions):
-        raise ContractViolationError(f"q must have shape {(mdp.n_states, mdp.n_actions)}, got {q.shape}")
+    q = check_shape("q", q, (mdp.n_states, mdp.n_actions))
     next_value = (pi * q).sum(axis=1)  # V(s') under policy
     return mdp.transition @ next_value
 
@@ -236,9 +204,8 @@ def visitation_dist(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
 
 def objective_J(mdp: TabularMDP, policy: np.ndarray) -> float:
     """Expected normalized return of ``policy`` from the initial distribution."""
-    pi = check_policy_matrix(mdp, policy)
-    q = exact_q_pi(mdp, pi)
-    return float(np.sum(mdp.initial_dist[:, None] * pi * q))
+    q = exact_q_pi(mdp, policy)  # checks the policy
+    return float(np.sum(mdp.initial_dist[:, None] * policy * q))
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +284,6 @@ def build_mdp(source: str) -> TabularMDP:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def mdp_to_json(mdp: TabularMDP) -> dict:
-    return {
-        "n_states": mdp.n_states,
-        "n_actions": mdp.n_actions,
-        "gamma": mdp.gamma,
-        "r_max": mdp.r_max,
-        "transition": mdp.transition.tolist(),
-        "reward": mdp.reward.tolist(),
-        "initial_dist": mdp.initial_dist.tolist(),
-    }
 
 
 def mdp_from_json(doc: dict) -> TabularMDP:

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 
-from .errors import ContractViolationError, InfiniteDivergenceError, ParameterError
+from .errors import ContractViolationError, InfiniteDivergenceError, ParameterError, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -17,9 +17,7 @@ LOGIT_CLAMP = 700.0
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; logits beyond +-700 are clamped."""
     z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
-        index = tuple(map(int, np.argwhere(~np.isfinite(z))[0]))
-        raise ContractViolationError(f"softmax requires finite logits; logit {index} is {float(z[index])}")
+    check_finite("logits", z)
     if np.any(np.abs(z) > LOGIT_CLAMP):
         log.warning("clamping logits with |value| > %g (max %g)", LOGIT_CLAMP, np.abs(z).max())
         z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)

@@ -12,7 +12,8 @@ import zlib
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import check_probabilities, check_shape
+from .mdp import check_policy_matrix
 
 # Recorded in run manifests; bump if the draw algorithm ever changes.
 RNG_ID = "numpy-pcg64/seedseq-crc32-streams/inverse-cdf-v1"
@@ -37,11 +38,7 @@ class RunRng:
 def categorical(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
     """n i.i.d. draws from a probability vector, via inverse CDF."""
     p = np.asarray(probs, dtype=float)
-    smallest, total = float(np.min(p, initial=np.inf)), float(p.sum())
-    if smallest < 0 or abs(total - 1.0) > 1e-9:
-        raise ContractViolationError(
-            f"categorical probabilities must be nonnegative and sum to 1; smallest {smallest!r}, sum {total!r}"
-        )
+    check_probabilities("probs", p)
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, rng.random(n), side="right")
     return np.minimum(idx, len(p) - 1)
@@ -68,10 +65,12 @@ def sample_tuples(mdp, rho: np.ndarray, policy_next: np.ndarray, rng: np.random.
 
     Returns five aligned arrays; rewards are read from the table.
     """
+    rho = check_shape("rho", rho, (mdp.n_states, mdp.n_actions))
+    pi_next = check_policy_matrix(mdp, policy_next)
     pairs = sample_sa(rho, rng, n)
     s, a = pairs[:, 0], pairs[:, 1]
     s_next = _conditional_draws(rng, mdp.transition[s, a])
-    a_next = _conditional_draws(rng, np.asarray(policy_next, dtype=float)[s_next])
+    a_next = _conditional_draws(rng, pi_next[s_next])
     r = mdp.reward[s, a]
     return s, a, r, s_next, a_next
 

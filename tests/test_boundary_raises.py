@@ -9,11 +9,13 @@ from sstac import ConfigError, ContractViolationError, ParameterError, TabularMD
 from sstac.deep_net import forward, init_params, project_ball
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.harness import ExperimentConfig
-from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json, mdp_to_json
+from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
 from sstac.linear_ac import run_linear_ac
 from sstac.neural_ac import run_neural_ac
 from sstac.policy import kl, softmax_rows
-from sstac.sampling import categorical
+from sstac.sampling import categorical, sample_tuples
+
+from conftest import mdp_doc
 
 BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4}
 
@@ -22,6 +24,10 @@ def chain2_with(**fields):
     base = chain2()
     doc = {"transition": base.transition, "reward": base.reward, "gamma": base.gamma, "initial_dist": base.initial_dist}
     return TabularMDP(**{**doc, **fields})
+
+
+def chain2_tuples(rho, policy_next):
+    return sample_tuples(chain2(), rho, policy_next, np.random.default_rng(0), 4)
 
 
 def empty_trace():
@@ -105,12 +111,16 @@ CASES = {
         lambda: check_policy_matrix(chain2(), np.array([[0.5, 0.5], [0.5, 0.75]])),
         ContractViolationError, "policy row (1,) sums to 1.25, expected 1",
     ),
+    "mdp-nan-policy": (
+        lambda: apply_P_pi(chain2(), np.array([[np.nan, np.nan], [0.5, 0.5]]), np.zeros((2, 2))),
+        ContractViolationError, "policy entry (0, 0) is nan, not finite",
+    ),
     "mdp-q-shape": (
         lambda: apply_P_pi(chain2(), np.full((2, 2), 0.5), np.zeros(3)),
         ContractViolationError, "q must have shape (2, 2), got (3,)",
     ),
     "mdp-json-transition-shape": (
-        lambda: mdp_from_json({**mdp_to_json(chain2()), "n_states": 3}),
+        lambda: mdp_from_json({**mdp_doc(chain2()), "n_states": 3}),
         ContractViolationError, "transition shape (2, 2, 2) does not match declared (3, 2, 3)",
     ),
     "neural_ac-inner-count": (
@@ -127,7 +137,7 @@ CASES = {
     ),
     "policy-nonfinite-logits": (
         lambda: softmax_rows(np.array([[np.nan, 0.0]])),
-        ContractViolationError, "softmax requires finite logits; logit (0, 0) is nan",
+        ContractViolationError, "logits entry (0, 0) is nan, not finite",
     ),
     "policy-kl-shapes": (
         lambda: kl(np.full(2, 1 / 2), np.full(3, 1 / 3)),
@@ -135,7 +145,19 @@ CASES = {
     ),
     "sampling-probs": (
         lambda: categorical(np.random.default_rng(0), np.array([0.5, 0.6]), 1),
-        ContractViolationError, "categorical probabilities must be nonnegative and sum to 1; smallest 0.5, sum 1.1",
+        ContractViolationError, "probs sums to 1.1, expected 1",
+    ),
+    "sampling-tuples-nan-policy": (
+        lambda: chain2_tuples(np.full((2, 2), 0.25), np.array([[np.nan, np.nan], [0.5, 0.5]])),
+        ContractViolationError, "policy entry (0, 0) is nan, not finite",
+    ),
+    "sampling-tuples-policy-shape": (
+        lambda: chain2_tuples(np.full((2, 2), 0.25), np.full((3, 3), 1 / 3)),
+        ContractViolationError, "policy must have shape (2, 2), got (3, 3)",
+    ),
+    "sampling-tuples-rho-shape": (
+        lambda: chain2_tuples(np.full(4, 0.25), np.full((2, 2), 0.5)),
+        ContractViolationError, "rho must have shape (2, 2), got (4,)",
     ),
     "trace-empty-csv": (
         empty_trace,

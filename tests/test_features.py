@@ -75,7 +75,7 @@ def test_rejects_oversized_norms():
 def test_rejects_non_finite_features_naming_the_pair(bad):
     phi = tabular_features(3, 2).phi.copy()
     phi[2, 1, 0] = bad
-    with pytest.raises(ContractViolationError, match=r"finite; phi\[2, 1\]"):
+    with pytest.raises(ContractViolationError, match=rf"^phi entry \(2, 1, 0\) is {bad}, not finite$"):
         FeatureMap(phi=phi)
 
 

@@ -18,7 +18,8 @@ from sstac.harness import (
     run_id,
     sweep_command,
 )
-from sstac.mdp import mdp_to_json
+
+from conftest import mdp_doc
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chain2" / "trace.csv"
 GOLDEN_COLUMNS = GOLDEN.read_text().splitlines()[0].split(",")
@@ -247,7 +248,7 @@ class TestCliRun:
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     @pytest.mark.parametrize("case", ["missing", "undecodable", "truncated", "wrong_type", "nan_reward"])
     def test_bad_mdp_file_exits_2_naming_path(self, tmp_path, capsys, verb, case):
-        doc = mdp_to_json(chain2())
+        doc = mdp_doc(chain2())
         if case == "wrong_type":
             doc["n_states"] = "x"
         elif case == "nan_reward":

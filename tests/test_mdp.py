@@ -25,9 +25,10 @@ from sstac import (
     visitation_dist,
 )
 from sstac import mdp as mdp_module
-from sstac.mdp import load_mdp, mdp_from_json, mdp_to_json
+from sstac.mdp import check_policy_matrix, load_mdp, mdp_from_json
+from sstac.sampling import categorical
 
-from conftest import random_policy
+from conftest import mdp_doc, random_policy
 
 ALWAYS_GO = np.array([[1.0, 0.0], [1.0, 0.0]])
 ALWAYS_STAY = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -383,10 +384,44 @@ class TestProperties:
         assert np.all(q_star >= exact_q_pi(m, pi) - 1e-8)
 
 
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+NAN_ROW_POLICY = np.array([[np.nan, np.nan], [0.5, 0.5]])
+
+
+class TestNonFinite:
+    """A NaN or infinite entry fails the one probability check, which names it."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(policies(4, 3), st.integers(0, 3), st.integers(0, 2), non_finite)
+    def test_policy_names_the_entry(self, pi, s, a, bad):
+        pi[s, a] = bad
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(f'policy entry {(s, a)} is {bad}, not finite')}$"):
+            check_policy_matrix(random_mdp(4, 3, seed=0), pi)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(policies(1, 6), st.integers(0, 5), non_finite)
+    def test_categorical_names_the_entry(self, probs, i, bad):
+        p = probs[0]
+        p[i] = bad
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(f'probs entry {(i,)} is {bad}, not finite')}$"):
+            categorical(np.random.default_rng(0), p, 4)
+
+    def test_opposite_infinities_in_one_row(self, chain):
+        # Summed, inf + (-inf) would warn; the entry test stops -inf first.
+        with pytest.raises(ContractViolationError, match=r"^policy entry \(0, 0\) is inf, not finite$"):
+            check_policy_matrix(chain, np.array([[np.inf, -np.inf], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("oracle", [exact_q_pi, stationary_dists, visitation_dist, objective_J])
+    def test_oracles_reject_nan_policy_silently(self, chain, oracle, capfd):
+        with pytest.raises(ContractViolationError, match=r"^policy entry \(0, 0\) is nan, not finite$"):
+            oracle(chain, NAN_ROW_POLICY)
+        assert capfd.readouterr() == ("", "")
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, mdp5):
         path = tmp_path / "mdp.json"
-        path.write_text(json.dumps(mdp_to_json(mdp5)))
+        path.write_text(json.dumps(mdp_doc(mdp5)))
         loaded = load_mdp(path)
         np.testing.assert_array_equal(loaded.transition, mdp5.transition)
         np.testing.assert_array_equal(loaded.reward, mdp5.reward)
@@ -395,7 +430,7 @@ class TestSerialization:
         assert loaded.r_max == mdp5.r_max
 
     def test_loader_names_first_violation(self, chain, tmp_path):
-        doc = mdp_to_json(chain)
+        doc = mdp_doc(chain)
         doc["transition"][0][0] = [0.4, 0.4]  # row no longer sums to 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -403,7 +438,7 @@ class TestSerialization:
             load_mdp(path)
 
     def test_loader_rejects_nan(self, chain, tmp_path):
-        doc = mdp_to_json(chain)
+        doc = mdp_doc(chain)
         doc["reward"][1][0] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))  # written as the bare token NaN, which json.load accepts
