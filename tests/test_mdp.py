@@ -385,7 +385,6 @@ class TestProperties:
 
 
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
-NAN_ROW_POLICY = np.array([[np.nan, np.nan], [0.5, 0.5]])
 
 
 class TestNonFinite:
@@ -414,7 +413,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("oracle", [exact_q_pi, stationary_dists, visitation_dist, objective_J])
     def test_oracles_reject_nan_policy_silently(self, chain, oracle, capfd):
         with pytest.raises(ContractViolationError, match=r"^policy entry \(0, 0\) is nan, not finite$"):
-            oracle(chain, NAN_ROW_POLICY)
+            oracle(chain, np.array([[np.nan, np.nan], [0.5, 0.5]]))
         assert capfd.readouterr() == ("", "")
 
 
