@@ -14,8 +14,8 @@ def main():
     feats = tabular_features(2, 2)
     pi = np.full((2, 2), 0.5)
     _, rho = stationary_dists(m, pi)
-    omega_k = exact_q_pi(m, pi).reshape(-1)
-    exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
+    q_k = exact_q_pi(m, pi)
+    exact = critic_step_exact(q_k, m, pi, feats, rho, radius=20.0)
 
     print("N       RMS error    ratio to previous")
     prev = None
@@ -23,7 +23,7 @@ def main():
         errs = []
         for seed in range(50):
             batch = draw_batch(m, rho, pi, RunRng(seed), n)
-            w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
+            w = critic_step_sampled(q_k, batch, feats, m.gamma, radius=20.0)
             errs.append(np.sum((w - exact) ** 2))
         rms = float(np.sqrt(np.mean(errs)))
         ratio = "" if prev is None else f"{prev / rms:.2f}"

@@ -36,21 +36,27 @@ def check_finite(name: str, array: np.ndarray) -> None:
         raise ContractViolationError(f"{name} entry {index} is {float(array[index])}, not finite")
 
 
+def check_nonnegative(name: str, table: np.ndarray) -> None:
+    """Reject a non-finite entry, or one below the probability tolerance -1e-12, naming the first."""
+    check_finite(name, table)
+    if not np.all(table >= -_PROB_TOL):
+        index = tuple(map(int, np.argwhere(table < -_PROB_TOL)[0]))
+        raise ContractViolationError(f"{name} entry {index} is {float(table[index])!r}, negative")
+
+
 def check_probabilities(name: str, table: np.ndarray) -> None:
     """Reject a non-finite or negative entry, or a row (the last axis) that does not sum to 1, naming the first."""
     # Each test is False for NaN; -inf fails the first, before a sum could meet inf - inf, and +inf the second.
-    if np.all(table >= -_PROB_TOL):
-        sums = table.sum(axis=-1)
-        if np.all(np.abs(sums - 1.0) <= _PROB_TOL):
-            return
-        check_finite(name, table)
-        # A 1-D table has one 0-d sum, in which np.argwhere finds no index.
-        index = tuple(map(int, np.argwhere(np.abs(sums - 1.0) > _PROB_TOL)[0])) if sums.ndim else ()
-        where = f" row {index}" if index else ""
-        raise ContractViolationError(f"{name}{where} sums to {float(sums[index])!r}, expected 1")
+    if not np.all(table >= -_PROB_TOL):
+        check_nonnegative(name, table)
+    sums = table.sum(axis=-1)
+    if np.all(np.abs(sums - 1.0) <= _PROB_TOL):
+        return
     check_finite(name, table)
-    index = tuple(map(int, np.argwhere(table < -_PROB_TOL)[0]))
-    raise ContractViolationError(f"{name} entry {index} is {float(table[index])!r}, negative")
+    # A 1-D table has one 0-d sum, in which np.argwhere finds no index.
+    index = tuple(map(int, np.argwhere(np.abs(sums - 1.0) > _PROB_TOL)[0])) if sums.ndim else ()
+    where = f" row {index}" if index else ""
+    raise ContractViolationError(f"{name}{where} sums to {float(sums[index])!r}, expected 1")
 
 
 class ConfigError(SstacError, ValueError):

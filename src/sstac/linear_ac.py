@@ -48,15 +48,6 @@ def actor_step(theta: np.ndarray, omega: np.ndarray, k: int, beta: float) -> np.
     return (omega / beta + (k / beta) * theta) / ((k + 1) / beta)
 
 
-def _population_moments(features: FeatureMap, rho: np.ndarray, target: np.ndarray):
-    """Gram E_rho[phi phi^T] and right-hand side E_rho[target phi]; diagonal Gram for one-hot features."""
-    gram = gram_matrix(features, rho)
-    weighted = rho * target
-    if features.one_hot:
-        return gram, weighted.reshape(-1)
-    return gram, np.einsum("sa,sad->d", weighted, features.phi)
-
-
 def _sample_moments(features: FeatureMap, gram_pairs: np.ndarray, s: np.ndarray, a: np.ndarray, y: np.ndarray):
     """Empirical Gram over the Gram pairs and right-hand side mean(y phi[s, a]).
 
@@ -100,7 +91,7 @@ def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) ->
 
 
 def critic_step_exact(
-    omega: np.ndarray,
+    q_omega: np.ndarray,
     mdp: mdp_mod.TabularMDP,
     policy_next: np.ndarray,
     features: FeatureMap,
@@ -108,10 +99,10 @@ def critic_step_exact(
     *,
     radius: float,
 ) -> np.ndarray:
-    """Population least-squares critic under rho_next, projected onto the ball."""
-    target = mdp_mod.bellman_eval(mdp, policy_next, features.value_table(omega))
-    gram, rhs = _population_moments(features, rho_next, target)
-    return _solve_critic(gram, rhs, radius, "the evaluation distribution may lack support")
+    """omega_{k+1}: population least squares on T^{pi_next} Q_{omega_k} (``q_omega``) under rho_next, in the ball."""
+    weighted = rho_next * mdp_mod.bellman_eval(mdp, policy_next, q_omega)
+    rhs = weighted.reshape(-1) if features.one_hot else np.einsum("sa,sad->d", weighted, features.phi)
+    return _solve_critic(gram_matrix(features, rho_next), rhs, radius, "the evaluation distribution may lack support")
 
 
 def draw_batch(mdp: mdp_mod.TabularMDP, rho: np.ndarray, policy_next: np.ndarray, rng: RunRng, n: int):
@@ -125,7 +116,7 @@ def draw_batch(mdp: mdp_mod.TabularMDP, rho: np.ndarray, policy_next: np.ndarray
 
 
 def critic_step_sampled(
-    omega: np.ndarray,
+    q_omega: np.ndarray,
     batch: tuple,
     features: FeatureMap,
     gamma: float,
@@ -133,13 +124,9 @@ def critic_step_sampled(
     radius: float,
     ridge: float = 0.0,
 ) -> np.ndarray:
-    """Empirical projected least-squares critic from a ``(gram_pairs, tuples)`` batch of ``draw_batch``."""
+    """omega_{k+1}: least squares on a ``draw_batch`` batch, bootstrapping from q_omega = Q_{omega_k}, in the ball."""
     gram_pairs, (s, a, r, s_next, a_next) = batch
-    if features.one_hot:
-        q_boot = omega[s_next * features.n_actions + a_next]
-    else:
-        q_boot = features.phi[s_next, a_next] @ omega
-    y = (1.0 - gamma) * r + gamma * q_boot
+    y = (1.0 - gamma) * r + gamma * q_omega[s_next, a_next]
     gram, rhs = _sample_moments(features, gram_pairs, s, a, y)
     return _solve_critic(gram, rhs, radius, "increase N or enable the ridge", ridge=ridge)
 
@@ -193,10 +180,10 @@ def run_linear_ac(
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
         if mode == "exact":
-            omega = critic_step_exact(omega, mdp, pi_next, features, rho_next, radius=radius_val)
+            omega = critic_step_exact(q_k, mdp, pi_next, features, rho_next, radius=radius_val)
         else:
             batch = draw_batch(mdp, rho_next, pi_next, rng, N)
-            omega = critic_step_sampled(omega, batch, features, mdp.gamma, radius=radius_val, ridge=ridge)
+            omega = critic_step_sampled(q_k, batch, features, mdp.gamma, radius=radius_val, ridge=ridge)
         critic_norm = float(np.linalg.norm(omega))
         if critic_norm > radius_val + 1e-12:
             raise SstacError(f"critic projection invariant violated: norm {critic_norm!r} > radius {radius_val!r}")

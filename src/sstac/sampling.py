@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import check_probabilities, check_shape
+from .errors import check_nonnegative, check_probabilities, check_shape
 from .mdp import check_policy_matrix
 
 # Recorded in run manifests; bump if the draw algorithm ever changes.
@@ -35,15 +35,6 @@ class RunRng:
         return gen
 
 
-def categorical(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
-    """n i.i.d. draws from a probability vector, via inverse CDF."""
-    p = np.asarray(probs, dtype=float)
-    check_probabilities("probs", p)
-    cum = np.cumsum(p)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, len(p) - 1)
-
-
 def _conditional_draws(rng: np.random.Generator, row_probs: np.ndarray) -> np.ndarray:
     """One draw per row of a (n, K) matrix of distributions."""
     cum = np.cumsum(row_probs, axis=1)
@@ -53,10 +44,13 @@ def _conditional_draws(rng: np.random.Generator, row_probs: np.ndarray) -> np.nd
 
 
 def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 2) array of state-action pairs drawn i.i.d. from a joint table rho[s, a]."""
+    """(n, 2) array of state-action pairs drawn i.i.d. from a joint table rho[s, a], via inverse CDF."""
     rho = np.asarray(rho, dtype=float)
-    flat = categorical(rng, rho.reshape(-1), n)
-    s, a = np.divmod(flat, rho.shape[1])
+    check_nonnegative("rho", rho)
+    flat = rho.reshape(-1)
+    check_probabilities("rho", flat)
+    idx = np.minimum(np.searchsorted(np.cumsum(flat), rng.random(n), side="right"), len(flat) - 1)
+    s, a = np.divmod(idx, rho.shape[1])
     return np.stack([s, a], axis=1)
 
 

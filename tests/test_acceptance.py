@@ -115,14 +115,14 @@ def test_c3_critic_statistical_rate():
     feats = tabular_features(2, 2)
     pi = np.full((2, 2), 0.5)
     _, rho = stationary_dists(m, pi)
-    omega_k = exact_q_pi(m, pi).reshape(-1)
-    exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
+    q_k = exact_q_pi(m, pi)
+    exact = critic_step_exact(q_k, m, pi, feats, rho, radius=20.0)
     rms = {}
     for n in (256, 1024, 4096):
         sq_errs = []
         for seed in range(50):
             batch = draw_batch(m, rho, pi, RunRng(seed), n)
-            w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
+            w = critic_step_sampled(q_k, batch, feats, m.gamma, radius=20.0)
             sq_errs.append(float(np.sum((w - exact) ** 2)))
         rms[n] = float(np.sqrt(np.mean(sq_errs)))
     r1 = rms[256] / rms[1024]

@@ -13,7 +13,7 @@ from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
 from sstac.linear_ac import run_linear_ac
 from sstac.neural_ac import run_neural_ac
 from sstac.policy import kl, softmax_rows
-from sstac.sampling import categorical, sample_tuples
+from sstac.sampling import sample_sa, sample_tuples
 
 from conftest import mdp_doc
 
@@ -143,9 +143,17 @@ CASES = {
         lambda: kl(np.full(2, 1 / 2), np.full(3, 1 / 3)),
         ContractViolationError, "shape mismatch: (2,) vs (3,)",
     ),
-    "sampling-probs": (
-        lambda: categorical(np.random.default_rng(0), np.array([0.5, 0.6]), 1),
-        ContractViolationError, "probs sums to 1.1, expected 1",
+    "sampling-sa-nan-rho": (
+        lambda: sample_sa(np.array([[0.5, 0.5], [np.nan, 0.0]]), np.random.default_rng(0), 4),
+        ContractViolationError, "rho entry (1, 0) is nan, not finite",
+    ),
+    "sampling-sa-negative-rho": (
+        lambda: sample_sa(np.array([[0.5, 0.5], [0.25, -0.25]]), np.random.default_rng(0), 4),
+        ContractViolationError, "rho entry (1, 1) is -0.25, negative",
+    ),
+    "sampling-sa-rho-sum": (
+        lambda: sample_sa(np.array([[0.5, 0.5], [0.25, 0.0]]), np.random.default_rng(0), 4),
+        ContractViolationError, "rho sums to 1.25, expected 1",
     ),
     "sampling-tuples-nan-policy": (
         lambda: chain2_tuples(np.full((2, 2), 0.25), np.array([[np.nan, np.nan], [0.5, 0.5]])),

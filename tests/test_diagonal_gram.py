@@ -5,6 +5,12 @@ out inline (matmul Gram, eigvalsh conditioning check, LAPACK solve), with
 ``np.array_equal``.  Pair weights include exact zeros and values within a
 few ulps of the fixed conditioning tolerance 1e-12, so both the accept and
 the reject branch of the check are exercised.
+
+The critics take the table Q_omega = phi @ omega, while the references
+compute from omega itself.  The sampled critic's bootstrap gathers
+``Q_omega[s', a']``, which for one-hot features is ``phi[s', a'] @ omega``
+bit for bit; for dense features the two differ by round-off, which the
+last property bounds.
 """
 
 import numpy as np
@@ -18,6 +24,7 @@ from sstac import (
     critic_step_exact,
     critic_step_sampled,
     gram_min_singular,
+    random_features,
     random_mdp,
     tabular_features,
 )
@@ -118,7 +125,9 @@ def test_gram_matrix_and_min_singular_match_dense(p):
 @given(problems())
 def test_exact_critic_matches_dense_solve(p):
     assert_same_outcome(
-        lambda: critic_step_exact(p["omega"], p["mdp"], p["policy"], p["feats"], p["rho"], radius=p["radius"]),
+        lambda: critic_step_exact(
+            p["feats"].phi @ p["omega"], p["mdp"], p["policy"], p["feats"], p["rho"], radius=p["radius"]
+        ),
         lambda: dense_population(p, p["rho"]),
     )
 
@@ -138,6 +147,24 @@ def test_sampled_critic_matches_dense_solve(p, n, ridge):
         return dense_solve(gram, rhs, radius)
 
     assert_same_outcome(
-        lambda: critic_step_sampled(omega, batch, feats, gamma, radius=radius, ridge=ridge),
+        lambda: critic_step_sampled(feats.phi @ omega, batch, feats, gamma, radius=radius, ridge=ridge),
         reference,
     )
+
+
+@PROPERTY
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 1.0, 100.0]),
+)
+def test_dense_bootstrap_gather_matches_row_product_to_round_off(n_states, n_actions, dim, n, seed, scale):
+    feats = random_features(n_states, n_actions, dim, seed)
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal(dim) * scale
+    s_next, a_next = rng.integers(0, n_states, n), rng.integers(0, n_actions, n)
+    gap = np.max(np.abs((feats.phi @ omega)[s_next, a_next] - feats.phi[s_next, a_next] @ omega))
+    assert gap <= 1e-12 * (1.0 + np.linalg.norm(omega))

@@ -5,6 +5,7 @@ import pytest
 
 from sstac import (
     ConditioningError,
+    FeatureMap,
     ParameterError,
     RunRng,
     actor_step,
@@ -73,9 +74,9 @@ class TestCriticStepExact:
         rng = np.random.default_rng(1)
         pi = random_policy(rng, 2, 2)
         _, rho = stationary_dists(m, pi)
-        omega_k = rng.standard_normal(4) * 0.2
-        got = critic_step_exact(omega_k, m, pi, feats, rho, radius=100.0)
-        expected = bellman_eval(m, pi, omega_k.reshape(2, 2)).reshape(-1)
+        q_k = rng.standard_normal((2, 2)) * 0.2
+        got = critic_step_exact(q_k, m, pi, feats, rho, radius=100.0)
+        expected = bellman_eval(m, pi, q_k).reshape(-1)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_zero_reward_zero_critic(self):
@@ -84,14 +85,15 @@ class TestCriticStepExact:
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(zero_m, pi)
-        np.testing.assert_allclose(critic_step_exact(np.zeros(4), zero_m, pi, feats, rho, radius=20.0), 0.0, atol=1e-14)
+        got = critic_step_exact(np.zeros((2, 2)), zero_m, pi, feats, rho, radius=20.0)
+        np.testing.assert_allclose(got, 0.0, atol=1e-14)
 
     def test_zero_radius_projects_to_origin(self):
         m = chain2()
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(m, pi)
-        np.testing.assert_array_equal(critic_step_exact(np.zeros(4), m, pi, feats, rho, radius=0.0), np.zeros(4))
+        np.testing.assert_array_equal(critic_step_exact(np.zeros((2, 2)), m, pi, feats, rho, radius=0.0), np.zeros(4))
 
     def test_missing_support_raises_conditioning(self):
         m = chain2()
@@ -99,7 +101,7 @@ class TestCriticStepExact:
         pi = np.full((2, 2), 0.5)
         rho = np.array([[0.5, 0.5], [0.0, 0.0]])  # no mass on state 1
         with pytest.raises(ConditioningError) as exc:
-            critic_step_exact(np.zeros(4), m, pi, feats, rho, radius=20.0)
+            critic_step_exact(np.zeros((2, 2)), m, pi, feats, rho, radius=20.0)
         assert exc.value.sigma_min is not None
         assert "zero-weight (s, a) pairs: 2" in str(exc.value)
 
@@ -112,17 +114,17 @@ class TestCriticStepSampled:
         feats = tabular_features(2, 2)
         always_go = np.array([[1.0, 0.0], [1.0, 0.0]])
         rng = np.random.default_rng(2)
-        omega_k = rng.standard_normal(4) * 0.3
+        q_k = rng.standard_normal((2, 2)) * 0.3
 
         pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         s, a = pairs[:, 0], pairs[:, 1]
         s2 = np.where(a == 0, 1 - s, s)
         a2 = np.zeros(4, dtype=int)
         batch = pairs, (s, a, m.reward[s, a], s2, a2)
-        got = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=100.0)
+        got = critic_step_sampled(q_k, batch, feats, m.gamma, radius=100.0)
 
         uniform_rho = np.full((2, 2), 0.25)
-        expected = critic_step_exact(omega_k, m, always_go, feats, uniform_rho, radius=100.0)
+        expected = critic_step_exact(q_k, m, always_go, feats, uniform_rho, radius=100.0)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_inputs_give_zero(self):
@@ -132,7 +134,7 @@ class TestCriticStepSampled:
         pi = np.full((2, 2), 0.5)
         batch = draw_batch(zero_m, np.full((2, 2), 0.25), pi, RunRng(3), 64)
         np.testing.assert_allclose(
-            critic_step_sampled(np.zeros(4), batch, feats, zero_m.gamma, radius=20.0), 0.0, atol=1e-14
+            critic_step_sampled(np.zeros((2, 2)), batch, feats, zero_m.gamma, radius=20.0), 0.0, atol=1e-14
         )
 
     def test_singular_batch_raises_conditioning(self):
@@ -142,9 +144,9 @@ class TestCriticStepSampled:
         s, a = pairs[:, 0], pairs[:, 1]
         batch = pairs, (s, a, m.reward[s, a], 1 - s, np.zeros(4, dtype=int))
         with pytest.raises(ConditioningError, match="ridge"):
-            critic_step_sampled(np.zeros(4), batch, feats, m.gamma, radius=20.0)
+            critic_step_sampled(np.zeros((2, 2)), batch, feats, m.gamma, radius=20.0)
         # the ridge rescues the same batch
-        out = critic_step_sampled(np.zeros(4), batch, feats, m.gamma, radius=20.0, ridge=1e-6)
+        out = critic_step_sampled(np.zeros((2, 2)), batch, feats, m.gamma, radius=20.0, ridge=1e-6)
         assert np.all(np.isfinite(out))
 
     def test_error_decays_with_batch_size(self):
@@ -152,14 +154,14 @@ class TestCriticStepSampled:
         feats = tabular_features(2, 2)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(m, pi)
-        omega_k = exact_q_pi(m, pi).reshape(-1)
-        exact = critic_step_exact(omega_k, m, pi, feats, rho, radius=20.0)
+        q_k = exact_q_pi(m, pi)
+        exact = critic_step_exact(q_k, m, pi, feats, rho, radius=20.0)
         rms = {}
         for n in (256, 4096):
             errs = []
             for seed in range(20):
                 batch = draw_batch(m, rho, pi, RunRng(seed), n)
-                w = critic_step_sampled(omega_k, batch, feats, m.gamma, radius=20.0)
+                w = critic_step_sampled(q_k, batch, feats, m.gamma, radius=20.0)
                 errs.append(np.linalg.norm(w - exact) ** 2)
             rms[n] = np.sqrt(np.mean(errs))
         assert rms[4096] < rms[256]
@@ -217,14 +219,26 @@ class TestRunLinearAc:
         beta = params["beta"]
         theta, omega = np.zeros(feats.dim), np.zeros(feats.dim)
         for k, (actor_norm, critic_norm) in enumerate(zip(trace.column("actor_norm"), trace.column("critic_norm"))):
-            improved = kl_regularized_argmax((k / beta) * feats.value_table(theta), feats.value_table(omega), beta)
+            q_omega = feats.value_table(omega)
+            improved = kl_regularized_argmax((k / beta) * feats.value_table(theta), q_omega, beta)
             theta = actor_step(theta, omega, k, beta)
             pi_next = softmax_rows(((k + 1) / beta) * feats.value_table(theta))
             np.testing.assert_allclose(pi_next, improved, atol=1e-10)
             _, rho_next = stationary_dists(m, pi_next)
-            omega = critic_step_exact(omega, m, pi_next, feats, rho_next, radius=params["radius"])
+            omega = critic_step_exact(q_omega, m, pi_next, feats, rho_next, radius=params["radius"])
             assert float(np.linalg.norm(theta)) == actor_norm
             assert float(np.linalg.norm(omega)) == critic_norm
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_value_table_once_per_iterate(self, monkeypatch, mode):
+        # Q_{omega_0}, then pi_{k+1} from theta_{k+1} and Q_{omega_{k+1}} per iteration:
+        # the critic steps regress the Q_{omega_k} table the loop already holds.
+        calls = []
+        value_table = FeatureMap.value_table
+        monkeypatch.setattr(FeatureMap, "value_table", lambda self, w: calls.append(w) or value_table(self, w))
+        K = 6
+        run_linear_ac(chain2(), tabular_features(2, 2), K, mode=mode, N=64, seed=0)
+        assert len(calls) == 1 + 2 * (K + 1)
 
     def test_conditioning_error_names_iteration_and_unvisited_pairs(self):
         # Without a ridge, N=1024 draws on gridworld5's 100 pairs leave some undrawn at k=0.

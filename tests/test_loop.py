@@ -57,7 +57,7 @@ def test_neural_loop_errors_name_the_iteration(monkeypatch):
 
 def test_broken_critic_projection_names_norm_and_radius(monkeypatch):
     # A critic step that skips its projection leaves omega = (2, 0, 0, 0) outside the radius-1 ball.
-    monkeypatch.setattr(linear_ac, "critic_step_exact", lambda omega, *args, radius: np.eye(4)[0] * 2.0 * radius)
+    monkeypatch.setattr(linear_ac, "critic_step_exact", lambda q_omega, *args, radius: np.eye(4)[0] * 2.0 * radius)
     with pytest.raises(SstacError) as exc:
         linear(radius=1.0)
     assert type(exc.value) is SstacError

@@ -26,7 +26,7 @@ from sstac import (
 )
 from sstac import mdp as mdp_module
 from sstac.mdp import check_policy_matrix, load_mdp, mdp_from_json
-from sstac.sampling import categorical
+from sstac.sampling import sample_sa
 
 from conftest import mdp_doc, random_policy
 
@@ -398,12 +398,12 @@ class TestNonFinite:
             check_policy_matrix(random_mdp(4, 3, seed=0), pi)
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(policies(1, 6), st.integers(0, 5), non_finite)
-    def test_categorical_names_the_entry(self, probs, i, bad):
-        p = probs[0]
-        p[i] = bad
-        with pytest.raises(ContractViolationError, match=f"^{re.escape(f'probs entry {(i,)} is {bad}, not finite')}$"):
-            categorical(np.random.default_rng(0), p, 4)
+    @given(policies(1, 6), st.integers(0, 1), st.integers(0, 2), non_finite)
+    def test_sample_sa_names_the_pair(self, probs, s, a, bad):
+        rho = probs.reshape(2, 3)  # one distribution over the six (s, a) pairs
+        rho[s, a] = bad
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(f'rho entry {(s, a)} is {bad}, not finite')}$"):
+            sample_sa(rho, np.random.default_rng(0), 4)
 
     def test_opposite_infinities_in_one_row(self, chain):
         # Summed, inf + (-inf) would warn; the entry test stops -inf first.
