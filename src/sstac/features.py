@@ -16,9 +16,9 @@ class FeatureMap:
     """Bounded feature vectors phi[s, a] in R^d with ||phi|| <= 1.
 
     ``one_hot`` records whether ``phi.reshape(S * A, d)`` is exactly the
-    identity with d >= 2, i.e. feature ``s * A + a`` is the indicator of pair
-    (s, a).  The Gram matrix E_rho[phi phi^T] is then exactly diag(rho), and
-    ``gram_matrix`` returns it as that diagonal.
+    identity, i.e. feature ``s * A + a`` is the indicator of pair (s, a).
+    The Gram matrix E_rho[phi phi^T] is then exactly diag(rho), which ``gram``
+    returns as that diagonal, and ``weighted_sum`` is the flattened table.
     """
 
     phi: np.ndarray  # (S, A, d)
@@ -35,10 +35,8 @@ class FeatureMap:
             raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
         flat = phi.reshape(-1, phi.shape[2])
         # d nonzeros, all on the diagonal and all 1: the identity, without building one.
-        # A single pair stays dense: numpy sums its length-N sample column pairwise,
-        # not in sample order, so bin sums would differ from it in the last bits.
         one_hot = (
-            flat.shape[0] == flat.shape[1] > 1
+            flat.shape[0] == flat.shape[1]
             and np.count_nonzero(flat) == len(flat)
             and bool(np.all(flat.diagonal() == 1.0))
         )
@@ -60,6 +58,17 @@ class FeatureMap:
         """Linear function table: result[s, a] = weights . phi[s, a]."""
         return self.phi @ check_shape("weights", weights, (self.dim,))
 
+    def gram(self, rho: np.ndarray) -> np.ndarray:
+        """E_rho[phi phi^T] for an (S, A) weight table; for one-hot features its diagonal, rho flattened (1-D)."""
+        if self.one_hot:
+            return rho.flatten()
+        flat_phi = self.phi.reshape(-1, self.dim)
+        return (flat_phi * rho.reshape(-1, 1)).T @ flat_phi
+
+    def weighted_sum(self, table: np.ndarray) -> np.ndarray:
+        """sum_{s, a} table[s, a] phi[s, a]; for one-hot features, the table flattened."""
+        return table.reshape(-1) if self.one_hot else np.einsum("sa,sad->d", table, self.phi)
+
 
 def tabular_features(n_states: int, n_actions: int) -> FeatureMap:
     """One-hot feature per (s, a) pair; dimension is n_states * n_actions."""
@@ -80,11 +89,7 @@ def random_features(n_states: int, n_actions: int, dim: int, seed: int) -> Featu
 
 def gram_matrix(features: FeatureMap, rho: np.ndarray) -> np.ndarray:
     """Second-moment matrix E_rho[phi phi^T]; for one-hot features its diagonal, rho flattened (1-D)."""
-    rho = check_shape("rho", rho, (features.n_states, features.n_actions))
-    if features.one_hot:
-        return rho.flatten()
-    flat_phi = features.phi.reshape(-1, features.dim)
-    return (flat_phi * rho.reshape(-1, 1)).T @ flat_phi
+    return features.gram(check_shape("rho", rho, (features.n_states, features.n_actions)))
 
 
 def min_eigenvalue(gram: np.ndarray) -> float:

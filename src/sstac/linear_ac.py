@@ -4,8 +4,8 @@ The actor performs the natural-policy-gradient weight recursion
 ``theta_{k+1} = tau_{k+1} (beta^{-1} omega_k + tau_k^{-1} theta_k)`` under the
 schedule ``tau_{k+1}^{-1} = (k+1) / beta``; the critic applies the Bellman
 evaluation operator once per iteration under the new policy's stationary
-distribution rho_{k+1}, either as an exact population least-squares solve or
-as a sampled projected least-squares step.
+distribution rho_{k+1}: a population least-squares solve, exactly or under
+the empirical measure of sampled draws, with the same ``FeatureMap`` moments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from . import mdp as mdp_mod
-from .errors import ConditioningError, ParameterError, SstacError
+from .errors import ConditioningError, ContractViolationError, ParameterError, SstacError, check_finite, check_shape
 from .features import FeatureMap, gram_matrix, min_eigenvalue
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
@@ -48,23 +48,11 @@ def actor_step(theta: np.ndarray, omega: np.ndarray, k: int, beta: float) -> np.
     return (omega / beta + (k / beta) * theta) / ((k + 1) / beta)
 
 
-def _sample_moments(features: FeatureMap, gram_pairs: np.ndarray, s: np.ndarray, a: np.ndarray, y: np.ndarray):
-    """Empirical Gram over the Gram pairs and right-hand side mean(y phi[s, a]).
-
-    For one-hot features the Gram is diagonal (pair visit frequencies) and
-    both moments are bin sums over the flat pair index s * A + a, which add
-    the same terms in the same order as the dense sums.
-    """
-    n = len(s)
-    if features.one_hot:
-        n_actions = features.n_actions
-        pairs = gram_pairs[:, 0] * n_actions + gram_pairs[:, 1]
-        gram = np.bincount(pairs, minlength=features.dim) / n
-        rhs = np.bincount(s * n_actions + a, weights=y, minlength=features.dim) / n
-        return gram, rhs
-    phi = features.phi
-    phi_gram = phi[gram_pairs[:, 0], gram_pairs[:, 1]]
-    return phi_gram.T @ phi_gram / n, (y[:, None] * phi[s, a]).mean(axis=0)
+def _empirical_table(features: FeatureMap, s: np.ndarray, a: np.ndarray, weights=None) -> np.ndarray:
+    """(S, A) table of per-pair draw counts, or sums of ``weights`` in draw order, over the number of draws."""
+    n_states, n_actions = features.n_states, features.n_actions
+    sums = np.bincount(s * n_actions + a, weights=weights, minlength=n_states * n_actions)
+    return (sums / len(s)).reshape(n_states, n_actions)
 
 
 def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) -> np.ndarray:
@@ -85,9 +73,7 @@ def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) ->
             f"Gram matrix is singular beyond tolerance (sigma_min={sigma_min:.3e} < {_GRAM_TOL:.0e}{zero}); {hint}",
             sigma_min=sigma_min,
         )
-    if not diagonal:
-        return project_l2(np.linalg.solve(ridged, rhs), radius)
-    return project_l2(rhs / ridged, radius)
+    return project_l2(rhs / ridged if diagonal else np.linalg.solve(ridged, rhs), radius)
 
 
 def critic_step_exact(
@@ -100,8 +86,8 @@ def critic_step_exact(
     radius: float,
 ) -> np.ndarray:
     """omega_{k+1}: population least squares on T^{pi_next} Q_{omega_k} (``q_omega``) under rho_next, in the ball."""
-    weighted = rho_next * mdp_mod.bellman_eval(mdp, policy_next, q_omega)
-    rhs = weighted.reshape(-1) if features.one_hot else np.einsum("sa,sad->d", weighted, features.phi)
+    check_finite("q_omega", q_omega)
+    rhs = features.weighted_sum(rho_next * mdp_mod.bellman_eval(mdp, policy_next, q_omega))
     return _solve_critic(gram_matrix(features, rho_next), rhs, radius, "the evaluation distribution may lack support")
 
 
@@ -126,9 +112,14 @@ def critic_step_sampled(
 ) -> np.ndarray:
     """omega_{k+1}: least squares on a ``draw_batch`` batch, bootstrapping from q_omega = Q_{omega_k}, in the ball."""
     gram_pairs, (s, a, r, s_next, a_next) = batch
+    q_omega = check_shape("q_omega", q_omega, (features.n_states, features.n_actions))
+    check_finite("q_omega", q_omega)
+    if len(s) == 0 or len(gram_pairs) == 0:
+        raise ContractViolationError(f"sample sets must be nonempty, got {len(gram_pairs)} and {len(s)} draws")
     y = (1.0 - gamma) * r + gamma * q_omega[s_next, a_next]
-    gram, rhs = _sample_moments(features, gram_pairs, s, a, y)
-    return _solve_critic(gram, rhs, radius, "increase N or enable the ridge", ridge=ridge)
+    rho_hat = _empirical_table(features, gram_pairs[:, 0], gram_pairs[:, 1])
+    rhs = features.weighted_sum(_empirical_table(features, s, a, y))
+    return _solve_critic(features.gram(rho_hat), rhs, radius, "increase N or enable the ridge", ridge=ridge)
 
 
 def default_radius(mdp: mdp_mod.TabularMDP) -> float:

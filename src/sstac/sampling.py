@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import check_nonnegative, check_probabilities, check_shape
+from .errors import ContractViolationError, check_nonnegative, check_probabilities, check_shape
 from .mdp import check_policy_matrix
 
 # Recorded in run manifests; bump if the draw algorithm ever changes.
@@ -46,6 +46,10 @@ def _conditional_draws(rng: np.random.Generator, row_probs: np.ndarray) -> np.nd
 def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) array of state-action pairs drawn i.i.d. from a joint table rho[s, a], via inverse CDF."""
     rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 2:
+        raise ContractViolationError(f"rho must be an (S, A) table, got shape {rho.shape}")
+    if n < 0:
+        raise ContractViolationError(f"n must be >= 0, got {n}")
     check_nonnegative("rho", rho)
     flat = rho.reshape(-1)
     check_probabilities("rho", flat)

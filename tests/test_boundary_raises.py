@@ -10,7 +10,7 @@ from sstac.deep_net import forward, init_params, project_ball
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.harness import ExperimentConfig
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
-from sstac.linear_ac import run_linear_ac
+from sstac.linear_ac import critic_step_exact, critic_step_sampled, run_linear_ac
 from sstac.neural_ac import run_neural_ac
 from sstac.policy import kl, softmax_rows
 from sstac.sampling import sample_sa, sample_tuples
@@ -26,8 +26,22 @@ def chain2_with(**fields):
     return TabularMDP(**{**doc, **fields})
 
 
-def chain2_tuples(rho, policy_next):
-    return sample_tuples(chain2(), rho, policy_next, np.random.default_rng(0), 4)
+def chain2_tuples(rho, policy_next, n=4):
+    return sample_tuples(chain2(), rho, policy_next, np.random.default_rng(0), n)
+
+
+NAN_Q = np.array([[0.0, np.nan], [0.0, 0.0]])
+
+
+def chain2_critic_exact(q_omega):
+    uniform = np.full((2, 2), 0.5)
+    return critic_step_exact(q_omega, chain2(), uniform, tabular_features(2, 2), uniform / 2, radius=1.0)
+
+
+def chain2_critic_sampled(q_omega, n=4, features=None):
+    rho, policy = np.full((2, 2), 0.25), np.full((2, 2), 0.5)
+    batch = (sample_sa(rho, np.random.default_rng(0), n), chain2_tuples(rho, policy, n))
+    return critic_step_sampled(q_omega, batch, features or tabular_features(2, 2), chain2().gamma, radius=1.0)
 
 
 def empty_trace():
@@ -131,6 +145,26 @@ CASES = {
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),
         ParameterError, "K must be >= 1, got 0",
     ),
+    "linear_ac-exact-nan-q": (
+        lambda: chain2_critic_exact(NAN_Q),
+        ContractViolationError, "q_omega entry (0, 1) is nan, not finite",
+    ),
+    "linear_ac-sampled-nan-q": (
+        lambda: chain2_critic_sampled(NAN_Q, features=random_features(2, 2, 3, seed=0)),
+        ContractViolationError, "q_omega entry (0, 1) is nan, not finite",
+    ),
+    "linear_ac-sampled-q-shape": (
+        lambda: chain2_critic_sampled(np.zeros(4)),
+        ContractViolationError, "q_omega must have shape (2, 2), got (4,)",
+    ),
+    "linear_ac-sampled-empty-batch": (
+        lambda: chain2_critic_sampled(np.zeros((2, 2)), n=0),
+        ContractViolationError, "sample sets must be nonempty, got 0 and 0 draws",
+    ),
+    "linear_ac-sampled-empty-batch-dense": (
+        lambda: chain2_critic_sampled(np.zeros((2, 2)), n=0, features=random_features(2, 2, 3, seed=0)),
+        ContractViolationError, "sample sets must be nonempty, got 0 and 0 draws",
+    ),
     "linear_ac-sampled-zero-N": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", N=0),
         ParameterError, "N must be >= 1 in sampled mode, got 0",
@@ -150,6 +184,14 @@ CASES = {
     "sampling-sa-negative-rho": (
         lambda: sample_sa(np.array([[0.5, 0.5], [0.25, -0.25]]), np.random.default_rng(0), 4),
         ContractViolationError, "rho entry (1, 1) is -0.25, negative",
+    ),
+    "sampling-sa-rho-rank": (
+        lambda: sample_sa(np.full(4, 0.25), np.random.default_rng(0), 4),
+        ContractViolationError, "rho must be an (S, A) table, got shape (4,)",
+    ),
+    "sampling-sa-negative-n": (
+        lambda: sample_sa(np.full((2, 2), 0.25), np.random.default_rng(0), -1),
+        ContractViolationError, "n must be >= 0, got -1",
     ),
     "sampling-sa-rho-sum": (
         lambda: sample_sa(np.array([[0.5, 0.5], [0.25, 0.0]]), np.random.default_rng(0), 4),

@@ -4,7 +4,10 @@ Each property compares the library against the dense computation written
 out inline (matmul Gram, eigvalsh conditioning check, LAPACK solve), with
 ``np.array_equal``.  Pair weights include exact zeros and values within a
 few ulps of the fixed conditioning tolerance 1e-12, so both the accept and
-the reject branch of the check are exercised.
+the reject branch of the check are exercised.  The sampled critic's
+reference is the exact critic's computation under the empirical measure of
+its draws: the pair frequencies of the Gram draws and the per-pair sums of
+the targets, over n.
 
 The critics take the table Q_omega = phi @ omega, while the references
 compute from omega itself.  The sampled critic's bootstrap gathers
@@ -91,9 +94,11 @@ def dense_population(p, rho):
     return dense_solve(dense_gram(feats, rho), rhs, p["radius"])
 
 
-def dense_sample_moments(phi, gram_pairs, s, a, y):
-    phi_gram = phi[gram_pairs[:, 0], gram_pairs[:, 1]]
-    return phi_gram.T @ phi_gram / len(s), (y[:, None] * phi[s, a]).mean(axis=0)
+def empirical_table(feats, s, a, weights=1.0):
+    """Per-pair sums of ``weights`` (counts by default) over the draws (s, a), in draw order, divided by n."""
+    table = np.zeros((feats.n_states, feats.n_actions))
+    np.add.at(table, (s, a), weights)
+    return table / len(s)
 
 
 def assert_same_outcome(got, reference):
@@ -141,7 +146,8 @@ def test_sampled_critic_matches_dense_solve(p, n, ridge):
 
     def reference():
         y = (1.0 - gamma) * r + gamma * (feats.phi[s_next, a_next] @ omega)
-        gram, rhs = dense_sample_moments(feats.phi, gram_pairs, s, a, y)
+        gram = dense_gram(feats, empirical_table(feats, gram_pairs[:, 0], gram_pairs[:, 1]))
+        rhs = np.einsum("sa,sad->d", empirical_table(feats, s, a, y), feats.phi)
         if ridge > 0.0:
             gram = gram + ridge * np.eye(feats.dim)
         return dense_solve(gram, rhs, radius)
@@ -168,3 +174,26 @@ def test_dense_bootstrap_gather_matches_row_product_to_round_off(n_states, n_act
     s_next, a_next = rng.integers(0, n_states, n), rng.integers(0, n_actions, n)
     gap = np.max(np.abs((feats.phi @ omega)[s_next, a_next] - feats.phi[s_next, a_next] @ omega))
     assert gap <= 1e-12 * (1.0 + np.linalg.norm(omega))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 1.0, 100.0]),
+)
+def test_empirical_table_moments_match_sample_means_to_round_off(n_states, n_actions, dim, n, seed, scale):
+    feats = random_features(n_states, n_actions, dim, seed)
+    rng = np.random.default_rng(seed)
+    s, a = rng.integers(0, n_states, n), rng.integers(0, n_actions, n)
+    y = rng.standard_normal(n) * scale
+    phi = feats.phi[s, a]
+    tol = 1e-12 * (1.0 + np.max(np.abs(y)))
+    gram = feats.gram(empirical_table(feats, s, a))
+    gram = np.diag(gram) if feats.one_hot else gram  # a single pair with phi = +1 is the 1x1 identity
+    assert np.max(np.abs(gram - phi.T @ phi / n)) <= tol
+    rhs = feats.weighted_sum(empirical_table(feats, s, a, y))
+    assert np.max(np.abs(rhs - (y[:, None] * phi).mean(axis=0))) <= tol

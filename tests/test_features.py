@@ -80,9 +80,8 @@ def test_rejects_non_finite_features_naming_the_pair(bad):
 
 
 def test_tabular_features_are_detected_one_hot():
-    for n_states, n_actions in [(1, 2), (2, 2), (25, 4), (64, 8)]:
+    for n_states, n_actions in [(1, 1), (1, 2), (2, 2), (25, 4), (64, 8)]:
         assert tabular_features(n_states, n_actions).one_hot
-    assert not tabular_features(1, 1).one_hot  # a single pair keeps the dense sums
 
 
 def _dense_gram(feats, rho):

@@ -7,6 +7,8 @@ by the error class and message.  The hashes live in
 logged trace change:
 
     PYTHONPATH=src python tests/test_trace_matrix.py
+
+which prints the name of every case whose outcome changed, and their count.
 """
 
 import hashlib
@@ -82,4 +84,8 @@ def test_trace_matches_pinned_hash(case):
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({case: outcome(run) for case, run in sorted(CASES.items())}, indent=1) + "\n")
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    new = {case: outcome(run) for case, run in sorted(CASES.items())}
+    changed = sorted(case for case in old.keys() | new.keys() if old.get(case) != new.get(case))
+    print("\n".join(changed + [f"{len(changed)} of {len(new)} cases changed"]))
+    PINS.write_text(json.dumps(new, indent=1) + "\n")
