@@ -35,12 +35,8 @@ class FeatureMap:
             raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
         flat = phi.reshape(-1, phi.shape[2])
         # d nonzeros, all on the diagonal and all 1: the identity, without building one.
-        one_hot = (
-            flat.shape[0] == flat.shape[1]
-            and np.count_nonzero(flat) == len(flat)
-            and bool(np.all(flat.diagonal() == 1.0))
-        )
-        object.__setattr__(self, "one_hot", one_hot)
+        one_hot = flat.shape[0] == flat.shape[1] and np.count_nonzero(flat) == len(flat)
+        object.__setattr__(self, "one_hot", one_hot and bool(np.all(flat.diagonal() == 1.0)))
 
     @property
     def dim(self) -> int:
@@ -60,6 +56,7 @@ class FeatureMap:
 
     def gram(self, rho: np.ndarray) -> np.ndarray:
         """E_rho[phi phi^T] for an (S, A) weight table; for one-hot features its diagonal, rho flattened (1-D)."""
+        rho = check_shape("rho", rho, (self.n_states, self.n_actions))
         if self.one_hot:
             return rho.flatten()
         flat_phi = self.phi.reshape(-1, self.dim)
@@ -67,6 +64,7 @@ class FeatureMap:
 
     def weighted_sum(self, table: np.ndarray) -> np.ndarray:
         """sum_{s, a} table[s, a] phi[s, a]; for one-hot features, the table flattened."""
+        table = check_shape("table", table, (self.n_states, self.n_actions))
         return table.reshape(-1) if self.one_hot else np.einsum("sa,sad->d", table, self.phi)
 
 
@@ -89,7 +87,7 @@ def random_features(n_states: int, n_actions: int, dim: int, seed: int) -> Featu
 
 def gram_matrix(features: FeatureMap, rho: np.ndarray) -> np.ndarray:
     """Second-moment matrix E_rho[phi phi^T]; for one-hot features its diagonal, rho flattened (1-D)."""
-    return features.gram(check_shape("rho", rho, (features.n_states, features.n_actions)))
+    return features.gram(rho)
 
 
 def min_eigenvalue(gram: np.ndarray) -> float:

@@ -77,6 +77,14 @@ CASES = {
         lambda: random_features(2, 2, 0, seed=0),
         ContractViolationError, "feature dimension must be >= 1, got 0",
     ),
+    "features-gram-transposed": (
+        lambda: tabular_features(2, 3).gram(np.full((3, 2), 1 / 6)),
+        ContractViolationError, "rho must have shape (2, 3), got (3, 2)",
+    ),
+    "features-weighted-sum-transposed": (
+        lambda: tabular_features(2, 3).weighted_sum(np.zeros((3, 2))),
+        ContractViolationError, "table must have shape (2, 3), got (3, 2)",
+    ),
     "features-rho-shape": (
         lambda: gram_matrix(tabular_features(2, 2), np.zeros(3)),
         ContractViolationError, "rho must have shape (2, 2), got (3,)",
