@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, check_shape
+from .errors import BALL_SLACK, ContractViolationError, check_shape
 
 # Subgradient convention at the ReLU kink: derivative 0 at exactly 0.
 
@@ -103,29 +103,26 @@ def gradient(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray]]
     return value, grads
 
 
-# Distances within one part in 1e12 of the radius count as inside, which makes
-# the projection exactly idempotent despite rounding in the shrink.
-_BALL_SLACK = 1e-12
-
-
 def project_ball(params: DnnParams, radius: float) -> DnnParams:
     """Copy of ``params`` projected by ``project_ball_inplace``."""
-    if radius < 0:
-        raise ContractViolationError(f"radius must be >= 0, got {radius}")
     out = params.clone()
     project_ball_inplace(out, radius)
     return out
 
 
 def project_ball_inplace(params: DnnParams, radius: float) -> None:
-    """Shrink each layer radially toward its anchor so every Frobenius distance is <= radius.
+    """Shrink each layer radially toward its anchor W0 so every Frobenius distance is <= radius.
 
-    Idempotent; layers already inside the ball are left untouched.
+    A layer within BALL_SLACK of the radius plus eps * ||W0||, the rounding of W0 + shrunk
+    difference, counts as inside and is left untouched, so the projection is idempotent.
     """
+    if not radius >= 0.0:
+        raise ContractViolationError(f"radius must be >= 0, got {radius}")
+    bound = radius * (1.0 + BALL_SLACK)
     for h, (w, w0) in enumerate(zip(params.weights, params.anchor)):
         diff = w - w0
         dist = float(np.linalg.norm(diff))
-        if dist > radius * (1.0 + _BALL_SLACK):
+        if dist > bound and dist > bound + np.finfo(float).eps * float(np.linalg.norm(w0)):
             params.weights[h] = w0 + diff * (radius / dist) if radius > 0.0 else w0.copy()
 
 

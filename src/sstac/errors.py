@@ -9,6 +9,10 @@ import numpy as np
 # Entry and row-sum tolerance of every probability table: kernels, distributions and policies.
 _PROB_TOL = 1e-12
 
+# Both ball projections count a distance within one part in 1e12 of the radius as
+# inside, which makes them exactly idempotent despite rounding in the shrink.
+BALL_SLACK = 1e-12
+
 
 class SstacError(Exception):
     code = "internal"

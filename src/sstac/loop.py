@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__, mdp as mdp_mod
 from .diagnostics import error_decomposition
-from .errors import ParameterError, SstacError
+from .errors import BALL_SLACK, ParameterError, SstacError
 from .policy import softmax_rows
 from .sampling import RNG_ID
 from .trace import RunTrace
@@ -46,8 +46,10 @@ def run_single_timescale(
     ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
     ``(pi_next, rho_next, q_next, logged)``: the new policy, its stationary
     state-action distribution, the new critic table, and a dict of the
-    driver's own trace columns.  The trace columns are ``k``, the fields of
-    ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
+    driver's own trace columns.  An ``actor_norm`` or ``critic_norm`` (distance to
+    the ball centre) above ``params["radius"]``, beyond BALL_SLACK and 1e-9 for the
+    round-off of averaged iterates, raises ``SstacError``.  The trace columns are
+    ``k``, the fields of ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.  The manifest holds
     what every run shares: ``rng_id``, ``version`` and the driver's ``params``.
@@ -56,11 +58,15 @@ def run_single_timescale(
     q_star, pi_star = mdp_mod.optimal_q(mdp)
     nu_star, _ = mdp_mod.stationary_dists(mdp, pi_star)
 
+    ball_bound = params["radius"] * (1.0 + BALL_SLACK) + 1e-9
     rows: list[list[float]] = []
     cum_regret = 0.0
     for k in range(K + 1):
         try:
             pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
+            for name in ("actor_norm", "critic_norm"):
+                if not logged[name] <= ball_bound:
+                    raise SstacError(f"{name} {logged[name]!r} left the projection ball of radius {params['radius']!r}")
             q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
             diag = error_decomposition(
                 mdp,

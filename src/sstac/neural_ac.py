@@ -25,7 +25,7 @@ from .deep_net import (
     project_ball_inplace,
     sa_encoding_table,
 )
-from .errors import ContractViolationError, ParameterError, SstacError
+from .errors import ContractViolationError, ParameterError
 from .features import FeatureMap
 from .loop import resolve_beta, run_single_timescale
 from .policy import softmax_rows
@@ -34,7 +34,7 @@ from .trace import RunTrace
 
 
 def _sgd_averaged(
-    start: DnnParams,
+    work: DnnParams,
     radius: float,
     stepsize: float,
     inputs: np.ndarray,
@@ -42,13 +42,12 @@ def _sgd_averaged(
 ) -> DnnParams:
     """Projected-SGD loop on the squared loss, one step per input, returning the average of the iterates.
 
-    Step n moves along the gradient at ``inputs[n]`` scaled by the residual
-    (network output minus ``targets[n]``).
+    Step n moves ``work`` in place along the gradient at ``inputs[n]`` scaled by
+    the residual (network output minus ``targets[n]``).
     """
     n_steps = len(inputs)
     if n_steps == 0:
         raise ContractViolationError("an inner loop needs at least one draw")
-    work = start
     acc = [np.zeros_like(w) for w in work.weights]
     for n in range(n_steps):
         value, grads = gradient(work, inputs[n])
@@ -56,9 +55,6 @@ def _sgd_averaged(
         for h in range(work.depth):
             work.weights[h] -= stepsize * resid * grads[h]
         project_ball_inplace(work, radius)
-        distance = float(work.anchor_distances().max())
-        if distance > radius + 1e-9:
-            raise SstacError(f"inner iterate escaped the projection ball: distance {distance!r} > radius {radius!r}")
         for h in range(work.depth):
             acc[h] += work.weights[h]
     averaged = [a / n_steps for a in acc]

@@ -39,7 +39,8 @@ def _conditional_draws(rng: np.random.Generator, row_probs: np.ndarray) -> np.nd
     """One draw per row of a (n, K) matrix of distributions."""
     cum = np.cumsum(row_probs, axis=1)
     u = rng.random(row_probs.shape[0])
-    idx = (cum < u[:, None]).sum(axis=1)
+    # Counting cum <= u skips zero-mass outcomes, as sample_sa's searchsorted(side="right") does.
+    idx = (cum <= u[:, None]).sum(axis=1)
     return np.minimum(idx, row_probs.shape[1] - 1)
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from sstac import ConfigError, ContractViolationError, ParameterError, TabularMDP, chain2, load_trace
-from sstac.deep_net import forward, init_params, project_ball
+from sstac.deep_net import forward, init_params, project_ball, project_ball_inplace, sa_encoding_table
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.harness import ExperimentConfig
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
-from sstac.linear_ac import critic_step_exact, critic_step_sampled, run_linear_ac
-from sstac.neural_ac import run_neural_ac
+from sstac.linear_ac import critic_step_exact, critic_step_sampled, project_l2, run_linear_ac
+from sstac.neural_ac import actor_inner_loop, run_neural_ac
 from sstac.policy import kl, softmax_rows
 from sstac.sampling import sample_sa, sample_tuples
 
@@ -33,9 +33,9 @@ def chain2_tuples(rho, policy_next, n=4):
 NAN_Q = np.array([[0.0, np.nan], [0.0, 0.0]])
 
 
-def chain2_critic_exact(q_omega):
+def chain2_critic_exact(q_omega, radius=1.0):
     uniform = np.full((2, 2), 0.5)
-    return critic_step_exact(q_omega, chain2(), uniform, tabular_features(2, 2), uniform / 2, radius=1.0)
+    return critic_step_exact(q_omega, chain2(), uniform, tabular_features(2, 2), uniform / 2, radius=radius)
 
 
 def chain2_critic_sampled(q_omega, n=4, features=None):
@@ -59,6 +59,10 @@ CASES = {
     ),
     "deep_net-negative-radius": (
         lambda: project_ball(init_params(3, 4, 1, seed=0), -1.0),
+        ContractViolationError, "radius must be >= 0, got -1.0",
+    ),
+    "deep_net-negative-radius-inplace": (
+        lambda: project_ball_inplace(init_params(3, 4, 1, seed=0), -1.0),
         ContractViolationError, "radius must be >= 0, got -1.0",
     ),
     "deep_net-zero-width": (
@@ -145,6 +149,13 @@ CASES = {
         lambda: mdp_from_json({**mdp_doc(chain2()), "n_states": 3}),
         ContractViolationError, "transition shape (2, 2, 2) does not match declared (3, 2, 3)",
     ),
+    "neural_ac-actor-negative-radius": (
+        lambda: actor_inner_loop(
+            init_params(4, 4, 1, seed=0), np.zeros((2, 2)), sa_encoding_table(2, 2), np.zeros((1, 2), dtype=int),
+            radius=-1.0, alpha=0.5,
+        ),
+        ContractViolationError, "radius must be >= 0, got -1.0",
+    ),
     "neural_ac-inner-count": (
         lambda: run_neural_ac(chain2(), 8, 2, 1, n_actor=0),
         ParameterError, "inner iteration counts must be >= 1, got N_a=0 and N_c=400",
@@ -152,6 +163,18 @@ CASES = {
     "linear_ac-zero-K": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),
         ParameterError, "K must be >= 1, got 0",
+    ),
+    "linear_ac-project-negative-radius": (
+        lambda: project_l2(np.zeros(2), -1.0),
+        ContractViolationError, "radius must be >= 0, got -1.0",
+    ),
+    "linear_ac-exact-negative-radius": (
+        lambda: chain2_critic_exact(np.zeros((2, 2)), radius=-1.0),
+        ContractViolationError, "radius must be >= 0, got -1.0",
+    ),
+    "linear_ac-negative-ridge": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", ridge=-1.0),
+        ParameterError, "ridge must be finite and >= 0, got -1.0",
     ),
     "linear_ac-exact-nan-q": (
         lambda: chain2_critic_exact(NAN_Q),

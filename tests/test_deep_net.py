@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sstac import ContractViolationError
 from sstac.deep_net import (
@@ -10,8 +13,10 @@ from sstac.deep_net import (
     init_params,
     linearization_gap,
     project_ball,
+    project_ball_inplace,
     sa_encoding_table,
 )
+from sstac.errors import BALL_SLACK
 
 FD_MATRIX = [(4, 8, 1), (6, 16, 3), (8, 32, 2)]
 
@@ -196,6 +201,68 @@ class TestProjectBall:
         twice = project_ball(once, radius=0.2)
         for a, b in zip(once.weights, twice.weights):
             np.testing.assert_array_equal(a, b)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+# Offsets in [-1, 1], none so small that its square underflows in np.linalg.norm.
+UNIT = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+@st.composite
+def anchored_params(draw):
+    """Anchors up to 1e3 in magnitude, weights at a drawn scale around them, and a radius >= 0.
+
+    The radius is 0, a drawn multiple of the scale, or within a few ulps of layer
+    0's distance or of that distance over 1 + BALL_SLACK, where the inside test flips.
+    Radii stay far above 1e-154, below which np.linalg.norm's squares underflow.
+    """
+    d, m, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shapes = [(d, m)] + [(m, m)] * (depth - 1)
+    anchor = [draw(arrays(float, shape, elements=st.floats(-1e3, 1e3))) for shape in shapes]
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    weights = [w0 + scale * draw(arrays(float, w0.shape, elements=UNIT)) for w0 in anchor]
+    dist0 = float(np.linalg.norm(weights[0] - anchor[0]))
+    near = [dist0 * (1.0 + k * 2.0**-52) / (1.0 + slack) for k in range(-2, 3) for slack in (0.0, BALL_SLACK)]
+    radius = draw(st.one_of(st.just(0.0), st.floats(1e-6, 3.0).map(lambda f: scale * f), st.sampled_from(near)))
+    return DnnParams(weights=weights, sign_vector=np.ones(m), anchor=anchor), radius
+
+
+def inside(w, w0, radius):
+    """The projection's guarantee: within BALL_SLACK of the radius, plus the round-off
+    eps * ||W0|| of storing a shrunk layer as W0 + difference."""
+    return np.linalg.norm(w - w0) <= radius * (1.0 + BALL_SLACK) + np.finfo(float).eps * np.linalg.norm(w0)
+
+
+class TestProjectBallProperties:
+    """What the SGD loop relies on without measuring it: each projected iterate is inside the ball."""
+
+    @PROPERTY
+    @given(anchored_params())
+    def test_every_layer_ends_inside(self, case):
+        params, radius = case
+        project_ball_inplace(params, radius)
+        assert all(inside(w, w0, radius) for w, w0 in zip(params.weights, params.anchor))
+
+    @PROPERTY
+    @given(anchored_params())
+    def test_layers_inside_keep_their_bits(self, case):
+        params, radius = case
+        before = [w.copy() for w in params.weights]
+        project_ball_inplace(params, radius)
+        for w, w_before, w0 in zip(params.weights, before, params.anchor):
+            if inside(w_before, w0, radius):
+                np.testing.assert_array_equal(w, w_before)
+
+    @PROPERTY
+    @given(anchored_params())
+    def test_second_projection_changes_no_bit(self, case):
+        params, radius = case
+        project_ball_inplace(params, radius)
+        once = [w.copy() for w in params.weights]
+        project_ball_inplace(params, radius)
+        for w, w_once in zip(params.weights, once):
+            np.testing.assert_array_equal(w, w_once)
 
 
 class TestLinearizationGap:

@@ -1,7 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sstac import (
     ConditioningError,
@@ -24,6 +28,7 @@ from sstac import (
     stationary_dists,
     tabular_features,
 )
+from sstac.errors import BALL_SLACK
 from sstac.linear_ac import project_l2
 
 from conftest import random_policy
@@ -65,6 +70,48 @@ class TestProjection:
 
     def test_zero_radius(self):
         np.testing.assert_array_equal(project_l2(np.array([3.0, 4.0]), 0.0), [0.0, 0.0])
+
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+# Offsets in [-1, 1], none so small that its square underflows in np.linalg.norm.
+UNIT = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+@st.composite
+def centred_points(draw):
+    """A point at a drawn scale and a radius >= 0: 0, a drawn multiple of the scale, or
+    within a few ulps of the point's norm or of that norm over 1 + BALL_SLACK.  Radii stay
+    far above 1e-154, below which np.linalg.norm's squares underflow."""
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    w = scale * draw(arrays(float, draw(st.integers(1, 8)), elements=UNIT))
+    norm = float(np.linalg.norm(w))
+    near = [norm * (1.0 + k * 2.0**-52) / (1.0 + slack) for k in range(-2, 3) for slack in (0.0, BALL_SLACK)]
+    return w, draw(st.one_of(st.just(0.0), st.floats(1e-6, 3.0).map(lambda f: scale * f), st.sampled_from(near)))
+
+
+class TestProjectionProperties:
+    """The critic ball: project_l2 is the centre-0 case of the network projection's guarantees."""
+
+    @PROPERTY
+    @given(centred_points())
+    def test_ends_inside(self, case):
+        w, radius = case
+        assert np.linalg.norm(project_l2(w, radius)) <= radius * (1.0 + BALL_SLACK)
+
+    @PROPERTY
+    @given(centred_points())
+    def test_inside_keeps_its_bits(self, case):
+        w, radius = case
+        if np.linalg.norm(w) <= radius * (1.0 + BALL_SLACK):
+            assert project_l2(w, radius) is w
+
+    @PROPERTY
+    @given(centred_points())
+    def test_second_projection_changes_no_bit(self, case):
+        w, radius = case
+        once = project_l2(w, radius)
+        np.testing.assert_array_equal(project_l2(once, radius), once)
 
 
 class TestCriticStepExact:
@@ -265,6 +312,21 @@ class TestRunLinearAc:
             run_linear_ac(m, feats, 4, mode="bogus")
         with pytest.raises(ParameterError):
             run_linear_ac(m, feats, 4, mode="sampled", N=0)
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_ridge_outside_zero_to_infinity_rejected(self, mode, ridge):
+        # A negative or NaN ridge used to run as ridge 0, and an infinite one zeroed every critic.
+        with pytest.raises(ParameterError, match="ridge must be finite and >= 0"):
+            run_linear_ac(chain2(), tabular_features(2, 2), 2, mode=mode, N=64, ridge=ridge)
+
+    def test_ridge_recorded_only_where_used(self):
+        # Like N, the ridge is a sampled-critic setting; the exact critic never reads it.
+        feats = tabular_features(2, 2)
+        exact = run_linear_ac(chain2(), feats, 2, ridge=1e-3)
+        sampled = run_linear_ac(chain2(), feats, 2, mode="sampled", N=64, ridge=1e-3)
+        assert exact.manifest["params"]["ridge"] is None
+        assert sampled.manifest["params"]["ridge"] == 1e-3
 
     @pytest.mark.parametrize("mode, kwargs", [("exact", {}), ("sampled", {"N": 256, "ridge": 1e-3})], ids=["exact", "sampled"])
     def test_retained_memory_is_the_trace_rows(self, mode, kwargs):

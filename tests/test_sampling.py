@@ -3,6 +3,14 @@ import itertools
 import numpy as np
 
 from sstac import RunRng, chain2, sample_sa, sample_tuples
+from sstac.sampling import _conditional_draws
+
+
+class ZeroRng:
+    """A generator stub whose every uniform draw is exactly 0.0."""
+
+    def random(self, n):
+        return np.zeros(n)
 
 
 class TestRunRng:
@@ -91,3 +99,20 @@ class TestSampleTuples:
             tv = 0.5 * np.abs(freqs - m.transition[si, ai]).sum()
             assert tv < 0.02
 
+
+class TestTieRule:
+    """A uniform draw of exactly 0.0 lands on the first outcome with positive mass, in both samplers."""
+
+    def test_conditional_draws_skip_zero_mass(self):
+        rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(_conditional_draws(ZeroRng(), rows), [1, 2])
+
+    def test_sample_sa_skips_zero_mass(self):
+        rho = np.array([[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_array_equal(sample_sa(rho, ZeroRng(), 2), [[0, 1], [0, 1]])
+
+    def test_next_action_skips_zero_mass(self):
+        rho = np.array([[0.0, 1.0], [0.0, 0.0]])
+        always_second = np.array([[0.0, 1.0], [0.0, 1.0]])
+        s, a, _, _, a_next = sample_tuples(chain2(), rho, always_second, ZeroRng(), 3)
+        np.testing.assert_array_equal(np.stack([s, a, a_next]), [[0] * 3, [1] * 3, [1] * 3])

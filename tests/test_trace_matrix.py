@@ -1,4 +1,4 @@
-"""Byte identity of every trace in a fixed 57-case matrix.
+"""Byte identity of every trace in a fixed 58-case matrix.
 
 Each case runs one driver (or one config through ``execute_run``) and is
 pinned by the sha256 of its ``trace.csv`` text, or, for a case that raises,
@@ -36,6 +36,10 @@ CONFIGS = {
     "gridworld5-exact-R-beta": {"mdp": "gridworld5", "algorithm": "linear_exact", "K": 5, "R": 25.0, "beta": 1.5},
     "random16-sampled": {"mdp": "random(16,4,7)", "algorithm": "linear_sampled", "K": 4, "N": 512, "ridge": 1e-3},
     "chain2-neural": {"mdp": "chain2", "algorithm": "neural", "K": 2, "arch": {"m": 8, "H": 2}, "N_a": 16, "N_c": 16},
+    # The critic's ball projection is active: the logged critic_norm ends within 1% of R.
+    "chain2-neural-active-ball": {
+        "mdp": "chain2", "algorithm": "neural", "K": 3, "arch": {"m": 8, "H": 2}, "N_a": 100, "N_c": 100, "R": 0.3,
+    },
 }
 
 
