@@ -16,7 +16,7 @@ def main():
     uniform_gap = float(np.sum(rho_star * (q_star - exact_q_pi(m, np.full((2, 2), 0.5)))))
     print(f"uniform-policy gap: {uniform_gap:.4f}")
 
-    trace = run_neural_ac(m, m=32, depth=2, K=64, n_actor=400, n_critic=400, seed=0)
+    trace = run_neural_ac(m, m=32, H=2, K=64, N_a=400, N_c=400, seed=0)
     cols = trace.columns
     print("\nk     gap      actor_mse   critic_mse  actor_lin_gap")
     for k in (0, 1, 4, 16, 32, 64):

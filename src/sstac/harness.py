@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError
 from .features import tabular_features
 from .linear_ac import run_linear_ac
+from .loop import SETTINGS, check_setting
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
 from .trace import MANIFEST_FILENAME, TRACE_FILENAME, RunTrace, load_trace
@@ -28,12 +29,6 @@ ALGORITHMS = tuple(ALGORITHM_KEYS)
 _COMMON_KEYS = {"mdp", "algorithm", "K", "seeds", "R", "beta"}
 
 _ARCH_KEYS = {"m", "H"}
-
-# Numeric config keys: (type, lower bound[, bound is exclusive]).
-_NUMBERS = {
-    "K": (int, 1), "N": (int, 1), "N_a": (int, 1), "N_c": (int, 1),
-    "R": (float, 0.0), "beta": (float, 0.0, True), "ridge": (float, 0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class ExperimentConfig:
         for key, required in reads.items():
             if required and key not in doc:
                 raise ConfigError(f"algorithm {algorithm!r} requires config key {key!r}")
-        numbers = {key: _number(doc, key, *spec) for key, spec in _NUMBERS.items() if key in doc}
+        numbers = {key: check_setting(key, doc[key], ConfigError) for key in SETTINGS if key in doc}
         seeds = doc.get("seeds", [0])
         if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
             raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
@@ -97,25 +92,12 @@ class ExperimentConfig:
             arch_doc = doc["arch"]
             if not isinstance(arch_doc, dict) or not set(arch_doc) <= _ARCH_KEYS:
                 raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
-            arch = (_number(arch_doc, "m", int, 1), _number(arch_doc, "H", int, 1))
+            for key in ("m", "H"):
+                if type(arch_doc.get(key)) is not int or arch_doc[key] < 1:
+                    raise ConfigError(f"{key} must be an integer >= 1, got {arch_doc.get(key)!r}")
+            arch = (arch_doc["m"], arch_doc["H"])
 
         return cls(mdp=doc["mdp"], algorithm=algorithm, seeds=tuple(seeds), arch=arch, **numbers)
-
-
-def _number(doc: dict, key: str, kind: type, minimum, strict: bool = False):
-    value = doc.get(key)
-    if kind is int:
-        if type(value) is not int or value < minimum:
-            raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-        return value
-    if type(value) not in (int, float):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not value >= minimum or (strict and value <= minimum):  # NaN fails the first test
-        raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum}, got {value}")
-    if math.isinf(value):  # JSON's Infinity token parses too
-        raise ConfigError(f"{key} must be finite, got {value}")
-    return value
 
 
 def _first_repeat(values: list):
@@ -141,16 +123,15 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
         mdp = build_mdp(config.mdp)
     except (OSError, ValueError, TypeError) as exc:  # unreadable, malformed or invalid MDP file
         raise ConfigError(f"cannot load MDP {config.mdp!r}: {exc}") from exc
-    if config.algorithm == "neural":
-        driver, args = run_neural_ac, (mdp, *config.arch, config.K)
-        settings = {"n_actor": config.N_a, "n_critic": config.N_c}
-    else:
-        driver, args = run_linear_ac, (mdp, tabular_features(mdp.n_states, mdp.n_actions), config.K)
-        settings = {"mode": config.algorithm.removeprefix("linear_"), "N": config.N, "ridge": config.ridge}
-    settings.update(seed=seed, radius=config.R, beta=config.beta)
     # A setting the config leaves unset (None) keeps the driver's default.
+    settings = {key: value for key in SETTINGS if (value := getattr(config, key)) is not None}
+    if config.algorithm == "neural":
+        driver, args = run_neural_ac, config.arch
+    else:
+        driver, args = run_linear_ac, (tabular_features(mdp.n_states, mdp.n_actions),)
+        settings["mode"] = config.algorithm.removeprefix("linear_")
     try:
-        trace = driver(*args, **{name: value for name, value in settings.items() if value is not None})
+        trace = driver(mdp, *args, seed=seed, **settings)
     except MemoryError as exc:  # an allocation the sizes ask for is refused outright
         raise ConfigError(f"cannot allocate the run's arrays ({exc}); use smaller sizes (N, N_a, N_c, arch)") from exc
     trace.manifest.update(
@@ -172,7 +153,7 @@ def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Pa
     return dirs
 
 
-SWEEPABLE = tuple(key for key, (kind, *_) in _NUMBERS.items() if kind is int)
+SWEEPABLE = tuple(key for key, (kind, *_) in SETTINGS.items() if kind is int)
 _SUMMARY_COLUMNS = ("param_value", "seed", "final_gap", "cum_regret", "regret_over_sqrtK")
 
 
@@ -183,10 +164,12 @@ def sweep_command(
 
     Each run is saved under its run id, plus ``-<param><value>`` unless the
     parameter is K (which the run id names already).  Writes summary.csv with
-    one row per run and returns its path plus rows.
+    one row per finished run, and returns its path plus rows.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+    if not values:
+        raise ConfigError("a sweep needs at least one value")
     repeated = _first_repeat(values)
     if repeated is not None:
         raise ConfigError(f"sweep values must be distinct; {param}={repeated} is listed more than once")
@@ -197,7 +180,7 @@ def sweep_command(
         for seed in derived.seeds:
             jobs.append((value, seed, derived))
 
-    results = []
+    results, summary = [], base / "summary.csv"
     for value, seed, derived in jobs:
         trace = execute_run(derived, seed)
         if param != "K":
@@ -205,12 +188,11 @@ def sweep_command(
         trace.save(base / trace.manifest["run_id"])
         final_gap, cum = trace.column("gap")[-1], trace.column("cum_regret")[-1]
         results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(derived.K)))))
-    results.sort(key=lambda row: (row["param_value"], row["seed"]))
-    base.mkdir(parents=True, exist_ok=True)
-    # repr writes ints as str does and floats in their shortest round-trip form.
-    lines = [",".join(_SUMMARY_COLUMNS)] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
-    summary = base / "summary.csv"
-    summary.write_text("\n".join(lines) + "\n")
+        # Rewritten after every run, so a sweep that stops leaves the summary of the runs before it.
+        results.sort(key=lambda row: (row["param_value"], row["seed"]))
+        # repr writes ints as str does and floats in their shortest round-trip form.
+        lines = [",".join(_SUMMARY_COLUMNS)] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
+        summary.write_text("\n".join(lines) + "\n")
     return summary, results
 
 

@@ -10,15 +10,13 @@ the empirical measure of sampled draws, with the same ``FeatureMap`` moments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import mdp as mdp_mod
 from .errors import BALL_SLACK, ConditioningError, ContractViolationError, ParameterError, SstacError
 from .errors import check_finite, check_shape
 from .features import FeatureMap, gram_matrix, min_eigenvalue
-from .loop import resolve_beta, run_single_timescale
+from .loop import check_setting, run_settings, run_single_timescale
 from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import RunTrace
@@ -131,7 +129,7 @@ def run_linear_ac(
     mode: str = "exact",
     N: int = 1024,
     seed: int = 0,
-    radius: float | None = None,
+    R: float | None = None,
     beta: float | None = None,
     ridge: float = 0.0,
 ) -> RunTrace:
@@ -141,16 +139,20 @@ def run_linear_ac(
     an empty ``history``: only the current theta_k and omega_k are kept from
     one iteration to the next.  Fully deterministic given the seed.
     """
-    # The default 2 r_max / (1 - gamma) dominates ||Q^pi||_inf <= r_max, but not ||omega||_2 =
-    # ||Q_omega||_F, which grows like sqrt(S*A): the exact critic can clip on larger MDPs.
-    radius_val = float(radius) if radius is not None else 2.0 * mdp.r_max / (1.0 - mdp.gamma)
-    beta_val = resolve_beta(K, beta, radius_val)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "sampled" and N < 1:
-        raise ParameterError(f"N must be >= 1 in sampled mode, got {N}")
-    if not 0.0 <= ridge < math.inf:
-        raise ParameterError(f"ridge must be finite and >= 0, got {ridge}")
+    sampled = mode == "sampled"
+    ridge = check_setting("ridge", ridge)  # in either mode, though only the sampled critic reads it
+    # The default 2 r_max / (1 - gamma) dominates ||Q^pi||_inf <= r_max, but not ||omega||_2 =
+    # ||Q_omega||_F, which grows like sqrt(S*A): the exact critic can clip on larger MDPs.
+    params = {
+        "algorithm": f"linear_{mode}",
+        **run_settings(K, beta, R, 2.0 * mdp.r_max / (1.0 - mdp.gamma)),
+        "N": check_setting("N", N) if sampled else None,
+        "seed": seed,
+        "ridge": ridge if sampled else None,
+    }
+    beta, R, N = params["beta"], params["R"], params["N"]
     rng = RunRng(seed)
 
     theta, omega = np.zeros(features.dim), np.zeros(features.dim)
@@ -159,39 +161,22 @@ def run_linear_ac(
     def step(k, pi_k, q_k):
         nonlocal theta, omega, omega_sum
         omega_sum = omega_sum + omega
-        theta = actor_step(theta, omega, k, beta_val)
+        theta = actor_step(theta, omega, k, beta)
         drift = float(np.max(np.abs(theta - omega_sum / (k + 1))))
         if drift > 1e-12:
             raise SstacError(f"running-average identity violated: drift {drift:.3e}")
 
-        inv_tau_next = (k + 1) / beta_val
+        inv_tau_next = (k + 1) / beta
         pi_next = softmax_rows(inv_tau_next * features.value_table(theta))
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
         if mode == "exact":
-            omega = critic_step_exact(q_k, mdp, pi_next, features, rho_next, radius=radius_val)
+            omega = critic_step_exact(q_k, mdp, pi_next, features, rho_next, radius=R)
         else:
             batch = draw_batch(mdp, rho_next, pi_next, rng, N)
-            omega = critic_step_sampled(q_k, batch, features, mdp.gamma, radius=radius_val, ridge=ridge)
+            omega = critic_step_sampled(q_k, batch, features, mdp.gamma, radius=R, ridge=ridge)
         actor_norm, critic_norm = float(np.linalg.norm(theta)), float(np.linalg.norm(omega))
         logged = {"inv_tau": inv_tau_next, "actor_norm": actor_norm, "critic_norm": critic_norm}
         return pi_next, rho_next, features.value_table(omega), logged
 
-    params = {
-        "algorithm": f"linear_{mode}",
-        "K": K,
-        "N": N if mode == "sampled" else None,
-        "seed": seed,
-        "beta": beta_val,
-        "radius": radius_val,
-        "ridge": ridge if mode == "sampled" else None,
-    }
-    return run_single_timescale(
-        mdp,
-        K,
-        step,
-        q_0=features.value_table(omega),
-        beta=beta_val,
-        features=features,
-        params=params,
-    )
+    return run_single_timescale(mdp, step, q_0=features.value_table(omega), features=features, params=params)

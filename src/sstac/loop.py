@@ -4,6 +4,7 @@ one actor and one critic step per k, scored by the exact oracles."""
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,29 +16,52 @@ from .sampling import RNG_ID
 from .trace import RunTrace
 
 
-def resolve_beta(K: int, beta: float | None, radius: float) -> float:
-    """Validate the parameters every driver shares; returns beta, sqrt(K) by default."""
-    if K < 1:
-        raise ParameterError(f"K must be >= 1, got {K}")
-    beta_val = float(beta) if beta is not None else math.sqrt(K)
-    if not 0.0 < beta_val < math.inf:
-        raise ParameterError(f"beta must be positive and finite, got {beta_val}")
-    if not 0.0 <= radius < math.inf:
-        raise ParameterError(f"radius must be finite and >= 0, got {radius}")
-    return beta_val
+# The run settings a config and a driver share: type, lower bound, and whether the bound is exclusive.
+SETTINGS = {
+    "K": (int, 1, False), "N": (int, 1, False), "N_a": (int, 1, False), "N_c": (int, 1, False),
+    "R": (float, 0.0, False), "beta": (float, 0.0, True), "ridge": (float, 0.0, False),
+}
+
+
+def check_setting(key: str, value, error: type = ParameterError):
+    """``value`` as an int or float, as SETTINGS types ``key``, or ``error`` naming the key when outside its range.
+
+    An integer setting takes any integral value but a bool; a float setting any finite real but a bool.
+    """
+    kind, minimum, strict = SETTINGS[key]
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+            raise error(f"{key} must be an integer >= {minimum}, got {value!r}")
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{key} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not value >= minimum or (strict and value <= minimum):  # NaN fails the first test
+        raise error(f"{key} must be {'>' if strict else '>='} {minimum}, got {value}")
+    if math.isinf(value):  # JSON's Infinity token parses too
+        raise error(f"{key} must be finite, got {value}")
+    return value
+
+
+def run_settings(K, beta, R, default_R: float) -> dict:
+    """The ``params`` entries K, beta (sqrt(K) if None) and R (``default_R`` if None) every driver writes, checked."""
+    K = check_setting("K", K)
+    beta = check_setting("beta", math.sqrt(K) if beta is None else beta)
+    return {"K": K, "beta": beta, "R": check_setting("R", default_R if R is None else R)}
 
 
 def run_single_timescale(
     mdp: mdp_mod.TabularMDP,
-    K: int,
     step,
     *,
     q_0: np.ndarray,
-    beta: float,
     features,
     params: dict,
 ) -> RunTrace:
-    """Run ``step`` for k = 0 .. K and score every update against the exact oracles.
+    """Run ``step`` for k = 0 .. ``params["K"]`` and score every update against the exact oracles.
 
     The run starts from the uniform pi_0 (tau_0^{-1} = 0) and the critic
     table ``q_0``.  The gap of each update is E_rho*[Q* - Q^{pi_{k+1}}]
@@ -47,7 +71,7 @@ def run_single_timescale(
     ``(pi_next, rho_next, q_next, logged)``: the new policy, its stationary
     state-action distribution, the new critic table, and a dict of the
     driver's own trace columns.  An ``actor_norm`` or ``critic_norm`` (distance to
-    the ball centre) above ``params["radius"]``, beyond BALL_SLACK and 1e-9 for the
+    the ball centre) above ``params["R"]``, beyond BALL_SLACK and 1e-9 for the
     round-off of averaged iterates, raises ``SstacError``.  The trace columns are
     ``k``, the fields of ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
@@ -58,7 +82,8 @@ def run_single_timescale(
     q_star, pi_star = mdp_mod.optimal_q(mdp)
     nu_star, _ = mdp_mod.stationary_dists(mdp, pi_star)
 
-    ball_bound = params["radius"] * (1.0 + BALL_SLACK) + 1e-9
+    K, beta, R = params["K"], params["beta"], params["R"]
+    ball_bound = R * (1.0 + BALL_SLACK) + 1e-9
     rows: list[list[float]] = []
     cum_regret = 0.0
     for k in range(K + 1):
@@ -66,7 +91,7 @@ def run_single_timescale(
             pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
             for name in ("actor_norm", "critic_norm"):
                 if not logged[name] <= ball_bound:
-                    raise SstacError(f"{name} {logged[name]!r} left the projection ball of radius {params['radius']!r}")
+                    raise SstacError(f"{name} {logged[name]!r} left the projection ball of radius {R!r}")
             q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
             diag = error_decomposition(
                 mdp,

@@ -25,12 +25,14 @@ from .deep_net import (
     project_ball_inplace,
     sa_encoding_table,
 )
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError
 from .features import FeatureMap
-from .loop import resolve_beta, run_single_timescale
+from .loop import check_setting, run_settings, run_single_timescale
 from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import RunTrace
+
+_DEFAULT_R = 10.0  # the ball radius when a run sets none
 
 
 def _sgd_averaged(
@@ -107,54 +109,56 @@ def critic_inner_loop(
 def run_neural_ac(
     mdp: mdp_mod.TabularMDP,
     m: int,
-    depth: int,
+    H: int,
     K: int,
     *,
-    n_actor: int = 400,
-    n_critic: int = 400,
+    N_a: int = 400,
+    N_c: int = 400,
     seed: int = 0,
-    radius: float = 10.0,
+    R: float | None = _DEFAULT_R,
     beta: float | None = None,
 ) -> RunTrace:
     """Run the deep neural actor-critic loop for iterations k = 0 .. K.
 
-    The stepsizes are ``n_actor^{-1/2}`` and ``n_critic^{-1/2}``; the
-    temperature follows ``tau_{k+1}^{-1} = (k+1) / beta`` with
-    ``beta = sqrt(K)`` unless overridden.  Deterministic per seed.  The
-    trace's history holds only the final ``actor`` and ``critic`` networks.
+    The networks have width ``m`` and depth ``H``.  The stepsizes are
+    ``N_a^{-1/2}`` and ``N_c^{-1/2}``; the temperature follows
+    ``tau_{k+1}^{-1} = (k+1) / beta`` with ``beta = sqrt(K)`` unless
+    overridden, and ``R=None`` means the default radius.  Deterministic
+    per seed.  The trace's history holds only the final ``actor`` and
+    ``critic`` networks.
     """
-    beta_val = resolve_beta(K, beta, radius)
-    if n_actor < 1 or n_critic < 1:
-        raise ParameterError(f"inner iteration counts must be >= 1, got N_a={n_actor} and N_c={n_critic}")
-    alpha_val = 1.0 / math.sqrt(n_actor)
-    eta_val = 1.0 / math.sqrt(n_critic)
-
     n_states, n_actions = mdp.n_states, mdp.n_actions
     d = n_states + n_actions
+    settings = run_settings(K, beta, R, _DEFAULT_R)
+    beta, R = settings["beta"], settings["R"]
+    N_a, N_c = check_setting("N_a", N_a), check_setting("N_c", N_c)
+    alpha, eta = 1.0 / math.sqrt(N_a), 1.0 / math.sqrt(N_c)
+    params = {"algorithm": "neural", **settings, "m": m, "H": H, "d": d, "N_a": N_a, "N_c": N_c, "seed": seed}
+    params.update(alpha=alpha, eta=eta)
     encodings = sa_encoding_table(n_states, n_actions)
     enc_flat = encodings.reshape(-1, d)
 
     rng = RunRng(seed)
-    shared_init = init_params(d, m, depth, rng.stream("init"))
+    shared_init = init_params(d, m, H, rng.stream("init"))
     # One initialization for both networks, so they share its anchor and sign vector.
     actor, critic = shared_init.clone(), shared_init.clone()
     f_k = forward_many(actor, enc_flat).reshape(n_states, n_actions)
 
     def step(k, pi_k, q_k):
         nonlocal actor, critic, f_k
-        inv_tau, inv_tau_next = k / beta_val, (k + 1) / beta_val
-        target_actor = (q_k / beta_val + inv_tau * f_k) / (inv_tau + 1.0 / beta_val)
+        inv_tau, inv_tau_next = k / beta, (k + 1) / beta
+        target_actor = (q_k / beta + inv_tau * f_k) / (inv_tau + 1.0 / beta)
 
         _, rho_k = mdp_mod.stationary_dists(mdp, pi_k)
-        pairs = sample_sa(rho_k, rng.stream("actor_loop"), n_actor)
-        actor = actor_inner_loop(actor, target_actor, encodings, pairs, radius=radius, alpha=alpha_val)
+        pairs = sample_sa(rho_k, rng.stream("actor_loop"), N_a)
+        actor = actor_inner_loop(actor, target_actor, encodings, pairs, radius=R, alpha=alpha)
 
         f_next = forward_many(actor, enc_flat).reshape(n_states, n_actions)
         pi_next = softmax_rows(inv_tau_next * f_next)
         _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
 
-        tuples = sample_tuples(mdp, rho_next, pi_next, rng.stream("critic_loop"), n_critic)
-        critic = critic_inner_loop(critic, tuples, encodings, mdp.gamma, radius=radius, eta=eta_val)
+        tuples = sample_tuples(mdp, rho_next, pi_next, rng.stream("critic_loop"), N_c)
+        critic = critic_inner_loop(critic, tuples, encodings, mdp.gamma, radius=R, eta=eta)
         q_next = forward_many(critic, enc_flat).reshape(n_states, n_actions)
 
         logged = {
@@ -169,28 +173,7 @@ def run_neural_ac(
         f_k = f_next
         return pi_next, rho_next, q_next, logged
 
-    params = {
-        "algorithm": "neural",
-        "K": K,
-        "m": m,
-        "H": depth,
-        "d": d,
-        "N_a": n_actor,
-        "N_c": n_critic,
-        "seed": seed,
-        "beta": beta_val,
-        "radius": radius,
-        "alpha": alpha_val,
-        "eta": eta_val,
-    }
-    trace = run_single_timescale(
-        mdp,
-        K,
-        step,
-        q_0=forward_many(critic, enc_flat).reshape(n_states, n_actions),
-        beta=beta_val,
-        features=FeatureMap(phi=encodings),
-        params=params,
-    )
+    q_0 = forward_many(critic, enc_flat).reshape(n_states, n_actions)
+    trace = run_single_timescale(mdp, step, q_0=q_0, features=FeatureMap(phi=encodings), params=params)
     trace.history.update(actor=actor, critic=critic)
     return trace

@@ -240,16 +240,16 @@ def test_c8_neural_end_to_end_trend():
 
     finals = []
     for seed in range(10):
-        trace = run_neural_ac(m, 32, 2, 64, n_actor=400, n_critic=400, seed=seed)
+        trace = run_neural_ac(m, 32, 2, 64, N_a=400, N_c=400, seed=seed)
         finals.append(trace.column("gap")[-1])
     median_final = float(np.median(finals))
 
     # inner-loop MSE trend on a frozen mid-run state, N vs 16N
     enc = sa_encoding_table(2, 2)
     flat = enc.reshape(-1, 4)
-    probe = run_neural_ac(m, 32, 2, 4, n_actor=200, n_critic=200, seed=3)
+    probe = run_neural_ac(m, 32, 2, 4, N_a=200, N_c=200, seed=3)
     actor, critic = probe.history["actor"], probe.history["critic"]
-    beta, radius = probe.manifest["params"]["beta"], probe.manifest["params"]["radius"]
+    beta, radius = probe.manifest["params"]["beta"], probe.manifest["params"]["R"]
     inv_tau = (4 + 1) / beta  # tau_{K+1}^{-1} after the probe's last update, K = 4
     f_k = forward_many(actor, flat).reshape(2, 2)
     q_k = forward_many(critic, flat).reshape(2, 2)

@@ -8,7 +8,7 @@ import pytest
 from sstac import ConfigError, ContractViolationError, ParameterError, TabularMDP, chain2, load_trace
 from sstac.deep_net import forward, init_params, project_ball, project_ball_inplace, sa_encoding_table
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
-from sstac.harness import ExperimentConfig
+from sstac.harness import ExperimentConfig, sweep_command
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
 from sstac.linear_ac import critic_step_exact, critic_step_sampled, project_l2, run_linear_ac
 from sstac.neural_ac import actor_inner_loop, run_neural_ac
@@ -105,6 +105,10 @@ CASES = {
         lambda: ExperimentConfig.from_dict({**BASE_CFG, "R": "1"}),
         ConfigError, "R must be a number, got '1'",
     ),
+    "harness-sweep-no-values": (
+        lambda: sweep_command(ExperimentConfig.from_dict(BASE_CFG), "K", []),
+        ConfigError, "a sweep needs at least one value",
+    ),
     "mdp-transition-shape": (
         lambda: chain2_with(transition=np.full((2, 2, 3), 1 / 3)),
         ContractViolationError, "transition must have shape (S, A, S), got (2, 2, 3)",
@@ -157,12 +161,28 @@ CASES = {
         ContractViolationError, "radius must be >= 0, got -1.0",
     ),
     "neural_ac-inner-count": (
-        lambda: run_neural_ac(chain2(), 8, 2, 1, n_actor=0),
-        ParameterError, "inner iteration counts must be >= 1, got N_a=0 and N_c=400",
+        lambda: run_neural_ac(chain2(), 8, 2, 1, N_a=0),
+        ParameterError, "N_a must be an integer >= 1, got 0",
+    ),
+    "neural_ac-float-inner-count": (
+        lambda: run_neural_ac(chain2(), 8, 2, 1, N_a=4.5),
+        ParameterError, "N_a must be an integer >= 1, got 4.5",
     ),
     "linear_ac-zero-K": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),
-        ParameterError, "K must be >= 1, got 0",
+        ParameterError, "K must be an integer >= 1, got 0",
+    ),
+    "linear_ac-float-K": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), K=2.0),
+        ParameterError, "K must be an integer >= 1, got 2.0",
+    ),
+    "linear_ac-bool-K": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), K=True),
+        ParameterError, "K must be an integer >= 1, got True",
+    ),
+    "linear_ac-string-R": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, R="1"),
+        ParameterError, "R must be a number, got '1'",
     ),
     "linear_ac-project-negative-radius": (
         lambda: project_l2(np.zeros(2), -1.0),
@@ -174,7 +194,7 @@ CASES = {
     ),
     "linear_ac-negative-ridge": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", ridge=-1.0),
-        ParameterError, "ridge must be finite and >= 0, got -1.0",
+        ParameterError, "ridge must be >= 0.0, got -1.0",
     ),
     "linear_ac-exact-nan-q": (
         lambda: chain2_critic_exact(NAN_Q),
@@ -198,7 +218,11 @@ CASES = {
     ),
     "linear_ac-sampled-zero-N": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", N=0),
-        ParameterError, "N must be >= 1 in sampled mode, got 0",
+        ParameterError, "N must be an integer >= 1, got 0",
+    ),
+    "linear_ac-sampled-float-N": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, mode="sampled", N=8.5),
+        ParameterError, "N must be an integer >= 1, got 8.5",
     ),
     "policy-nonfinite-logits": (
         lambda: softmax_rows(np.array([[np.nan, 0.0]])),

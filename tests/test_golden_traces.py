@@ -12,5 +12,5 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_neural_trace_matches_golden_bytes():
-    trace = run_neural_ac(chain2(), 8, 2, 3, n_actor=20, n_critic=20, seed=2)
+    trace = run_neural_ac(chain2(), 8, 2, 3, N_a=20, N_c=20, seed=2)
     assert trace.to_csv_text() == (DATA / "golden_neural_chain2" / "trace.csv").read_text()

@@ -175,13 +175,16 @@ class TestCliRun:
             ("beta", "inf", "beta must be finite, got inf"),
             ("ridge", "inf", "ridge must be finite, got inf"),
             ("R", "-inf", "R must be >= 0.0, got -inf"),
+            ("R", 10**400, "R must be finite, got inf"),
         ],
-        ids=["R->=", "beta->", "ridge->=", "R-inf", "beta-inf", "ridge-inf", "R--inf"],
+        ids=["R->=", "beta->", "ridge->=", "R-inf", "beta-inf", "ridge-inf", "R--inf", "R-huge-integer"],
     )
     def test_nan_number_exits_2(self, tmp_path, capsys, key, value, message):
         # JSON's NaN and Infinity tokens parse; every comparison with NaN is False, so a NaN
         # ridge was silently ignored, and an infinite ridge zeroed every critic solve.
-        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: float(value)})
+        # An integer beyond the float range reads as infinite.
+        value = float(value) if isinstance(value, str) else value
+        cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: value})
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"sstac: error: config: {message}\n"
         assert not (tmp_path / "r").exists()
@@ -339,6 +342,17 @@ class TestCliSweep:
             trace = load_trace(tmp_path / "sw" / name)
             assert trace.manifest["run_id"] == name
             assert row["final_gap"] == trace.column("gap")[-1]
+
+    def test_sweep_that_stops_keeps_the_summary_of_finished_runs(self, tmp_path, capsys):
+        # At N=128 the sampled critic's Gram turns singular at k=4; the N=512 runs finish first.
+        cfg = {"mdp": "random(6,3,1)", "algorithm": "linear_sampled", "K": 8, "N": 256, "seeds": [0, 1]}
+        argv = ["sweep", "--config", write_config(tmp_path, cfg), "--param", "N", "--out"]
+        assert main([*argv, str(tmp_path / "stops"), "--values", "512,128"]) == 3
+        assert capsys.readouterr().err.startswith("sstac: error: conditioning: at k=4: ")
+        assert main([*argv, str(tmp_path / "first"), "--values", "512"]) == 0
+        summary = (tmp_path / "stops" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "first" / "summary.csv").read_bytes()
+        assert len(summary.splitlines()) == 3
 
     def test_regret_over_sqrtk_column_arithmetic(self, tmp_path):
         cfg = ExperimentConfig.from_dict(BASE_CFG)

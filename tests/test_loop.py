@@ -1,13 +1,19 @@
-"""The shared single-timescale loop, checked through both entry points."""
+"""The shared single-timescale loop and its run settings, checked through both entry points."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sstac import (
+    ConfigError,
     ErgodicityError,
+    ExperimentConfig,
     ParameterError,
+    RunTrace,
     SstacError,
     chain2,
     linear_ac,
@@ -16,6 +22,8 @@ from sstac import (
     run_neural_ac,
     tabular_features,
 )
+from sstac.harness import ALGORITHM_KEYS
+from sstac.loop import SETTINGS
 
 
 def linear(**kwargs):
@@ -23,17 +31,86 @@ def linear(**kwargs):
 
 
 def neural(**kwargs):
-    return run_neural_ac(chain2(), 4, 1, kwargs.pop("K", 2), n_actor=4, n_critic=4, **kwargs)
+    return run_neural_ac(chain2(), 4, 1, kwargs.pop("K", 2), **{"N_a": 4, "N_c": 4, **kwargs})
 
 
 @pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
 @pytest.mark.parametrize(
     "key, value",
-    [("K", 0), ("beta", -1.0), ("radius", -1.0), ("beta", math.inf), ("beta", math.nan), ("radius", math.inf)],
+    [("K", 0), ("beta", -1.0), ("R", -1.0), ("beta", math.inf), ("beta", math.nan), ("R", math.inf)],
 )
 def test_shared_parameter_validation(run, key, value):
     with pytest.raises(ParameterError):
         run(**{key: value})
+
+
+@pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
+def test_none_R_and_beta_take_the_driver_defaults(run):
+    assert run(R=None, beta=None).to_csv_text() == run().to_csv_text()
+
+
+@pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
+def test_numpy_integer_settings_are_recorded_as_ints(run):
+    trace = run(K=np.int64(2))
+    assert trace.to_csv_text() == run().to_csv_text()
+    assert type(trace.manifest["params"]["K"]) is int
+
+
+DRIVERS = {"linear_exact": run_linear_ac, "linear_sampled": run_linear_ac, "neural": run_neural_ac}
+
+
+@pytest.mark.parametrize("algorithm", DRIVERS)
+def test_drivers_take_the_config_names(algorithm):
+    # execute_run passes a config's set keys straight through, so each is a driver keyword of the same name.
+    parameters = inspect.signature(DRIVERS[algorithm]).parameters
+    for key in {"K", "R", "beta", *ALGORITHM_KEYS[algorithm]} - {"arch"}:
+        assert key in parameters and parameters[key].kind is not inspect.Parameter.POSITIONAL_ONLY, key
+    if "arch" in ALGORITHM_KEYS[algorithm]:
+        assert list(parameters)[1:3] == ["m", "H"]
+
+
+# The algorithm whose config reads each setting; K, R and beta are read by every one.
+SETTING_ALGORITHM = {"K": "linear_exact", "R": "linear_exact", "beta": "linear_exact",
+                     "N": "linear_sampled", "ridge": "linear_sampled", "N_a": "neural", "N_c": "neural"}
+SETTING_CONFIGS = {
+    "linear_exact": {"mdp": "chain2", "algorithm": "linear_exact", "K": 2},
+    "linear_sampled": {"mdp": "chain2", "algorithm": "linear_sampled", "K": 2, "N": 8},
+    "neural": {"mdp": "chain2", "algorithm": "neural", "K": 2, "arch": {"m": 4, "H": 1}},
+}
+SETTING_DRIVERS = {
+    "linear_exact": linear, "linear_sampled": lambda **kw: linear(mode="sampled", **kw), "neural": neural,
+}
+
+
+def rejection(call, error):
+    """The message of the ``error`` that ``call()`` raises, or None when it returns."""
+    try:
+        call()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+# Integers stay within int64: K, N_a or N_c beyond the float range overflow the drivers'
+# sqrt, and no setting has an upper bound yet.
+@given(
+    key=st.sampled_from(sorted(SETTINGS)),
+    value=st.one_of(
+        st.integers(-(2**63), 2**63), st.floats(), st.booleans(), st.sampled_from([0.0, -0.0, math.nan, math.inf])
+    ),
+)
+@example(key="R", value=10**400)
+@example(key="beta", value=-(10**400))
+def test_config_and_driver_apply_one_rule(key, value):
+    algorithm = SETTING_ALGORITHM[key]
+    config = rejection(lambda: ExperimentConfig.from_dict({**SETTING_CONFIGS[algorithm], key: value}), ConfigError)
+    with pytest.MonkeyPatch.context() as patch:
+        # The drivers check every setting before the loop, which is stubbed out.
+        stub = lambda mdp, step, *, q_0, features, params: RunTrace(manifest={"params": params}, columns=[], rows=[])
+        for module in (linear_ac, neural_ac):
+            patch.setattr(module, "run_single_timescale", stub)
+        driver = rejection(lambda: SETTING_DRIVERS[algorithm](**{key: value}), ParameterError)
+    assert config == driver
 
 
 def test_neural_loop_errors_name_the_iteration(monkeypatch):
@@ -59,7 +136,7 @@ def test_broken_critic_projection_names_norm_and_radius(monkeypatch):
     # A critic step that skips its projection leaves omega = (2, 0, 0, 0) outside the radius-1 ball.
     monkeypatch.setattr(linear_ac, "critic_step_exact", lambda q_omega, *args, radius: np.eye(4)[0] * 2.0 * radius)
     with pytest.raises(SstacError) as exc:
-        linear(radius=1.0)
+        linear(R=1.0)
     assert type(exc.value) is SstacError
     assert str(exc.value) == "at k=0: critic_norm 2.0 left the projection ball of radius 1.0"
 
@@ -69,7 +146,7 @@ def test_broken_ball_projection_names_distance_and_radius(monkeypatch):
     # its own output (both networks share one initialization), so only the critic moves.
     monkeypatch.setattr(neural_ac, "project_ball_inplace", lambda params, radius: None)
     with pytest.raises(SstacError) as exc:
-        neural(radius=0.0)
+        neural(R=0.0)
     assert type(exc.value) is SstacError
     prefix, suffix = "at k=0: critic_norm ", " left the projection ball of radius 0.0"
     message = str(exc.value)
@@ -88,7 +165,7 @@ def test_actor_outside_the_ball_names_actor_norm(monkeypatch):
 
     monkeypatch.setattr(neural_ac, "actor_inner_loop", drifted)
     with pytest.raises(SstacError) as exc:
-        neural(radius=1.0)
+        neural(R=1.0)
     assert type(exc.value) is SstacError
     assert str(exc.value) == "at k=0: actor_norm 4.0 left the projection ball of radius 1.0"
 
@@ -96,7 +173,7 @@ def test_actor_outside_the_ball_names_actor_norm(monkeypatch):
 def test_neural_run_at_zero_radius_stays_on_the_anchor():
     # Every iterate is reset to the anchor; the averaged networks differ from it by
     # round-off only, which the loop's absolute bound of 1e-9 admits.
-    trace = run_neural_ac(chain2(), 32, 2, 2, n_actor=400, n_critic=400, radius=0.0)
+    trace = run_neural_ac(chain2(), 32, 2, 2, N_a=400, N_c=400, R=0.0)
     assert len(trace.rows) == 3
     norms = [row[trace.columns.index(name)] for row in trace.rows for name in ("actor_norm", "critic_norm")]
     assert 0.0 < max(norms) <= 1e-9

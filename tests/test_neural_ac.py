@@ -197,7 +197,7 @@ def test_averaged_iterate_identity_hand_tracked():
 
 class TestRunNeuralAc:
     def test_smoke_run_logs_all_columns(self):
-        trace = run_neural_ac(chain2(), 8, 2, 1, n_actor=8, n_critic=8, seed=0)
+        trace = run_neural_ac(chain2(), 8, 2, 1, N_a=8, N_c=8, seed=0)
         assert trace.columns == NEURAL_COLUMNS
         assert len(trace.rows) == 2
         for row in trace.rows:
@@ -207,17 +207,17 @@ class TestRunNeuralAc:
         assert set(trace.history) == {"actor", "critic"}
 
     def test_deterministic_per_seed(self):
-        a = run_neural_ac(chain2(), 8, 2, 2, n_actor=16, n_critic=16, seed=4)
-        b = run_neural_ac(chain2(), 8, 2, 2, n_actor=16, n_critic=16, seed=4)
+        a = run_neural_ac(chain2(), 8, 2, 2, N_a=16, N_c=16, seed=4)
+        b = run_neural_ac(chain2(), 8, 2, 2, N_a=16, N_c=16, seed=4)
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_ball_containment_in_trace(self):
-        trace = run_neural_ac(chain2(), 8, 2, 3, n_actor=16, n_critic=16, seed=1, radius=0.2)
+        trace = run_neural_ac(chain2(), 8, 2, 3, N_a=16, N_c=16, seed=1, R=0.2)
         for col in ("actor_norm", "critic_norm"):
             assert max(trace.column(col)) <= 0.2 + 1e-9
 
     def test_schedule_identity_holds(self):
-        trace = run_neural_ac(chain2(), 8, 2, 3, n_actor=8, n_critic=8, seed=2)
+        trace = run_neural_ac(chain2(), 8, 2, 3, N_a=8, N_c=8, seed=2)
         beta = trace.manifest["params"]["beta"]
         for k, inv_tau in zip(trace.column("k"), trace.column("inv_tau")):
             assert abs(inv_tau - (k + 1) / beta) < 1e-12

@@ -49,7 +49,7 @@ def _linear(source, feature, mode, seed):
 
 
 def _neural(source, seed):
-    return run_neural_ac(build_mdp(source), 8, 2, 3, n_actor=20, n_critic=20, seed=seed).to_csv_text()
+    return run_neural_ac(build_mdp(source), 8, 2, 3, N_a=20, N_c=20, seed=seed).to_csv_text()
 
 
 def _config(name):
