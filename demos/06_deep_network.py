@@ -11,7 +11,7 @@ from sstac.deep_net import (
     gradient,
     init_params,
     linearization_gap,
-    project_ball,
+    project_ball_inplace,
     sa_encoding_table,
 )
 
@@ -48,7 +48,8 @@ def main():
     for w in drifted.weights:
         w += 0.5 * rng.standard_normal(w.shape)
     print("\nanchor distances before projection:", np.round(drifted.anchor_distances(), 3))
-    projected = project_ball(drifted, radius=0.25)
+    projected = drifted.clone()
+    project_ball_inplace(projected, radius=0.25)
     print("anchor distances after  projection:", np.round(projected.anchor_distances(), 3))
 
     # linearization gap grows superlinearly with the perturbation size

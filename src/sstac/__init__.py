@@ -44,7 +44,6 @@ from .deep_net import (
     gradient,
     init_params,
     linearization_gap,
-    project_ball,
     sa_encoding_table,
 )
 from .neural_ac import actor_inner_loop, critic_inner_loop, run_neural_ac

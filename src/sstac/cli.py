@@ -49,8 +49,6 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated integers: {exc}") from exc
-    if not values:
-        raise ConfigError("--values must list at least one value")
     summary, _ = sweep_command(config, args.param, values, out_dir=args.out)
     print(summary)
     return 0

@@ -103,13 +103,6 @@ def gradient(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray]]
     return value, grads
 
 
-def project_ball(params: DnnParams, radius: float) -> DnnParams:
-    """Copy of ``params`` projected by ``project_ball_inplace``."""
-    out = params.clone()
-    project_ball_inplace(out, radius)
-    return out
-
-
 def project_ball_inplace(params: DnnParams, radius: float) -> None:
     """Shrink each layer radially toward its anchor W0 so every Frobenius distance is <= radius.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,38 +27,34 @@ ALGORITHM_KEYS = {
 }
 ALGORITHMS = tuple(ALGORITHM_KEYS)
 _COMMON_KEYS = {"mdp", "algorithm", "K", "seeds", "R", "beta"}
-
-_ARCH_KEYS = {"m", "H"}
+_ARCH_KEYS = ("m", "H")  # d is fixed by the encoding
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; mirrors the JSON config schema."""
+    """Validated experiment description: the JSON config's checked settings, keyed by their SETTINGS names."""
 
     mdp: str
     algorithm: str
-    K: int
-    seeds: tuple[int, ...] = (0,)
-    N: int | None = None
-    N_a: int | None = None
-    N_c: int | None = None
-    arch: tuple[int, int] | None = None  # (m, H); d is fixed by the encoding
-    R: float | None = None
-    beta: float | None = None
-    ridge: float | None = None
+    seeds: tuple[int, ...]
+    settings: dict  # the settings the config sets; arch's m and H are stored as m and H
+
+    @property
+    def K(self) -> int:
+        return self.settings["K"]
 
     def to_dict(self) -> dict:
-        doc = {key: value for key, value in asdict(self).items() if value is not None}
-        doc["seeds"] = list(self.seeds)
-        if self.arch is not None:
-            doc["arch"] = {"m": self.arch[0], "H": self.arch[1]}
+        doc = {"mdp": self.mdp, "algorithm": self.algorithm, "seeds": list(self.seeds)}
+        doc.update((key, value) for key, value in self.settings.items() if key not in _ARCH_KEYS)
+        if "m" in self.settings:
+            doc["arch"] = {key: self.settings[key] for key in _ARCH_KEYS}
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        unknown = set(doc) - _COMMON_KEYS.union(*ALGORITHM_KEYS.values())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("mdp", "algorithm", "K"):
@@ -75,10 +71,16 @@ class ExperimentConfig:
         for key, required in reads.items():
             if required and key not in doc:
                 raise ConfigError(f"algorithm {algorithm!r} requires config key {key!r}")
-        numbers = {key: check_setting(key, doc[key], ConfigError) for key in SETTINGS if key in doc}
+        settings = {key: check_setting(key, doc[key], ConfigError) for key in SETTINGS if key in doc}
+        if "arch" in doc:
+            arch = doc["arch"]
+            if not isinstance(arch, dict) or not set(arch) <= set(_ARCH_KEYS):
+                raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
+            settings.update((key, check_setting(key, arch.get(key), ConfigError)) for key in _ARCH_KEYS)
         seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
+        if not isinstance(seeds, list) or not seeds:
             raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+        seeds = tuple(check_setting("seed", seed, ConfigError) for seed in seeds)
         repeated = _first_repeat(seeds)
         if repeated is not None:
             raise ConfigError(f"seeds must be distinct; seed {repeated} is listed more than once")
@@ -86,18 +88,7 @@ class ExperimentConfig:
         # mdp.build_mdp resolves the source, and execute_run reports a bad one.
         if not isinstance(doc["mdp"], str):
             raise ConfigError("mdp must be a builtin name, random(S,A,seed), or a JSON path")
-
-        arch = None
-        if "arch" in doc:
-            arch_doc = doc["arch"]
-            if not isinstance(arch_doc, dict) or not set(arch_doc) <= _ARCH_KEYS:
-                raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
-            for key in ("m", "H"):
-                if type(arch_doc.get(key)) is not int or arch_doc[key] < 1:
-                    raise ConfigError(f"{key} must be an integer >= 1, got {arch_doc.get(key)!r}")
-            arch = (arch_doc["m"], arch_doc["H"])
-
-        return cls(mdp=doc["mdp"], algorithm=algorithm, seeds=tuple(seeds), arch=arch, **numbers)
+        return cls(mdp=doc["mdp"], algorithm=algorithm, seeds=seeds, settings=settings)
 
 
 def _first_repeat(values: list):
@@ -123,15 +114,15 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
         mdp = build_mdp(config.mdp)
     except (OSError, ValueError, TypeError) as exc:  # unreadable, malformed or invalid MDP file
         raise ConfigError(f"cannot load MDP {config.mdp!r}: {exc}") from exc
-    # A setting the config leaves unset (None) keeps the driver's default.
-    settings = {key: value for key in SETTINGS if (value := getattr(config, key)) is not None}
+    # A setting the config leaves unset keeps the driver's default.
+    settings = {"seed": seed, **config.settings}
     if config.algorithm == "neural":
-        driver, args = run_neural_ac, config.arch
+        driver, args = run_neural_ac, ()
     else:
         driver, args = run_linear_ac, (tabular_features(mdp.n_states, mdp.n_actions),)
         settings["mode"] = config.algorithm.removeprefix("linear_")
     try:
-        trace = driver(mdp, *args, seed=seed, **settings)
+        trace = driver(mdp, *args, **settings)
     except MemoryError as exc:  # an allocation the sizes ask for is refused outright
         raise ConfigError(f"cannot allocate the run's arrays ({exc}); use smaller sizes (N, N_a, N_c, arch)") from exc
     trace.manifest.update(
@@ -153,7 +144,7 @@ def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Pa
     return dirs
 
 
-SWEEPABLE = tuple(key for key, (kind, *_) in SETTINGS.items() if kind is int)
+SWEEPABLE = ("K", "N", "N_a", "N_c")
 _SUMMARY_COLUMNS = ("param_value", "seed", "final_gap", "cum_regret", "regret_over_sqrtK")
 
 

@@ -149,11 +149,11 @@ def run_linear_ac(
         "algorithm": f"linear_{mode}",
         **run_settings(K, beta, R, 2.0 * mdp.r_max / (1.0 - mdp.gamma)),
         "N": check_setting("N", N) if sampled else None,
-        "seed": seed,
+        "seed": check_setting("seed", seed),
         "ridge": ridge if sampled else None,
     }
     beta, R, N = params["beta"], params["R"], params["N"]
-    rng = RunRng(seed)
+    rng = RunRng(params["seed"])
 
     theta, omega = np.zeros(features.dim), np.zeros(features.dim)
     omega_sum = np.zeros(features.dim)
@@ -162,8 +162,9 @@ def run_linear_ac(
         nonlocal theta, omega, omega_sum
         omega_sum = omega_sum + omega
         theta = actor_step(theta, omega, k, beta)
-        drift = float(np.max(np.abs(theta - omega_sum / (k + 1))))
-        if drift > 1e-12:
+        average = omega_sum / (k + 1)
+        drift = float(np.max(np.abs(theta - average)))
+        if drift > 1e-12 * max(1.0, float(np.max(np.abs(average)))):  # round-off grows with the weights
             raise SstacError(f"running-average identity violated: drift {drift:.3e}")
 
         inv_tau_next = (k + 1) / beta

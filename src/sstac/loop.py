@@ -19,6 +19,7 @@ from .trace import RunTrace
 # The run settings a config and a driver share: type, lower bound, and whether the bound is exclusive.
 SETTINGS = {
     "K": (int, 1, False), "N": (int, 1, False), "N_a": (int, 1, False), "N_c": (int, 1, False),
+    "m": (int, 1, False), "H": (int, 1, False), "seed": (int, 0, False),
     "R": (float, 0.0, False), "beta": (float, 0.0, True), "ridge": (float, 0.0, False),
 }
 
@@ -26,12 +27,15 @@ SETTINGS = {
 def check_setting(key: str, value, error: type = ParameterError):
     """``value`` as an int or float, as SETTINGS types ``key``, or ``error`` naming the key when outside its range.
 
-    An integer setting takes any integral value but a bool; a float setting any finite real but a bool.
+    An integer setting takes any integral value up to 2**53 but a bool, so that a float such as
+    sqrt(K) or N_a**-0.5 reads its exact value; a float setting takes any finite real but a bool.
     """
     kind, minimum, strict = SETTINGS[key]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
             raise error(f"{key} must be an integer >= {minimum}, got {value!r}")
+        if value > 2**53:
+            raise error(f"{key} must be <= 2**53, got {value!r}")
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{key} must be a number, got {value!r}")
@@ -46,11 +50,13 @@ def check_setting(key: str, value, error: type = ParameterError):
     return value
 
 
-def run_settings(K, beta, R, default_R: float) -> dict:
-    """The ``params`` entries K, beta (sqrt(K) if None) and R (``default_R`` if None) every driver writes, checked."""
+def run_settings(K, beta, R, default_R: float, **others) -> dict:
+    """The ``params`` entries K, beta (sqrt(K) if None) and R (``default_R`` if None) every driver writes,
+    then ``others`` keyed by their SETTINGS names, each checked."""
     K = check_setting("K", K)
     beta = check_setting("beta", math.sqrt(K) if beta is None else beta)
-    return {"K": K, "beta": beta, "R": check_setting("R", default_R if R is None else R)}
+    settings = {"K": K, "beta": beta, "R": check_setting("R", default_R if R is None else R)}
+    return settings | {key: check_setting(key, value) for key, value in others.items()}
 
 
 def run_single_timescale(

@@ -27,7 +27,7 @@ from .deep_net import (
 )
 from .errors import ContractViolationError
 from .features import FeatureMap
-from .loop import check_setting, run_settings, run_single_timescale
+from .loop import run_settings, run_single_timescale
 from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import RunTrace
@@ -129,17 +129,15 @@ def run_neural_ac(
     """
     n_states, n_actions = mdp.n_states, mdp.n_actions
     d = n_states + n_actions
-    settings = run_settings(K, beta, R, _DEFAULT_R)
-    beta, R = settings["beta"], settings["R"]
-    N_a, N_c = check_setting("N_a", N_a), check_setting("N_c", N_c)
-    alpha, eta = 1.0 / math.sqrt(N_a), 1.0 / math.sqrt(N_c)
-    params = {"algorithm": "neural", **settings, "m": m, "H": H, "d": d, "N_a": N_a, "N_c": N_c, "seed": seed}
-    params.update(alpha=alpha, eta=eta)
+    params = {"algorithm": "neural", **run_settings(K, beta, R, _DEFAULT_R, m=m, H=H, N_a=N_a, N_c=N_c, seed=seed)}
+    beta, R = params["beta"], params["R"]
+    alpha, eta = 1.0 / math.sqrt(params["N_a"]), 1.0 / math.sqrt(params["N_c"])
+    params.update(d=d, alpha=alpha, eta=eta)
     encodings = sa_encoding_table(n_states, n_actions)
     enc_flat = encodings.reshape(-1, d)
 
-    rng = RunRng(seed)
-    shared_init = init_params(d, m, H, rng.stream("init"))
+    rng = RunRng(params["seed"])
+    shared_init = init_params(d, params["m"], params["H"], rng.stream("init"))
     # One initialization for both networks, so they share its anchor and sign vector.
     actor, critic = shared_init.clone(), shared_init.clone()
     f_k = forward_many(actor, enc_flat).reshape(n_states, n_actions)

@@ -29,7 +29,7 @@ from sstac import (
     stationary_dists,
     tabular_features,
 )
-from sstac.deep_net import forward_many, gradient, init_params, project_ball, sa_encoding_table
+from sstac.deep_net import forward_many, gradient, init_params, project_ball_inplace, sa_encoding_table
 from sstac.harness import ExperimentConfig, execute_run
 from sstac.linear_ac import actor_step, critic_step_exact, critic_step_sampled, draw_batch
 from sstac.neural_ac import actor_inner_loop, critic_inner_loop
@@ -212,8 +212,10 @@ def test_c7_neural_gradient_suite():
     params = init_params(6, 16, 3, seed=9)
     for w in params.weights:
         w += np.random.default_rng(10).standard_normal(w.shape)
-    once = project_ball(params, radius=0.3)
-    twice = project_ball(once, radius=0.3)
+    once = params.clone()
+    project_ball_inplace(once, radius=0.3)
+    twice = once.clone()
+    project_ball_inplace(twice, radius=0.3)
     for a, b in zip(once.weights, twice.weights):
         if not np.array_equal(a, b):
             proj_exact = False

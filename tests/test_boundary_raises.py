@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sstac import ConfigError, ContractViolationError, ParameterError, TabularMDP, chain2, load_trace
-from sstac.deep_net import forward, init_params, project_ball, project_ball_inplace, sa_encoding_table
+from sstac.deep_net import forward, init_params, project_ball_inplace, sa_encoding_table
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.harness import ExperimentConfig, sweep_command
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
@@ -56,10 +56,6 @@ CASES = {
     "deep_net-input-shape": (
         lambda: forward(init_params(3, 4, 1, seed=0), np.zeros(2)),
         ContractViolationError, "input must have shape (3,), got (2,)",
-    ),
-    "deep_net-negative-radius": (
-        lambda: project_ball(init_params(3, 4, 1, seed=0), -1.0),
-        ContractViolationError, "radius must be >= 0, got -1.0",
     ),
     "deep_net-negative-radius-inplace": (
         lambda: project_ball_inplace(init_params(3, 4, 1, seed=0), -1.0),
@@ -167,6 +163,34 @@ CASES = {
     "neural_ac-float-inner-count": (
         lambda: run_neural_ac(chain2(), 8, 2, 1, N_a=4.5),
         ParameterError, "N_a must be an integer >= 1, got 4.5",
+    ),
+    "neural_ac-float-width": (
+        lambda: run_neural_ac(chain2(), 2.5, 2, 1),
+        ParameterError, "m must be an integer >= 1, got 2.5",
+    ),
+    "neural_ac-bool-width": (
+        lambda: run_neural_ac(chain2(), True, 2, 1),
+        ParameterError, "m must be an integer >= 1, got True",
+    ),
+    "neural_ac-zero-depth": (
+        lambda: run_neural_ac(chain2(), 8, 0, 1),
+        ParameterError, "H must be an integer >= 1, got 0",
+    ),
+    "neural_ac-negative-seed": (
+        lambda: run_neural_ac(chain2(), 8, 2, 1, seed=-1),
+        ParameterError, "seed must be an integer >= 0, got -1",
+    ),
+    "linear_ac-negative-seed": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, seed=-1),
+        ParameterError, "seed must be an integer >= 0, got -1",
+    ),
+    "linear_ac-float-seed": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2, seed=2.5),
+        ParameterError, "seed must be an integer >= 0, got 2.5",
+    ),
+    "linear_ac-K-beyond-float-range": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2**1024),
+        ParameterError, f"K must be <= 2**53, got {2**1024}",
     ),
     "linear_ac-zero-K": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),

@@ -12,7 +12,6 @@ from sstac.deep_net import (
     gradient,
     init_params,
     linearization_gap,
-    project_ball,
     project_ball_inplace,
     sa_encoding_table,
 )
@@ -170,7 +169,8 @@ class TestProjectBall:
     def test_inside_ball_untouched(self):
         p = init_params(4, 8, 2, seed=1)
         p.weights[0] += 0.01
-        out = project_ball(p, radius=1.0)
+        out = p.clone()
+        project_ball_inplace(out, radius=1.0)
         for w_out, w_in in zip(out.weights, p.weights):
             np.testing.assert_array_equal(w_out, w_in)
 
@@ -178,7 +178,8 @@ class TestProjectBall:
         p = init_params(4, 8, 2, seed=1)
         for w in p.weights:
             w += 0.5
-        out = project_ball(p, radius=0.0)
+        out = p.clone()
+        project_ball_inplace(out, radius=0.0)
         for w, w0 in zip(out.weights, p.anchor):
             np.testing.assert_allclose(w, w0, atol=1e-15)
 
@@ -189,7 +190,8 @@ class TestProjectBall:
         direction /= np.linalg.norm(direction)
         p.weights[0] = p.anchor[0] + 2 * r * direction  # layer 0 at distance 2R
         before_layer1 = p.weights[1].copy()
-        out = project_ball(p, radius=r)
+        out = p.clone()
+        project_ball_inplace(out, radius=r)
         assert abs(np.linalg.norm(out.weights[0] - p.anchor[0]) - r) < 1e-12
         np.testing.assert_array_equal(out.weights[1], before_layer1)
 
@@ -197,8 +199,10 @@ class TestProjectBall:
         p = init_params(4, 8, 3, seed=3)
         for w in p.weights:
             w += np.random.default_rng(4).standard_normal(w.shape)
-        once = project_ball(p, radius=0.2)
-        twice = project_ball(once, radius=0.2)
+        once = p.clone()
+        project_ball_inplace(once, radius=0.2)
+        twice = once.clone()
+        project_ball_inplace(twice, radius=0.2)
         for a, b in zip(once.weights, twice.weights):
             np.testing.assert_array_equal(a, b)
 

@@ -158,11 +158,22 @@ class TestCliRun:
         assert (tmp_path / "r" / "linear_exact-chain2-K4-seed5").is_dir()
         assert not (tmp_path / "r" / "linear_exact-chain2-K4-seed0").exists()
 
-    @pytest.mark.parametrize("seeds", [[-1], [True], [0, 1.5]])
-    def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ([-1], "seed must be an integer >= 0, got -1"),
+            ([True], "seed must be an integer >= 0, got True"),
+            ([0, 1.5], "seed must be an integer >= 0, got 1.5"),
+            ([2**53 + 1], f"seed must be <= 2**53, got {2**53 + 1}"),
+            ([], "seeds must be a non-empty list of integers >= 0, got []"),
+            (0, "seeds must be a non-empty list of integers >= 0, got 0"),
+        ],
+        ids=["negative", "bool", "float", "beyond-2**53", "empty", "not-a-list"],
+    )
+    def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds, message):
         cfg = {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, "seeds": seeds}
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
+        assert capsys.readouterr().err == f"sstac: error: config: {message}\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
@@ -176,13 +187,16 @@ class TestCliRun:
             ("ridge", "inf", "ridge must be finite, got inf"),
             ("R", "-inf", "R must be >= 0.0, got -inf"),
             ("R", 10**400, "R must be finite, got inf"),
+            ("K", 10**400, f"K must be <= 2**53, got {10**400}"),
         ],
-        ids=["R->=", "beta->", "ridge->=", "R-inf", "beta-inf", "ridge-inf", "R--inf", "R-huge-integer"],
+        ids=[
+            "R->=", "beta->", "ridge->=", "R-inf", "beta-inf", "ridge-inf", "R--inf", "R-huge-integer", "K-huge-integer",
+        ],
     )
     def test_nan_number_exits_2(self, tmp_path, capsys, key, value, message):
         # JSON's NaN and Infinity tokens parse; every comparison with NaN is False, so a NaN
         # ridge was silently ignored, and an infinite ridge zeroed every critic solve.
-        # An integer beyond the float range reads as infinite.
+        # An integer beyond the float range reads as infinite, and an integer setting stops at 2**53.
         value = float(value) if isinstance(value, str) else value
         cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64, key: value})
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
@@ -192,7 +206,7 @@ class TestCliRun:
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "algorithm": "linear_sampled", "N": 64})
         assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith("sstac: error: config: seeds must be")
+        assert capsys.readouterr().err == "sstac: error: config: seed must be an integer >= 0, got -1\n"
 
     def test_malformed_json_exits_2_naming_byte(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -384,7 +398,7 @@ class TestCliSweep:
         [
             ("2,4,2", "sweep values must be distinct; K=2 is listed more than once"),
             ("4,x", "--values must be comma-separated integers"),
-            (",", "--values must list at least one value"),
+            (",", "a sweep needs at least one value"),
         ],
         ids=["repeated", "non-integer", "empty"],
     )

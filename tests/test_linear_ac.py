@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from sstac import (
     gridworld5,
     kl_regularized_argmax,
     objective_J,
+    random_mdp,
     run_linear_ac,
     softmax_rows,
     stationary_dists,
@@ -275,6 +277,14 @@ class TestRunLinearAc:
             omega = critic_step_exact(q_omega, m, pi_next, feats, rho_next, radius=params["R"])
             assert float(np.linalg.norm(theta)) == actor_norm
             assert float(np.linalg.norm(omega)) == critic_norm
+
+    def test_running_average_check_scales_with_the_weights(self):
+        # Rewards of order 1e6 give weights of order 1e6, whose rounding alone moves theta_k off the
+        # running average of the omegas by about 1e-11: relative error 1e-17, not a broken identity.
+        mdp = random_mdp(6, 3, 1)
+        mdp = dataclasses.replace(mdp, reward=mdp.reward * 1e6, r_max=mdp.r_max * 1e6)
+        trace = run_linear_ac(mdp, tabular_features(6, 3), 8)
+        assert len(trace.rows) == 9
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_value_table_once_per_iterate(self, monkeypatch, mode):

@@ -13,7 +13,6 @@ from sstac import (
     ErgodicityError,
     ExperimentConfig,
     ParameterError,
-    RunTrace,
     SstacError,
     chain2,
     linear_ac,
@@ -31,7 +30,7 @@ def linear(**kwargs):
 
 
 def neural(**kwargs):
-    return run_neural_ac(chain2(), 4, 1, kwargs.pop("K", 2), **{"N_a": 4, "N_c": 4, **kwargs})
+    return run_neural_ac(chain2(), **{"m": 4, "H": 1, "K": 2, "N_a": 4, "N_c": 4, **kwargs})
 
 
 @pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
@@ -61,17 +60,17 @@ DRIVERS = {"linear_exact": run_linear_ac, "linear_sampled": run_linear_ac, "neur
 
 @pytest.mark.parametrize("algorithm", DRIVERS)
 def test_drivers_take_the_config_names(algorithm):
-    # execute_run passes a config's set keys straight through, so each is a driver keyword of the same name.
+    # execute_run passes a config's settings straight through, with arch's m and H as m and H.
     parameters = inspect.signature(DRIVERS[algorithm]).parameters
-    for key in {"K", "R", "beta", *ALGORITHM_KEYS[algorithm]} - {"arch"}:
+    keys = {"K", "R", "beta", "seed", *ALGORITHM_KEYS[algorithm]}
+    for key in keys - {"arch"} | ({"m", "H"} if "arch" in keys else set()):
         assert key in parameters and parameters[key].kind is not inspect.Parameter.POSITIONAL_ONLY, key
-    if "arch" in ALGORITHM_KEYS[algorithm]:
-        assert list(parameters)[1:3] == ["m", "H"]
 
 
-# The algorithm whose config reads each setting; K, R and beta are read by every one.
-SETTING_ALGORITHM = {"K": "linear_exact", "R": "linear_exact", "beta": "linear_exact",
-                     "N": "linear_sampled", "ridge": "linear_sampled", "N_a": "neural", "N_c": "neural"}
+# The algorithm whose config reads each setting; K, R, beta and seed are read by every one.
+SETTING_ALGORITHM = {"K": "linear_exact", "R": "linear_exact", "beta": "linear_exact", "seed": "linear_exact",
+                     "N": "linear_sampled", "ridge": "linear_sampled",
+                     "N_a": "neural", "N_c": "neural", "m": "neural", "H": "neural"}
 SETTING_CONFIGS = {
     "linear_exact": {"mdp": "chain2", "algorithm": "linear_exact", "K": 2},
     "linear_sampled": {"mdp": "chain2", "algorithm": "linear_sampled", "K": 2, "N": 8},
@@ -82,33 +81,51 @@ SETTING_DRIVERS = {
 }
 
 
+def config_setting(doc, key, value):
+    """``doc`` with ``key`` set where a config sets it: m and H under arch, a seed as the one entry of seeds."""
+    if key in ("m", "H"):
+        return {**doc, "arch": {**doc["arch"], key: value}}
+    return {**doc, "seeds": [value]} if key == "seed" else {**doc, key: value}
+
+
+class Accepted(Exception):
+    """Raised by the first step after a driver's setting checks, so no accepted size allocates anything."""
+
+
+def accept(*args, **kwargs):
+    raise Accepted
+
+
 def rejection(call, error):
-    """The message of the ``error`` that ``call()`` raises, or None when it returns."""
+    """The message of the ``error`` that ``call()`` raises, or None when it returns or raises Accepted."""
     try:
         call()
     except error as exc:
         return str(exc)
+    except Accepted:
+        pass
     return None
 
 
-# Integers stay within int64: K, N_a or N_c beyond the float range overflow the drivers'
-# sqrt, and no setting has an upper bound yet.
 @given(
     key=st.sampled_from(sorted(SETTINGS)),
     value=st.one_of(
-        st.integers(-(2**63), 2**63), st.floats(), st.booleans(), st.sampled_from([0.0, -0.0, math.nan, math.inf])
+        st.integers(-(2**1100), 2**1100), st.floats(), st.booleans(), st.sampled_from([0.0, -0.0, math.nan, math.inf])
     ),
 )
 @example(key="R", value=10**400)
 @example(key="beta", value=-(10**400))
+@example(key="K", value=2**53)
+@example(key="N_a", value=2**53 + 1)
+@example(key="seed", value=2**1024)
 def test_config_and_driver_apply_one_rule(key, value):
     algorithm = SETTING_ALGORITHM[key]
-    config = rejection(lambda: ExperimentConfig.from_dict({**SETTING_CONFIGS[algorithm], key: value}), ConfigError)
+    doc = config_setting(SETTING_CONFIGS[algorithm], key, value)
+    config = rejection(lambda: ExperimentConfig.from_dict(doc), ConfigError)
     with pytest.MonkeyPatch.context() as patch:
-        # The drivers check every setting before the loop, which is stubbed out.
-        stub = lambda mdp, step, *, q_0, features, params: RunTrace(manifest={"params": params}, columns=[], rows=[])
-        for module in (linear_ac, neural_ac):
-            patch.setattr(module, "run_single_timescale", stub)
+        # The drivers check every setting before they build anything.
+        patch.setattr(linear_ac, "run_single_timescale", accept)
+        patch.setattr(neural_ac, "sa_encoding_table", accept)
         driver = rejection(lambda: SETTING_DRIVERS[algorithm](**{key: value}), ParameterError)
     assert config == driver
 
