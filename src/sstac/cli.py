@@ -30,6 +30,8 @@ def _load_config(path: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ConfigError(f"malformed JSON: {exc}") from exc
     return ExperimentConfig.from_dict(doc)
 
 

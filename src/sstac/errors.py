@@ -50,11 +50,12 @@ def check_nonnegative(name: str, table: np.ndarray) -> None:
 
 def check_probabilities(name: str, table: np.ndarray) -> None:
     """Reject a non-finite or negative entry, or a row (the last axis) that does not sum to 1, naming the first."""
-    # Each test is False for NaN; -inf fails the first, before a sum could meet inf - inf, and +inf the second.
-    if not np.all(table >= -_PROB_TOL):
+    # Each test is False for NaN, which min and max propagate; -inf fails the first, before a sum could meet
+    # inf - inf, and +inf the second.  An empty table passes both, as it passed np.all.
+    if not table.min(initial=np.inf) >= -_PROB_TOL:
         check_nonnegative(name, table)
     sums = table.sum(axis=-1)
-    if np.all(np.abs(sums - 1.0) <= _PROB_TOL):
+    if np.abs(sums - 1.0).max(initial=0.0) <= _PROB_TOL:
         return
     check_finite(name, table)
     # A 1-D table has one 0-d sum, in which np.argwhere finds no index.

@@ -18,7 +18,8 @@ class FeatureMap:
     ``one_hot`` records whether ``phi.reshape(S * A, d)`` is exactly the
     identity, i.e. feature ``s * A + a`` is the indicator of pair (s, a).
     The Gram matrix E_rho[phi phi^T] is then exactly diag(rho), which ``gram``
-    returns as that diagonal, and ``weighted_sum`` is the flattened table.
+    returns as that diagonal, ``weighted_sum`` is the flattened table and
+    ``value_table`` the weights reshaped, plus 0.0 to match the matvec's +0.0.
     """
 
     phi: np.ndarray  # (S, A, d)
@@ -29,14 +30,16 @@ class FeatureMap:
         object.__setattr__(self, "phi", phi)
         if phi.ndim != 3:
             raise ContractViolationError(f"phi must have shape (S, A, d), got {phi.shape}")
-        check_finite("phi", phi)
-        norms = np.linalg.norm(phi, axis=2)
-        if np.any(norms > 1.0 + _NORM_TOL):
-            raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
         flat = phi.reshape(-1, phi.shape[2])
         # d nonzeros, all on the diagonal and all 1: the identity, without building one.
         one_hot = flat.shape[0] == flat.shape[1] and np.count_nonzero(flat) == len(flat)
         object.__setattr__(self, "one_hot", one_hot and bool(np.all(flat.diagonal() == 1.0)))
+        if self.one_hot:  # the identity is finite and its rows have unit norm
+            return
+        check_finite("phi", phi)
+        norms = np.linalg.norm(phi, axis=2)
+        if np.any(norms > 1.0 + _NORM_TOL):
+            raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
 
     @property
     def dim(self) -> int:
@@ -51,8 +54,9 @@ class FeatureMap:
         return self.phi.shape[1]
 
     def value_table(self, weights: np.ndarray) -> np.ndarray:
-        """Linear function table: result[s, a] = weights . phi[s, a]."""
-        return self.phi @ check_shape("weights", weights, (self.dim,))
+        """Linear function table: result[s, a] = weights . phi[s, a]; for one-hot features, the weights reshaped."""
+        weights = check_shape("weights", weights, (self.dim,))
+        return weights.reshape(self.n_states, self.n_actions) + 0.0 if self.one_hot else self.phi @ weights
 
     def gram(self, rho: np.ndarray) -> np.ndarray:
         """E_rho[phi phi^T] for an (S, A) weight table; for one-hot features its diagonal, rho flattened (1-D)."""

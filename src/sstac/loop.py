@@ -32,10 +32,13 @@ def check_setting(key: str, value, error: type = ParameterError):
     """
     kind, minimum, strict = SETTINGS[key]
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-            raise error(f"{key} must be an integer >= {minimum}, got {value!r}")
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        bits = int(value).bit_length() if integral else 0  # no repr past 4,300 digits, so a long one shows its size
+        shown = f"a {'negative ' if value < 0 else ''}{bits}-bit integer" if bits > 64 else repr(value)
+        if not integral or value < minimum:
+            raise error(f"{key} must be an integer >= {minimum}, got {shown}")
         if value > 2**53:
-            raise error(f"{key} must be <= 2**53, got {value!r}")
+            raise error(f"{key} must be <= 2**53, got {shown}")
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{key} must be a number, got {value!r}")

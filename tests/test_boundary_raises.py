@@ -8,6 +8,7 @@ import pytest
 from sstac import ConfigError, ContractViolationError, ParameterError, TabularMDP, chain2, load_trace
 from sstac.deep_net import forward, init_params, project_ball_inplace, sa_encoding_table
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
+from sstac.cli import main
 from sstac.harness import ExperimentConfig, sweep_command
 from sstac.mdp import apply_P_pi, check_policy_matrix, mdp_from_json
 from sstac.linear_ac import critic_step_exact, critic_step_sampled, project_l2, run_linear_ac
@@ -101,6 +102,10 @@ CASES = {
         lambda: ExperimentConfig.from_dict({**BASE_CFG, "R": "1"}),
         ConfigError, "R must be a number, got '1'",
     ),
+    "harness-seed-beyond-int-repr": (
+        lambda: ExperimentConfig.from_dict({**BASE_CFG, "seeds": [-(10**5000)]}),
+        ConfigError, "seed must be an integer >= 0, got a negative 16610-bit integer",
+    ),
     "harness-sweep-no-values": (
         lambda: sweep_command(ExperimentConfig.from_dict(BASE_CFG), "K", []),
         ConfigError, "a sweep needs at least one value",
@@ -190,7 +195,11 @@ CASES = {
     ),
     "linear_ac-K-beyond-float-range": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 2**1024),
-        ParameterError, f"K must be <= 2**53, got {2**1024}",
+        ParameterError, "K must be <= 2**53, got a 1025-bit integer",
+    ),
+    "linear_ac-K-beyond-int-repr": (
+        lambda: run_linear_ac(chain2(), tabular_features(2, 2), 10**5000),
+        ParameterError, "K must be <= 2**53, got a 16610-bit integer",
     ),
     "linear_ac-zero-K": (
         lambda: run_linear_ac(chain2(), tabular_features(2, 2), 0),
@@ -302,3 +311,14 @@ def test_rejected_input_raises_named_error(tmp_path, monkeypatch, call, error, m
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_integer_literal_beyond_conversion_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an integer of over 4,300 digits.
+    config = tmp_path / "huge.json"
+    config.write_text('{"mdp": "chain2", "algorithm": "linear_exact", "K": ' + "9" * 5000 + "}")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sstac: error: config: malformed JSON: ") and err.count("\n") == 1
+    assert "5000 digits" in err
+    assert not (tmp_path / "r").exists()

@@ -9,6 +9,10 @@ reference is the exact critic's computation under the empirical measure of
 its draws: the pair frequencies of the Gram draws and the per-pair sums of
 the targets, over n.
 
+``FeatureMap.value_table`` reshapes the weights of one-hot features instead
+of multiplying by the identity; its property compares signs too, since
+``np.array_equal`` counts -0.0 equal to +0.0.
+
 The critics take the table Q_omega = phi @ omega, while the references
 compute from omega itself.  The sampled critic's bootstrap gathers
 ``Q_omega[s', a']``, which for one-hot features is ``phi[s', a'] @ omega``
@@ -115,6 +119,23 @@ def assert_same_outcome(got, reference):
             got()
         return
     assert np.array_equal(got(), expected)
+
+
+_value_weight = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_one_hot_value_table_matches_matvec_bit_for_bit(n_states, n_actions, data):
+    d = n_states * n_actions
+    weights = np.array(data.draw(st.lists(_value_weight, min_size=d, max_size=d)))
+    expected = np.eye(d).reshape(n_states, n_actions, d) @ weights
+    got = tabular_features(n_states, n_actions).value_table(weights)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @PROPERTY

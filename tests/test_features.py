@@ -109,3 +109,30 @@ def test_non_identity_features_keep_the_dense_gram(feats):
     gram = gram_matrix(feats, rho)
     np.testing.assert_array_equal(gram, _dense_gram(feats, rho))
     assert gram_min_singular(feats, rho) == max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
+
+
+def test_permutation_matrix_is_validated_and_not_one_hot():
+    # d nonzeros and unit norms, but off the diagonal: not the identity, so the full checks run.
+    feats = FeatureMap(phi=np.eye(6)[::-1].reshape(3, 2, 6))
+    assert not feats.one_hot
+    np.testing.assert_array_equal(feats.value_table(np.arange(6.0)), np.arange(6.0)[::-1].reshape(3, 2))
+    phi = np.eye(6)[::-1].reshape(3, 2, 6)
+    phi[0, 0, 5] = np.nan
+    with pytest.raises(ContractViolationError, match=r"^phi entry \(0, 0, 5\) is nan, not finite$"):
+        FeatureMap(phi=phi)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.nan, r"^phi entry \(1, 0, 2\) is nan, not finite$"),
+        (np.inf, r"^phi entry \(1, 0, 2\) is inf, not finite$"),
+        (1.0 + 1e-9, r"^feature norms must not exceed 1, max is np\.float64\(1\.000000001\)$"),
+    ],
+    ids=["nan", "inf", "above-1"],
+)
+def test_identity_with_one_bad_diagonal_entry_is_rejected(entry, message):
+    phi = np.eye(4).reshape(2, 2, 4)
+    phi[1, 0, 2] = entry
+    with pytest.raises(ContractViolationError, match=message):
+        FeatureMap(phi=phi)
