@@ -39,7 +39,7 @@ class FeatureMap:
         check_finite("phi", phi)
         norms = np.linalg.norm(phi, axis=2)
         if np.any(norms > 1.0 + _NORM_TOL):
-            raise ContractViolationError(f"feature norms must not exceed 1, max is {norms.max()!r}")
+            raise ContractViolationError(f"feature norms must not exceed 1, max is {float(norms.max())}")
 
     @property
     def dim(self) -> int:

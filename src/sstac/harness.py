@@ -78,8 +78,9 @@ class ExperimentConfig:
                 raise ConfigError("arch must be an object with keys among {m, H}; the input dimension is S + A")
             settings.update((key, check_setting(key, arch.get(key), ConfigError)) for key in _ARCH_KEYS)
         seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+        if not isinstance(seeds, list) or not seeds:  # by type, as Python reprs no int past 4,300 digits
+            shown = repr(seeds) if isinstance(seeds, list) else f"type {type(seeds).__name__}"
+            raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {shown}")
         seeds = tuple(check_setting("seed", seed, ConfigError) for seed in seeds)
         repeated = _first_repeat(seeds)
         if repeated is not None:

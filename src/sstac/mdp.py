@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +21,11 @@ from .errors import ContractViolationError, ErgodicityError, check_finite, check
 # Desk-scale cap: everything is dense, so keep tables small.
 MAX_STATE_ACTIONS = 4096
 
-# Stationary-distribution solve: residual target, and the weight of the uniform
-# restart mixed into each power-iteration step.
+# Stationary-distribution solve: residual target, weight of the uniform restart mixed into each
+# power step, and the first and largest number of power steps between two convergence tests.
 _STATIONARY_TOL = 1e-10
 _DAMPING = 1e-6
+_BLOCK_FIRST, _BLOCK_MAX = 8, 64
 
 # Discount of every builtin MDP.
 _GAMMA = 0.9
@@ -47,7 +49,8 @@ class TabularMDP:
     r_max: float = 1.0
 
     def __post_init__(self):
-        p = np.asarray(self.transition, dtype=float)
+        p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached CDFs in step
+        p.flags.writeable = False
         object.__setattr__(self, "transition", p)
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ContractViolationError(f"transition must have shape (S, A, S), got {p.shape}")
@@ -74,6 +77,13 @@ class TabularMDP:
     @property
     def n_actions(self) -> int:
         return self.transition.shape[1]
+
+    @cached_property
+    def cumulative_transition(self) -> np.ndarray:
+        """Next-state CDFs, cumsum(transition, axis=2), built on first use and read-only."""
+        cum = np.cumsum(self.transition, axis=2)
+        cum.flags.writeable = False
+        return cum
 
 
 def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
@@ -141,6 +151,25 @@ def _stationary_residual(nu: np.ndarray, p_pi: np.ndarray) -> float:
     return float(np.abs(nu @ p_pi - nu).sum())
 
 
+def _power_until(nu: np.ndarray, step, tol: float, limit: int):
+    """The first (nu_i, nu_{i+1}) of nu_{i+1} = step(nu_i) with |nu_{i+1} - nu_i|_1 <= tol, or (nu_limit, None).
+
+    Steps run in blocks that double from _BLOCK_FIRST to _BLOCK_MAX; each block is tested in one pass.
+    """
+    done, size = 0, _BLOCK_FIRST
+    while done < limit:
+        seq = np.empty((min(size, limit - done) + 1, len(nu)))
+        seq[0] = nu
+        for i in range(1, len(seq)):
+            seq[i] = nu = step(nu)
+        passed = np.abs(seq[1:] - seq[:-1]).sum(axis=1) <= tol
+        first = int(passed.argmax())
+        if passed[first]:
+            return seq[first], seq[first + 1]
+        done, size = done + len(seq) - 1, min(2 * size, _BLOCK_MAX)
+    return nu, None
+
+
 def _dense_stationary(p_pi: np.ndarray) -> np.ndarray:
     # Least-squares on the stacked system [P^T - I; 1^T] nu = [0; 1].
     n = p_pi.shape[0]
@@ -165,21 +194,11 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
     n = mdp.n_states
     uniform = np.full(n, 1.0 / n)
 
-    nu = uniform.copy()
-    for _ in range(50_000):
-        nu_next = (1.0 - _DAMPING) * (nu @ p_pi) + _DAMPING * uniform
-        if float(np.abs(nu_next - nu).sum()) <= _DAMPING * 1e-3:
-            nu = nu_next
-            break
-        nu = nu_next
-
-    # Undamped polish, geometric for aperiodic chains; each product both tests nu and steps it.
-    for _ in range(20_001):
-        nu_next = nu @ p_pi
-        if float(np.abs(nu_next - nu).sum()) <= 0.5 * _STATIONARY_TOL:
-            break
-        nu = nu_next
-    else:
+    restart = _DAMPING * uniform
+    before, after = _power_until(uniform, lambda nu: (1.0 - _DAMPING) * (nu @ p_pi) + restart, _DAMPING * 1e-3, 50_000)
+    # Undamped polish, geometric for aperiodic chains; it keeps the iterate that passed the test.
+    nu, after = _power_until(before if after is None else after, lambda nu: nu @ p_pi, 0.5 * _STATIONARY_TOL, 20_001)
+    if after is None:
         nu = _dense_stationary(p_pi)
         residual = _stationary_residual(nu, p_pi)
         if residual > _STATIONARY_TOL:

@@ -35,13 +35,12 @@ class RunRng:
         return gen
 
 
-def _conditional_draws(rng: np.random.Generator, row_probs: np.ndarray) -> np.ndarray:
-    """One draw per row of a (n, K) matrix of distributions."""
-    cum = np.cumsum(row_probs, axis=1)
-    u = rng.random(row_probs.shape[0])
+def _conditional_draws(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
+    """One draw per row of a (n, K) matrix of cumulative distributions."""
+    u = rng.random(cum.shape[0])
     # Counting cum <= u skips zero-mass outcomes, as sample_sa's searchsorted(side="right") does.
     idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, row_probs.shape[1] - 1)
+    return np.minimum(idx, cum.shape[1] - 1)
 
 
 def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -68,8 +67,9 @@ def sample_tuples(mdp, rho: np.ndarray, policy_next: np.ndarray, rng: np.random.
     pi_next = check_policy_matrix(mdp, policy_next)
     pairs = sample_sa(rho, rng, n)
     s, a = pairs[:, 0], pairs[:, 1]
-    s_next = _conditional_draws(rng, mdp.transition[s, a])
-    a_next = _conditional_draws(rng, pi_next[s_next])
+    # Gathered rows of a row-wise cumsum carry the bits of a cumsum over the gathered rows.
+    s_next = _conditional_draws(rng, mdp.cumulative_transition[s, a])
+    a_next = _conditional_draws(rng, np.cumsum(pi_next, axis=1)[s_next])
     r = mdp.reward[s, a]
     return s, a, r, s_next, a_next
 

@@ -85,6 +85,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="N"):
             ExperimentConfig.from_dict({**BASE_CFG, "algorithm": "linear_sampled"})
 
+    @pytest.mark.parametrize("seeds", [10**5000, {"seed": 10**5000}], ids=["int-beyond-repr", "dict"])
+    def test_seeds_that_are_not_a_list_name_their_type(self, seeds):
+        # Python will not repr an int of more than 4,300 digits, so the message names the type.
+        message = f"^seeds must be a non-empty list of integers >= 0, got type {type(seeds).__name__}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({**BASE_CFG, "seeds": seeds})
+
     def test_arch_rejects_input_dimension(self):
         # The input dimension is always S + A; a "d" entry would be ignored.
         with pytest.raises(ConfigError, match="arch"):
@@ -166,7 +173,7 @@ class TestCliRun:
             ([0, 1.5], "seed must be an integer >= 0, got 1.5"),
             ([2**53 + 1], f"seed must be <= 2**53, got {2**53 + 1}"),
             ([], "seeds must be a non-empty list of integers >= 0, got []"),
-            (0, "seeds must be a non-empty list of integers >= 0, got 0"),
+            (0, "seeds must be a non-empty list of integers >= 0, got type int"),
         ],
         ids=["negative", "bool", "float", "beyond-2**53", "empty", "not-a-list"],
     )

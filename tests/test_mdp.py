@@ -20,8 +20,10 @@ from sstac import (
     objective_J,
     optimal_q,
     random_mdp,
+    run_linear_ac,
     softmax_rows,
     stationary_dists,
+    tabular_features,
     visitation_dist,
 )
 from sstac import mdp as mdp_module
@@ -81,6 +83,40 @@ class TestConstruction:
         with pytest.raises(ContractViolationError, match="r_max must be finite"):
             TabularMDP(chain.transition, chain.reward, 0.9, chain.initial_dist, r_max=bad)
 
+
+class TestReadOnlyTransition:
+    """The MDP keeps a read-only copy of its kernel, so the cached next-state CDFs cannot fall out of step."""
+
+    def test_writes_to_the_stored_tables_raise(self):
+        mdp = random_mdp(3, 2, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            mdp.transition[0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            mdp.cumulative_transition[0, 0, 0] = 0.5
+
+    def test_callers_array_stays_writeable(self):
+        p = chain2().transition.copy()
+        mdp = TabularMDP(transition=p, reward=np.zeros((2, 2)), gamma=0.9, initial_dist=[1.0, 0.0])
+        assert p.flags.writeable
+        p[0, 0] = [1.0, 0.0]  # the caller's edit does not reach the MDP
+        np.testing.assert_array_equal(mdp.transition, chain2().transition)
+        np.testing.assert_array_equal(mdp.cumulative_transition, np.cumsum(chain2().transition, axis=2))
+
+    def test_replace_builds_a_fresh_cumulative_table(self):
+        mdp = random_mdp(3, 2, seed=2)
+        before = mdp.cumulative_transition
+        p = mdp.transition.copy()
+        p[0, 0] = [0.0, 0.0, 1.0]
+        replaced = dataclasses.replace(mdp, transition=p)
+        np.testing.assert_array_equal(replaced.cumulative_transition, np.cumsum(p, axis=2))
+        assert mdp.cumulative_transition is before
+        np.testing.assert_array_equal(before, np.cumsum(mdp.transition, axis=2))
+
+    def test_cumulative_table_is_built_on_first_use_only(self):
+        mdp = random_mdp(3, 2, seed=3)
+        run_linear_ac(mdp, tabular_features(3, 2), 2)  # the exact critic never samples
+        assert "cumulative_transition" not in vars(mdp)
+        assert mdp.cumulative_transition is mdp.cumulative_transition
 
 class TestApplyPPi:
     def test_constant_table(self, mdp5):

@@ -1,8 +1,10 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sstac import RunRng, chain2, sample_sa, sample_tuples
+from sstac import RunRng, TabularMDP, chain2, random_mdp, sample_sa, sample_tuples
 from sstac.sampling import _conditional_draws
 
 
@@ -105,7 +107,7 @@ class TestTieRule:
 
     def test_conditional_draws_skip_zero_mass(self):
         rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(_conditional_draws(ZeroRng(), rows), [1, 2])
+        np.testing.assert_array_equal(_conditional_draws(ZeroRng(), np.cumsum(rows, axis=1)), [1, 2])
 
     def test_sample_sa_skips_zero_mass(self):
         rho = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -116,3 +118,47 @@ class TestTieRule:
         always_second = np.array([[0.0, 1.0], [0.0, 1.0]])
         s, a, _, _, a_next = sample_tuples(chain2(), rho, always_second, ZeroRng(), 3)
         np.testing.assert_array_equal(np.stack([s, a, a_next]), [[0] * 3, [1] * 3, [1] * 3])
+
+    def test_next_state_skips_zero_mass(self):
+        # From state 0, "go" moves to state 1 with mass 1: the zero-mass next state 0 comes first.
+        rho = np.array([[1.0, 0.0], [0.0, 0.0]])
+        s, a, _, s_next, _ = sample_tuples(chain2(), rho, np.full((2, 2), 0.5), ZeroRng(), 3)
+        np.testing.assert_array_equal(np.stack([s, a, s_next]), [[0] * 3, [0] * 3, [1] * 3])
+
+
+def reference_draws(rng, row_probs):
+    """The conditional draw as written with a cumsum over the gathered rows."""
+    cum = np.cumsum(row_probs, axis=1)
+    idx = (cum <= rng.random(row_probs.shape[0])[:, None]).sum(axis=1)
+    return np.minimum(idx, row_probs.shape[1] - 1)
+
+
+def reference_sample_tuples(mdp, rho, pi_next, rng, n):
+    """sample_tuples as written before the cumulative tables: gather the rows, then cumsum them."""
+    pairs = sample_sa(rho, rng, n)
+    s, a = pairs[:, 0], pairs[:, 1]
+    s_next = reference_draws(rng, mdp.transition[s, a])
+    return s, a, mdp.reward[s, a], s_next, reference_draws(rng, pi_next[s_next])
+
+
+def _sparse_rows(rng, shape):
+    """Dirichlet rows with about half their entries set to exact zeros; every row keeps its largest entry."""
+    p = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    p = np.where((rng.random(p.shape) < 0.5) | (p == p.max(axis=-1, keepdims=True)), p, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 2000))
+def test_cumulative_tables_draw_the_old_tuples(n_states, n_actions, seed, n):
+    # Gathering rows of the MDP's cumulative table, and of one per-call cumsum of the policy,
+    # must give the bits of a cumsum over the gathered rows: the same seed, the same five arrays.
+    rng = np.random.default_rng(seed)
+    base = random_mdp(n_states, n_actions, seed=seed)
+    mdp = TabularMDP(_sparse_rows(rng, (n_states, n_actions, n_states)), base.reward, base.gamma, base.initial_dist)
+    rho = _sparse_rows(rng, (n_states * n_actions,)).reshape(n_states, n_actions)
+    pi_next = _sparse_rows(rng, (n_states, n_actions))
+    got = sample_tuples(mdp, rho, pi_next, RunRng(seed).stream("target_batch"), n)
+    expected = reference_sample_tuples(mdp, rho, pi_next, RunRng(seed).stream("target_batch"), n)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
