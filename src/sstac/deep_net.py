@@ -8,11 +8,12 @@ train; every parameter set remembers the initialization it is anchored to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BALL_SLACK, ContractViolationError, check_shape
+from .errors import BALL_SLACK, ContractViolationError, check_finite, check_shape
 
 # Subgradient convention at the ReLU kink: derivative 0 at exactly 0.
 
@@ -24,18 +25,6 @@ class DnnParams:
     weights: list[np.ndarray]  # W_1 (d, m), W_h (m, m) for h >= 2
     sign_vector: np.ndarray  # (m,) entries in {-1, +1}, never trained
     anchor: list[np.ndarray] = field(repr=False)
-
-    @property
-    def depth(self) -> int:
-        return len(self.weights)
-
-    @property
-    def width(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     def clone(self) -> "DnnParams":
         """Copy with independent weight arrays; anchor and signs are shared read-only."""
@@ -66,41 +55,48 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
 
 def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The layer recursion for one input (d,) or a batch (n, d): outputs, activations, pre-activations."""
-    scale = 1.0 / np.sqrt(params.width)
+    scale = 1.0 / math.sqrt(params.weights[0].shape[1])  # correctly rounded, as np.sqrt is
     activations, pre_activations = [xs], []
     for w in params.weights:
         pre_activations.append(activations[-1] @ w)
-        activations.append(scale * np.maximum(pre_activations[-1], 0.0))
+        a = np.maximum(pre_activations[-1], 0.0)
+        a *= scale
+        activations.append(a)
     return activations[-1] @ params.sign_vector, activations, pre_activations
 
 
 def forward(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Network output plus cached layer activations and pre-activations."""
-    value, activations, pre_activations = _layers(params, check_shape("input", x, (params.input_dim,)))
+    value, activations, pre_activations = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)))
     return float(value), activations, pre_activations
 
 
 def forward_many(params: DnnParams, xs: np.ndarray) -> np.ndarray:
-    """Vectorized outputs for a batch of inputs with shape (n, d)."""
-    return _layers(params, np.asarray(xs, dtype=float))[0]
+    """Vectorized outputs for a batch of finite inputs with shape (n, d)."""
+    xs, d = np.asarray(xs, dtype=float), params.weights[0].shape[0]
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ContractViolationError(f"inputs must have shape (n, {d}), got {xs.shape}")
+    check_finite("inputs", xs)
+    return _layers(params, xs)[0]
 
 
 def gradient(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Output value and exact per-layer gradients d(output)/dW_h.
 
-    Uses the sigma'(0) = 0 convention at ReLU kinks.
+    Uses the sigma'(0) = 0 convention at ReLU kinks.  One layer pass; each
+    gradient is the outer product of a layer's input and its delta.
     """
-    value, activations, pre_activations = forward(params, x)
-    scale = 1.0 / np.sqrt(params.width)
+    value, activations, pre_activations = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)))
+    scale = 1.0 / math.sqrt(params.weights[0].shape[1])
     # delta_h = d(output) / d(pre-activation of layer h)
     delta = scale * (pre_activations[-1] > 0.0) * params.sign_vector
-    grads: list[np.ndarray] = [None] * params.depth
-    for h in range(params.depth - 1, -1, -1):
-        grads[h] = np.outer(activations[h], delta)
+    grads: list[np.ndarray] = [None] * len(params.weights)
+    for h in range(len(params.weights) - 1, -1, -1):
+        grads[h] = activations[h][:, None] * delta
         if h > 0:
-            upstream = params.weights[h] @ delta
-            delta = scale * (pre_activations[h - 1] > 0.0) * upstream
-    return value, grads
+            delta = params.weights[h] @ delta
+            delta *= scale * (pre_activations[h - 1] > 0.0)
+    return float(value), grads
 
 
 def project_ball_inplace(params: DnnParams, radius: float) -> None:
@@ -114,7 +110,8 @@ def project_ball_inplace(params: DnnParams, radius: float) -> None:
     bound = radius * (1.0 + BALL_SLACK)
     for h, (w, w0) in enumerate(zip(params.weights, params.anchor)):
         diff = w - w0
-        dist = float(np.linalg.norm(diff))
+        flat = diff.ravel()
+        dist = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum of squares, without its dispatch
         if dist > bound and dist > bound + np.finfo(float).eps * float(np.linalg.norm(w0)):
             params.weights[h] = w0 + diff * (radius / dist) if radius > 0.0 else w0.copy()
 

@@ -51,14 +51,16 @@ def _sgd_averaged(
     if n_steps == 0:
         raise ContractViolationError("an inner loop needs at least one draw")
     acc = [np.zeros_like(w) for w in work.weights]
-    for n in range(n_steps):
-        value, grads = gradient(work, inputs[n])
-        resid = value - targets[n]
-        for h in range(work.depth):
-            work.weights[h] -= stepsize * resid * grads[h]
+    for x, target in zip(inputs, targets.tolist()):
+        value, grads = gradient(work, x)
+        coef = stepsize * (value - target)
+        for w, g in zip(work.weights, grads):
+            g *= coef
+            w -= g
+        # The projection may replace a layer, so the accumulation reads work.weights afresh.
         project_ball_inplace(work, radius)
-        for h in range(work.depth):
-            acc[h] += work.weights[h]
+        for a, w in zip(acc, work.weights):
+            a += w
     averaged = [a / n_steps for a in acc]
     return DnnParams(weights=averaged, sign_vector=work.sign_vector, anchor=work.anchor)
 

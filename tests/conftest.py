@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from sstac import chain2, random_mdp, tabular_features
+from sstac.deep_net import init_params
+from sstac.errors import BALL_SLACK
 
 
 @pytest.fixture
@@ -34,3 +39,71 @@ def mdp_doc(mdp):
 
 def random_policy(rng, n_states, n_actions):
     return rng.dirichlet(np.ones(n_actions), size=n_states)
+
+
+# The network's pre-change forms, kept as references for the bit-equality tests of the lean SGD step.
+
+
+def reference_layers(params, xs):
+    """``deep_net._layers`` as it was: np.sqrt for the scale, a fresh array per scaled activation."""
+    scale = 1.0 / np.sqrt(params.weights[0].shape[1])
+    activations, pre_activations = [np.asarray(xs, dtype=float)], []
+    for w in params.weights:
+        pre_activations.append(activations[-1] @ w)
+        activations.append(scale * np.maximum(pre_activations[-1], 0.0))
+    return activations[-1] @ params.sign_vector, activations, pre_activations
+
+
+def reference_gradient(params, x):
+    """``deep_net.gradient`` as it was: a full forward pass, np.outer and a fresh delta per layer."""
+    value, activations, pre_activations = reference_layers(params, x)
+    scale = 1.0 / np.sqrt(params.weights[0].shape[1])
+    delta = scale * (pre_activations[-1] > 0.0) * params.sign_vector
+    grads = [None] * len(params.weights)
+    for h in range(len(params.weights) - 1, -1, -1):
+        grads[h] = np.outer(activations[h], delta)
+        if h > 0:
+            upstream = params.weights[h] @ delta
+            delta = scale * (pre_activations[h - 1] > 0.0) * upstream
+    return float(value), grads
+
+
+def reference_project_ball_inplace(params, radius):
+    """``deep_net.project_ball_inplace`` as it was, with np.linalg.norm for each distance."""
+    bound = radius * (1.0 + BALL_SLACK)
+    for h, (w, w0) in enumerate(zip(params.weights, params.anchor)):
+        diff = w - w0
+        dist = float(np.linalg.norm(diff))
+        if dist > bound and dist > bound + np.finfo(float).eps * float(np.linalg.norm(w0)):
+            params.weights[h] = w0 + diff * (radius / dist) if radius > 0.0 else w0.copy()
+
+
+def reference_sgd_averaged(work, radius, stepsize, inputs, targets):
+    """``neural_ac._sgd_averaged``'s averaged weights as they were, from the reference gradient and projection."""
+    acc = [np.zeros_like(w) for w in work.weights]
+    for n in range(len(inputs)):
+        value, grads = reference_gradient(work, inputs[n])
+        resid = value - targets[n]
+        for h in range(len(work.weights)):
+            work.weights[h] -= stepsize * resid * grads[h]
+        reference_project_ball_inplace(work, radius)
+        for h in range(len(work.weights)):
+            acc[h] += work.weights[h]
+    return [a / len(inputs) for a in acc]
+
+
+# Input entries with exact zeros, signed zeros and negatives, so pre-activations hit the ReLU kink.
+KINKY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def kinky_network(draw):
+    """A d in 1..6, m in 1..16, H in 1..3 network whose weights have exact zeros, and a batch of kinky inputs."""
+    d, m, depth = draw(st.integers(1, 6)), draw(st.integers(1, 16)), draw(st.integers(1, 3))
+    params = init_params(d, m, depth, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    for w in params.weights:
+        w[rng.random(w.shape) < zero_share] = 0.0
+    xs = draw(arrays(float, (draw(st.integers(1, 4)), d), elements=KINKY))
+    return params, xs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sstac import ConfigError, ContractViolationError, ParameterError, TabularMDP, chain2, load_trace
-from sstac.deep_net import forward, init_params, project_ball_inplace, sa_encoding_table
+from sstac.deep_net import forward, forward_many, init_params, project_ball_inplace, sa_encoding_table
 from sstac.features import FeatureMap, gram_matrix, random_features, tabular_features
 from sstac.cli import main
 from sstac.harness import ExperimentConfig, sweep_command
@@ -57,6 +57,18 @@ CASES = {
     "deep_net-input-shape": (
         lambda: forward(init_params(3, 4, 1, seed=0), np.zeros(2)),
         ContractViolationError, "input must have shape (3,), got (2,)",
+    ),
+    "deep_net-batch-width": (
+        lambda: forward_many(init_params(4, 8, 2, seed=0), np.zeros((3, 5))),
+        ContractViolationError, "inputs must have shape (n, 4), got (3, 5)",
+    ),
+    "deep_net-batch-one-input": (
+        lambda: forward_many(init_params(4, 8, 2, seed=0), np.zeros(4)),
+        ContractViolationError, "inputs must have shape (n, 4), got (4,)",
+    ),
+    "deep_net-batch-nan": (
+        lambda: forward_many(init_params(4, 8, 2, seed=0), np.array([[0.0, np.nan, 0.0, 0.0]])),
+        ContractViolationError, "inputs entry (0, 1) is nan, not finite",
     ),
     "deep_net-negative-radius-inplace": (
         lambda: project_ball_inplace(init_params(3, 4, 1, seed=0), -1.0),

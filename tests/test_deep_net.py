@@ -17,6 +17,8 @@ from sstac.deep_net import (
 )
 from sstac.errors import BALL_SLACK
 
+from conftest import kinky_network, reference_gradient, reference_layers, reference_project_ball_inplace
+
 FD_MATRIX = [(4, 8, 1), (6, 16, 3), (8, 32, 2)]
 
 
@@ -33,7 +35,7 @@ def sample_away_from_kinks(params, rng, margin=1e-3, tries=50):
     """
     skipped = 0
     for _ in range(tries):
-        x = unit_input(rng, params.input_dim)
+        x = unit_input(rng, params.weights[0].shape[0])
         _, _, pre = forward(params, x)
         if min(float(np.abs(z).min()) for z in pre) > margin:
             return x, skipped
@@ -43,7 +45,7 @@ def sample_away_from_kinks(params, rng, margin=1e-3, tries=50):
 
 def finite_difference_grads(params, x, step=1e-5):
     grads = []
-    for h in range(params.depth):
+    for h in range(len(params.weights)):
         w = params.weights[h]
         g = np.zeros_like(w)
         for i in range(w.shape[0]):
@@ -267,6 +269,42 @@ class TestProjectBallProperties:
         project_ball_inplace(params, radius)
         for w, w_once in zip(params.weights, once):
             np.testing.assert_array_equal(w, w_once)
+
+
+def as_bytes(arrays_):
+    return [np.asarray(a).tobytes() for a in arrays_]
+
+
+class TestLeanStepMatchesReference:
+    """The lean gradient, layer pass and projection give the pre-change forms' bits, signed zeros included."""
+
+    @PROPERTY
+    @given(kinky_network())
+    def test_gradient_and_outputs(self, case):
+        params, xs = case
+        for x in xs:
+            value, grads = gradient(params, x)
+            ref_value, ref_grads = reference_gradient(params, x)
+            assert as_bytes([value, *grads]) == as_bytes([ref_value, *ref_grads])
+            assert as_bytes([forward(params, x)[0]]) == as_bytes([ref_value])
+        assert forward_many(params, xs).tobytes() == reference_layers(params, xs)[0].tobytes()
+
+    @PROPERTY
+    @given(kinky_network(), st.sampled_from(["zero", "tight", "loose"]), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_projection(self, case, kind, fraction, seed):
+        params, _ = case
+        rng = np.random.default_rng(seed)
+        for w in params.weights:
+            # Steps with exact zeros, and at least one nonzero entry, so a tight radius binds every layer.
+            step = rng.standard_normal(w.shape) * (rng.random(w.shape) < 0.5)
+            step.flat[0] = 1.0
+            w += step
+        dists = [np.linalg.norm(w - w0) for w, w0 in zip(params.weights, params.anchor)]
+        radius = {"zero": 0.0, "tight": fraction * min(dists), "loose": 2.0 * max(dists)}[kind]
+        ref = params.clone()
+        project_ball_inplace(params, radius)
+        reference_project_ball_inplace(ref, radius)
+        assert as_bytes(params.weights) == as_bytes(ref.weights)
 
 
 class TestLinearizationGap:

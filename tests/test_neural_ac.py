@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sstac import (
     ContractViolationError,
@@ -17,7 +19,10 @@ from sstac import (
     stationary_dists,
 )
 from sstac.deep_net import DnnParams, forward_many, gradient, init_params, sa_encoding_table
+from sstac.neural_ac import _sgd_averaged
 from sstac.policy import softmax_rows
+
+from conftest import kinky_network, reference_gradient, reference_sgd_averaged
 
 NEURAL_COLUMNS = [
     "k", "gap", "cum_regret", "eps_c_l2", "eps_c_sup", "e_sup", "theta_kl", "eps_a", "eps_b",
@@ -145,33 +150,33 @@ class TestCriticInnerLoop:
         assert med[3200] < med[200]
 
     def test_targets_frozen_at_loop_entry(self):
-        # Replaying the loop with targets computed once from the entry
-        # snapshot must reproduce the output bit for bit.
+        # Replaying the loop with targets computed once from the entry snapshot, through the
+        # pre-change gradient and projection, must reproduce the output bit for bit, with the
+        # ball loose (10) and active (0.01).
         mdp = chain2()
         enc = sa_encoding_table(2, 2)
         critic = make_net(m=8, depth=2, seed=7)
         pi = np.full((2, 2), 0.5)
         _, rho = stationary_dists(mdp, pi)
         tuples = sample_tuples(mdp, rho, pi, RunRng(11).stream("critic_loop"), 32)
-        out = critic_inner_loop(critic, tuples, enc, mdp.gamma, radius=10.0, eta=0.2)
-
         s, a, r, s2, a2 = tuples
         snapshot_table = forward_many(critic, enc.reshape(-1, 4)).reshape(2, 2)
         frozen_targets = (1.0 - mdp.gamma) * r + mdp.gamma * snapshot_table[s2, a2]
-        from sstac.deep_net import project_ball_inplace
+        for radius in (10.0, 0.01):
+            out = critic_inner_loop(critic, tuples, enc, mdp.gamma, radius=radius, eta=0.2)
+            expected = reference_sgd_averaged(critic.clone(), radius, 0.2, enc[s, a], frozen_targets)
+            assert [w.tobytes() for w in out.weights] == [w.tobytes() for w in expected]
 
-        work = critic.clone()
-        acc = [np.zeros_like(w) for w in work.weights]
-        for n in range(32):
-            value, grads = gradient(work, enc[s[n], a[n]])
-            resid = value - frozen_targets[n]
-            for h in range(work.depth):
-                work.weights[h] -= 0.2 * resid * grads[h]
-            project_ball_inplace(work, 10.0)
-            for h in range(work.depth):
-                acc[h] += work.weights[h]
-        for got, expected in zip(out.weights, (acc_h / 32 for acc_h in acc)):
-            np.testing.assert_array_equal(got, expected)
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(kinky_network(), st.sampled_from([0.0, 0.05, 1e6]), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_sgd_loop_matches_reference(case, radius, stepsize, seed):
+    # Exact-zero weights make a last-bit change in an update visible, where a weight near 1 would absorb it.
+    params, xs = case
+    targets = np.random.default_rng(seed).standard_normal(len(xs))
+    out = _sgd_averaged(params.clone(), radius, stepsize, xs, targets)
+    expected = reference_sgd_averaged(params.clone(), radius, stepsize, xs, targets)
+    assert [w.tobytes() for w in out.weights] == [w.tobytes() for w in expected]
 
 
 def test_averaged_iterate_identity_hand_tracked():
@@ -186,8 +191,8 @@ def test_averaged_iterate_identity_hand_tracked():
     work = actor.clone()
     iterates = []
     for n in range(3):
-        value, grads = gradient(work, enc[pairs[n, 0], pairs[n, 1]])
-        for h in range(work.depth):
+        value, grads = reference_gradient(work, enc[pairs[n, 0], pairs[n, 1]])
+        for h in range(len(work.weights)):
             work.weights[h] = work.weights[h] - 0.1 * (value - 0.7) * grads[h]
         iterates.append([w.copy() for w in work.weights])
     expected = [np.mean([it[h] for it in iterates], axis=0) for h in range(1)]
