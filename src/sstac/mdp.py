@@ -49,7 +49,7 @@ class TabularMDP:
     r_max: float = 1.0
 
     def __post_init__(self):
-        p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached CDFs in step
+        p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached step table in step
         p.flags.writeable = False
         object.__setattr__(self, "transition", p)
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
@@ -79,11 +79,26 @@ class TabularMDP:
         return self.transition.shape[1]
 
     @cached_property
-    def cumulative_transition(self) -> np.ndarray:
-        """Next-state CDFs, cumsum(transition, axis=2), built on first use and read-only."""
-        cum = np.cumsum(self.transition, axis=2)
-        cum.flags.writeable = False
-        return cum
+    def step_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Next-state CDFs c = cumsum(transition, axis=2) as step functions, built on first use, read-only.
+
+        Row r = s * n_actions + a: ``values[:, r]`` lists the distinct entries of c[s, a] in increasing
+        order, inf-padded; ``counts[r, j]`` counts its entries <= values[j - 1, r] (counts[r, 0] = 0),
+        clipped to S - 1, in the smallest integer type that holds S - 1.  The draw of s' for u, in any
+        row order, is then counts[r, #(values[:, r] <= u)].
+        """
+        n_states = self.n_states
+        cum = np.cumsum(self.transition, axis=2).reshape(-1, n_states)
+        cum.sort(axis=1)
+        last = np.append(cum[:, 1:] != cum[:, :-1], np.ones((len(cum), 1), bool), axis=1)  # each run's last entry
+        width = last.sum(axis=1)
+        filled = np.arange(1.0, width.max() + 1) <= width[:, None]  # boolean masks fill rows in cum[last]'s order
+        values = np.full(filled.shape[::-1], np.inf)
+        values.T[filled] = cum[last]
+        counts = np.zeros((len(cum), len(values) + 1), dtype=np.min_scalar_type(n_states - 1))
+        counts[:, 1:][filled] = np.broadcast_to(np.minimum(np.arange(1, n_states + 1), n_states - 1), cum.shape)[last]
+        values.flags.writeable = counts.flags.writeable = False
+        return values, counts
 
 
 def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every consumer of randomness pulls from a named stream of a single
 :class:`RunRng`, so traces are bit-reproducible and consuming one stream
 never perturbs another.  Categorical sampling goes through inverse-CDF on
-raw uniforms, the most version-stable Generator primitive.
+raw uniforms, the most version-stable Generator primitive.  A draw is the number of
+CDF entries <= u, clipped; RNG_ID names that draw, whichever kernel counts it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .mdp import check_policy_matrix
 
 # Recorded in run manifests; bump if the draw algorithm ever changes.
 RNG_ID = "numpy-pcg64/seedseq-crc32-streams/inverse-cdf-v1"
+_BLOCK = 8  # entries per block of the (s, a) CDF in sample_sa's count
 
 
 class RunRng:
@@ -35,16 +37,12 @@ class RunRng:
         return gen
 
 
-def _conditional_draws(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
-    """One draw per row of a (n, K) matrix of cumulative distributions."""
-    u = rng.random(cum.shape[0])
-    # Counting cum <= u skips zero-mass outcomes, as sample_sa's searchsorted(side="right") does.
-    idx = (cum <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum.shape[1] - 1)
-
-
 def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 2) array of state-action pairs drawn i.i.d. from a joint table rho[s, a], via inverse CDF."""
+    """(n, 2) array of state-action pairs drawn i.i.d. from a joint table rho[s, a], via inverse CDF.
+
+    The flat index counts the entries of c = cumsum(rho.ravel()) that are <= u, clipped: searchsorted(c,
+    u, side="right") for a nondecreasing c, and the count still where entries in [-1e-12, 0) make c dip.
+    """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2:
         raise ContractViolationError(f"rho must be an (S, A) table, got shape {rho.shape}")
@@ -53,8 +51,12 @@ def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     check_nonnegative("rho", rho)
     flat = rho.reshape(-1)
     check_probabilities("rho", flat)
-    idx = np.minimum(np.searchsorted(np.cumsum(flat), rng.random(n), side="right"), len(flat) - 1)
-    s, a = np.divmod(idx, rho.shape[1])
+    blocks = np.full((_BLOCK, len(flat) // _BLOCK + 1), np.inf)  # column j is block j; the last ends with an inf
+    blocks.T.flat[: len(flat)] = np.sort(np.cumsum(flat))  # a nondecreasing CDF sorts to itself
+    u = rng.random(n)
+    below = (blocks[-1][:, None] <= u).sum(axis=0)  # whole blocks <= u, then the entries of the next one
+    idx = _BLOCK * below + (blocks.take(below, axis=1) <= u).sum(axis=0)
+    s, a = np.divmod(np.minimum(idx, len(flat) - 1), rho.shape[1])
     return np.stack([s, a], axis=1)
 
 
@@ -67,9 +69,12 @@ def sample_tuples(mdp, rho: np.ndarray, policy_next: np.ndarray, rng: np.random.
     pi_next = check_policy_matrix(mdp, policy_next)
     pairs = sample_sa(rho, rng, n)
     s, a = pairs[:, 0], pairs[:, 1]
-    # Gathered rows of a row-wise cumsum carry the bits of a cumsum over the gathered rows.
-    s_next = _conditional_draws(rng, mdp.cumulative_transition[s, a])
-    a_next = _conditional_draws(rng, np.cumsum(pi_next, axis=1)[s_next])
+    values, counts = mdp.step_table
+    rows = s * mdp.n_actions + a
+    below = (values.take(rows, axis=1) <= rng.random(n)).sum(axis=0)  # distinct CDF values <= u
+    s_next = counts.take(rows * counts.shape[1] + below).astype(np.intp)
+    cum_pi = np.cumsum(pi_next.T, axis=0)  # column s' is the CDF of pi_next[s'], with a row-wise cumsum's bits
+    a_next = np.minimum((cum_pi.take(s_next, axis=1) <= rng.random(n)).sum(axis=0), mdp.n_actions - 1)
     r = mdp.reward[s, a]
     return s, a, r, s_next, a_next
 

@@ -85,14 +85,14 @@ class TestConstruction:
 
 
 class TestReadOnlyTransition:
-    """The MDP keeps a read-only copy of its kernel, so the cached next-state CDFs cannot fall out of step."""
+    """The MDP keeps a read-only copy of its kernel, so the cached step table cannot fall out of step."""
 
     def test_writes_to_the_stored_tables_raise(self):
         mdp = random_mdp(3, 2, seed=1)
-        with pytest.raises(ValueError, match="read-only"):
-            mdp.transition[0, 0, 0] = 0.5
-        with pytest.raises(ValueError, match="read-only"):
-            mdp.cumulative_transition[0, 0, 0] = 0.5
+        values, counts = mdp.step_table
+        for table, index in [(mdp.transition, (0, 0, 0)), (values, (0, 0)), (counts, (0, 1))]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[index] = 0
 
     def test_callers_array_stays_writeable(self):
         p = chain2().transition.copy()
@@ -100,23 +100,35 @@ class TestReadOnlyTransition:
         assert p.flags.writeable
         p[0, 0] = [1.0, 0.0]  # the caller's edit does not reach the MDP
         np.testing.assert_array_equal(mdp.transition, chain2().transition)
-        np.testing.assert_array_equal(mdp.cumulative_transition, np.cumsum(chain2().transition, axis=2))
+        # Every chain2 CDF row is [0, 1] or [1, 1]: values per row, counts of entries <= each, clipped to S - 1.
+        values, counts = mdp.step_table
+        np.testing.assert_array_equal(values, [[0.0, 1.0, 1.0, 0.0], [1.0, np.inf, np.inf, 1.0]])
+        np.testing.assert_array_equal(counts, [[0, 1, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1]])
+        assert counts.dtype == np.uint8
 
-    def test_replace_builds_a_fresh_cumulative_table(self):
+    def test_replace_builds_a_fresh_step_table(self):
         mdp = random_mdp(3, 2, seed=2)
-        before = mdp.cumulative_transition
+        values, counts = mdp.step_table
         p = mdp.transition.copy()
         p[0, 0] = [0.0, 0.0, 1.0]
         replaced = dataclasses.replace(mdp, transition=p)
-        np.testing.assert_array_equal(replaced.cumulative_transition, np.cumsum(p, axis=2))
-        assert mdp.cumulative_transition is before
-        np.testing.assert_array_equal(before, np.cumsum(mdp.transition, axis=2))
+        fresh = TabularMDP(p, mdp.reward, mdp.gamma, mdp.initial_dist).step_table
+        for got, want in zip(replaced.step_table, fresh):
+            np.testing.assert_array_equal(got, want)
+        assert mdp.step_table[0] is values and mdp.step_table[1] is counts
+        assert not np.array_equal(replaced.step_table[0], values)
 
-    def test_cumulative_table_is_built_on_first_use_only(self):
+    def test_step_table_is_built_on_first_use_only(self):
         mdp = random_mdp(3, 2, seed=3)
         run_linear_ac(mdp, tabular_features(3, 2), 2)  # the exact critic never samples
-        assert "cumulative_transition" not in vars(mdp)
-        assert mdp.cumulative_transition is mdp.cumulative_transition
+        assert "step_table" not in vars(mdp)
+        assert mdp.step_table is mdp.step_table
+
+    @pytest.mark.parametrize("n_states, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_counts_take_the_smallest_type_that_holds_the_last_state(self, n_states, dtype):
+        counts = random_mdp(n_states, 1, seed=4).step_table[1]
+        assert counts.dtype == dtype and counts.max() == n_states - 1
+
 
 class TestApplyPPi:
     def test_constant_table(self, mdp5):

@@ -1,11 +1,10 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sstac import RunRng, TabularMDP, chain2, random_mdp, sample_sa, sample_tuples
-from sstac.sampling import _conditional_draws
 
 
 class ZeroRng:
@@ -13,6 +12,18 @@ class ZeroRng:
 
     def random(self, n):
         return np.zeros(n)
+
+
+class ScriptedRng:
+    """A generator stub that returns the given uniform draws, one array per call."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def random(self, n):
+        u = np.asarray(next(self._draws), dtype=float)
+        assert u.shape == (n,)
+        return u
 
 
 class TestRunRng:
@@ -106,8 +117,13 @@ class TestTieRule:
     """A uniform draw of exactly 0.0 lands on the first outcome with positive mass, in both samplers."""
 
     def test_conditional_draws_skip_zero_mass(self):
+        # The step table of a kernel whose rows for (0, 0) and (1, 0) are these; u = 0.0 for s'.
         rows = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(_conditional_draws(ZeroRng(), np.cumsum(rows, axis=1)), [1, 2])
+        mdp = TabularMDP(np.vstack([rows, [1.0, 0.0, 0.0]])[:, None, :], np.zeros((3, 1)), 0.9, [1.0, 0.0, 0.0])
+        rng = ScriptedRng([0.0, 0.5], [0.0, 0.0], [0.0, 0.0])  # (s, a), then s', then a'
+        s, _, _, s_next, _ = sample_tuples(mdp, np.array([[0.5], [0.5], [0.0]]), np.ones((3, 1)), rng, 2)
+        np.testing.assert_array_equal(s, [0, 1])
+        np.testing.assert_array_equal(s_next, [1, 2])
 
     def test_sample_sa_skips_zero_mass(self):
         rho = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -141,24 +157,107 @@ def reference_sample_tuples(mdp, rho, pi_next, rng, n):
     return s, a, mdp.reward[s, a], s_next, reference_draws(rng, pi_next[s_next])
 
 
-def _sparse_rows(rng, shape):
-    """Dirichlet rows with about half their entries set to exact zeros; every row keeps its largest entry."""
+def _sparse_rows(rng, shape, dip=False):
+    """Dirichlet rows with about half their entries set to exact zeros; every row keeps its largest entry.
+
+    With ``dip``, about half the zeros become entries in [-1e-12, 0), which the probability check
+    admits, and each row's largest entry takes their mass back, so the row still sums to 1.
+    """
     p = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
-    p = np.where((rng.random(p.shape) < 0.5) | (p == p.max(axis=-1, keepdims=True)), p, 0.0)
-    return p / p.sum(axis=-1, keepdims=True)
+    top = p == p.max(axis=-1, keepdims=True)
+    p = np.where((rng.random(p.shape) < 0.5) | top, p, 0.0)
+    p /= p.sum(axis=-1, keepdims=True)
+    if dip:
+        neg = np.where((p == 0.0) & (rng.random(p.shape) < 0.5), -1e-12 * rng.random(p.shape), 0.0)
+        p += neg
+        p -= np.where(top & (np.cumsum(top, axis=-1) == 1), neg.sum(axis=-1, keepdims=True), 0.0)
+    return p
+
+
+def _cdf_ties(cum_rows, rng):
+    """One uniform per CDF row, about half of them an entry of that row or 0.0, so u ties with an entry."""
+    n, k = cum_rows.shape
+    ties = np.hstack([cum_rows, np.zeros((n, 1))])[np.arange(n), rng.integers(0, k + 1, n)]
+    return np.where(rng.random(n) < 0.5, ties, rng.random(n))
+
+
+def _tied_tuple_draws(mdp, rho, pi_next, seed, n):
+    """sample_tuples' three uniform arrays, each tying with entries of the CDF rows it is compared with."""
+    rng = np.random.default_rng(seed)
+    u_sa = _cdf_ties(np.broadcast_to(np.cumsum(rho.ravel()), (n, rho.size)), rng)
+    s, a = sample_sa(rho, ScriptedRng(u_sa), n).T
+    u_next = _cdf_ties(np.cumsum(mdp.transition[s, a], axis=1), rng)
+    s_next = reference_draws(ScriptedRng(u_next), mdp.transition[s, a])
+    return u_sa, u_next, _cdf_ties(np.cumsum(pi_next[s_next], axis=1), rng)
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 2000))
-def test_cumulative_tables_draw_the_old_tuples(n_states, n_actions, seed, n):
-    # Gathering rows of the MDP's cumulative table, and of one per-call cumsum of the policy,
-    # must give the bits of a cumsum over the gathered rows: the same seed, the same five arrays.
+@given(
+    st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 2000), st.booleans(), st.booleans()
+)
+@example(3, 2, 7, 0, True, False)
+@example(1, 1, 0, 5, False, True)
+def test_cumulative_tables_draw_the_old_tuples(n_states, n_actions, seed, n, dip, ties):
+    # The step table's count for s' and the transposed policy CDF's count for a' must give the
+    # indices of counting a cumsum over the gathered rows, also where entries in [-1e-12, 0)
+    # make a CDF row dip and where u equals a CDF entry: the same draws, the same five arrays.
     rng = np.random.default_rng(seed)
     base = random_mdp(n_states, n_actions, seed=seed)
-    mdp = TabularMDP(_sparse_rows(rng, (n_states, n_actions, n_states)), base.reward, base.gamma, base.initial_dist)
+    kernel = _sparse_rows(rng, (n_states, n_actions, n_states), dip)
+    mdp = TabularMDP(kernel, base.reward, base.gamma, base.initial_dist)
     rho = _sparse_rows(rng, (n_states * n_actions,)).reshape(n_states, n_actions)
-    pi_next = _sparse_rows(rng, (n_states, n_actions))
-    got = sample_tuples(mdp, rho, pi_next, RunRng(seed).stream("target_batch"), n)
-    expected = reference_sample_tuples(mdp, rho, pi_next, RunRng(seed).stream("target_batch"), n)
+    pi_next = _sparse_rows(rng, (n_states, n_actions), dip)
+    if ties:
+        draws = _tied_tuple_draws(mdp, rho, pi_next, seed, n)
+        got_rng, expected_rng = ScriptedRng(*draws), ScriptedRng(*draws)
+    else:
+        got_rng, expected_rng = RunRng(seed).stream("target_batch"), RunRng(seed).stream("target_batch")
+    got = sample_tuples(mdp, rho, pi_next, got_rng, n)
+    expected = reference_sample_tuples(mdp, rho, pi_next, expected_rng, n)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.25, 3.0]), min_size=1, max_size=41),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+)
+@example([0.0, 1.0, 0.0], 1, 0, 0)
+@example([0.0] * 7 + [1.0] + [0.0] * 9, 1, 1, 50)
+def test_sample_sa_counts_as_searchsorted_does(weights, n_actions, seed, n):
+    # Over nondecreasing CDFs of any length, with exact zeros and point masses, the blocked count
+    # gives searchsorted's index, also where u equals a CDF entry.
+    weights = np.array(weights + [0.0] * (-len(weights) % n_actions))
+    if weights.sum() == 0.0:
+        weights[seed % len(weights)] = 1.0
+    rho = (weights / weights.sum()).reshape(-1, n_actions)
+    cum = np.cumsum(rho.reshape(-1))
+    u = _cdf_ties(np.broadcast_to(cum, (n, len(cum))), np.random.default_rng(seed))
+    pairs = sample_sa(rho, ScriptedRng(u), n)
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    assert pairs.dtype == expected.dtype and pairs.shape == (n, 2)
+    np.testing.assert_array_equal(pairs[:, 0] * n_actions + pairs[:, 1], expected)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_sample_sa_counts_entries_where_the_cdf_dips(size, seed, n):
+    # With entries in [-1e-12, 0) the CDF may dip, and searchsorted's answer on an unsorted array
+    # is no contract; the index is the number of CDF entries <= u, as in the s' and a' draws.
+    rng = np.random.default_rng(seed)
+    rho = _sparse_rows(rng, (size,), dip=True).reshape(size, 1)
+    cum = np.cumsum(rho.reshape(-1))
+    u = _cdf_ties(np.broadcast_to(cum, (n, size)), rng)
+    expected = np.minimum((cum <= u[:, None]).sum(axis=1), size - 1)
+    np.testing.assert_array_equal(sample_sa(rho, ScriptedRng(u), n)[:, 0], expected)
+
+
+def test_sample_sa_dip_rule():
+    # cum = [0.5, 0.5 - 1e-12, 1.0]: a u inside the dip counts one entry, so the negative-mass pair
+    # is drawn there; u = 0.5 counts two.
+    rho = np.array([[0.5, -1e-12, 0.5 + 1e-12]])
+    pairs = sample_sa(rho, ScriptedRng([0.5 - 5e-13, 0.5, 0.25]), 3)
+    np.testing.assert_array_equal(pairs, [[0, 1], [0, 2], [0, 0]])
