@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ MAX_STATE_ACTIONS = 4096
 _STATIONARY_TOL = 1e-10
 _DAMPING = 1e-6
 _BLOCK_FIRST, _BLOCK_MAX = 8, 64
+_TABLE_BLOCK = 1 << 16  # next-state CDF entries that one block of step_table's build sorts
 
 # Discount of every builtin MDP.
 _GAMMA = 0.9
@@ -40,13 +41,21 @@ def _check_size(n_states: int, n_actions: int) -> None:
 
 @dataclass(frozen=True)
 class TabularMDP:
-    """A finite discounted MDP (states, actions, kernel, rewards, discount, start)."""
+    """A finite discounted MDP (states, actions, kernel, rewards, discount, start).
+
+    The kernel is stored as a private read-only copy, so what is derived from it can be kept and
+    never goes stale: ``step_table``, and a memo of the policies that passed ``check_policy_matrix``
+    and of the last P_pi built.  ``dataclasses.replace`` starts both afresh.
+    """
 
     transition: np.ndarray  # (S, A, S), rows are next-state distributions
     reward: np.ndarray  # (S, A)
     gamma: float
     initial_dist: np.ndarray  # (S,)
     r_max: float = 1.0
+    # Bytes of the last two policies that passed the probability check, least recently used first, mapped to
+    # None or (the last one built) to its read-only P_pi.  An update lost to another thread only repeats work.
+    _policy_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached step table in step
@@ -87,25 +96,58 @@ class TabularMDP:
         clipped to S - 1, in the smallest integer type that holds S - 1.  The draw of s' for u, in any
         row order, is then counts[r, #(values[:, r] <= u)].
         """
-        n_states = self.n_states
-        cum = np.cumsum(self.transition, axis=2).reshape(-1, n_states)
-        cum.sort(axis=1)
-        last = np.append(cum[:, 1:] != cum[:, :-1], np.ones((len(cum), 1), bool), axis=1)  # each run's last entry
-        width = last.sum(axis=1)
-        filled = np.arange(1.0, width.max() + 1) <= width[:, None]  # boolean masks fill rows in cum[last]'s order
-        values = np.full(filled.shape[::-1], np.inf)
-        values.T[filled] = cum[last]
-        counts = np.zeros((len(cum), len(values) + 1), dtype=np.min_scalar_type(n_states - 1))
-        counts[:, 1:][filled] = np.broadcast_to(np.minimum(np.arange(1, n_states + 1), n_states - 1), cum.shape)[last]
+        n_states, n_actions = self.n_states, self.n_actions
+        states = max(1, _TABLE_BLOCK // (n_states * n_actions))  # built in blocks of states, to bound its peak
+
+        def sorted_rows(lo: int):  # the sorted CDF rows of one block, and where each run of equal entries ends
+            cum = np.cumsum(self.transition[lo : lo + states], axis=2).reshape(-1, n_states)
+            cum.sort(axis=1)
+            return cum, np.append(cum[:, 1:] != cum[:, :-1], np.ones((len(cum), 1), bool), axis=1)
+
+        starts = range(0, n_states, states)
+        width = np.concatenate([sorted_rows(lo)[1].sum(axis=1) for lo in starts])
+        values = np.full((width.max(), len(width)), np.inf)
+        counts = np.zeros((len(width), len(values) + 1), dtype=np.min_scalar_type(n_states - 1))
+        clipped = np.minimum(np.arange(1, n_states + 1), n_states - 1)
+        for lo in starts:
+            cum, last = sorted_rows(lo)
+            rows = slice(lo * n_actions, lo * n_actions + len(cum))
+            filled = np.arange(1.0, len(values) + 1) <= width[rows, None]  # boolean masks fill rows in order
+            values.T[rows][filled] = cum[last]
+            counts[rows, 1:][filled] = np.broadcast_to(clipped, cum.shape)[last]
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
 
 
 def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
-    """Validate that ``policy`` is an (S, A) row-stochastic matrix for ``mdp``."""
+    """Validate that ``policy`` is an (S, A) row-stochastic matrix for ``mdp``.
+
+    The probability check runs once per distinct policy per MDP: ``mdp`` remembers the bytes of the last
+    two policies that passed it.  A policy edited in place has new bytes and is checked again.
+    """
     pi = check_shape("policy", policy, (mdp.n_states, mdp.n_actions))
-    check_probabilities("policy", pi)
+    memo, key = mdp._policy_memo, pi.tobytes()
+    if key in memo:
+        memo[key] = memo.pop(key, None)  # now the most recently used
+    else:
+        check_probabilities("policy", pi)
+        memo[key] = None
+        if len(memo) > 2:
+            memo.pop(next(iter(memo)), None)
     return pi
+
+
+def _checked_kernel(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked policy and its read-only P_pi, built once for the last policy that needed it."""
+    pi = check_policy_matrix(mdp, policy)
+    memo, key = mdp._policy_memo, pi.tobytes()
+    p_pi = memo.get(key)
+    if p_pi is None:
+        p_pi = policy_transition(mdp, pi)
+        p_pi.flags.writeable = False
+        memo.update(dict.fromkeys(memo))  # forget the previous P_pi; keys keep their order
+        memo[key] = p_pi
+    return pi, p_pi
 
 
 def apply_P_pi(mdp: TabularMDP, policy: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -135,9 +177,9 @@ def exact_q_pi(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     V = (I - gamma P_pi)^{-1} (1-gamma) r_pi with r_pi[s] = sum_a pi[s, a] r[s, a],
     then Q = (1-gamma) r + gamma P V.
     """
-    pi = check_policy_matrix(mdp, policy)
+    pi, p_pi = _checked_kernel(mdp, policy)
     r_pi = (pi * mdp.reward).sum(axis=1)
-    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * policy_transition(mdp, pi), (1.0 - mdp.gamma) * r_pi)
+    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, (1.0 - mdp.gamma) * r_pi)
     return (1.0 - mdp.gamma) * mdp.reward + mdp.gamma * (mdp.transition @ v)
 
 
@@ -166,17 +208,26 @@ def _stationary_residual(nu: np.ndarray, p_pi: np.ndarray) -> float:
     return float(np.abs(nu @ p_pi - nu).sum())
 
 
-def _power_until(nu: np.ndarray, step, tol: float, limit: int):
-    """The first (nu_i, nu_{i+1}) of nu_{i+1} = step(nu_i) with |nu_{i+1} - nu_i|_1 <= tol, or (nu_limit, None).
+def _power_until(nu: np.ndarray, p_pi: np.ndarray, tol: float, limit: int, restart=None):
+    """The first (nu_i, nu_{i+1}) with |nu_{i+1} - nu_i|_1 <= tol, or (nu_limit, None), of the power steps
+    nu_{i+1} = nu_i P_pi, or (1 - _DAMPING) nu_i P_pi + restart when a ``restart`` is given.
 
-    Steps run in blocks that double from _BLOCK_FIRST to _BLOCK_MAX; each block is tested in one pass.
+    Steps run in blocks that double from _BLOCK_FIRST to _BLOCK_MAX, each tested in one pass.  A step is
+    written in place into its own row of the block, with the float operations of the expression above.
     """
+    keep = np.full(len(nu), 1.0 - _DAMPING)  # (1 - d) * x has the bits of x * (1 - d)
+    dot, multiply, add = np.dot, np.multiply, np.add  # local names: the loop runs thousands of steps
     done, size = 0, _BLOCK_FIRST
     while done < limit:
         seq = np.empty((min(size, limit - done) + 1, len(nu)))
         seq[0] = nu
-        for i in range(1, len(seq)):
-            seq[i] = nu = step(nu)
+        nu = seq[0]
+        for row in seq[1:]:
+            dot(nu, p_pi, out=row)
+            if restart is not None:
+                multiply(row, keep, out=row)
+                add(row, restart, out=row)
+            nu = row
         passed = np.abs(seq[1:] - seq[:-1]).sum(axis=1) <= tol
         first = int(passed.argmax())
         if passed[first]:
@@ -204,15 +255,13 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
     least-squares solve instead.  Raises ErgodicityError, naming the residual
     reached, when that solve misses the tolerance too.
     """
-    pi = check_policy_matrix(mdp, policy)
-    p_pi = policy_transition(mdp, pi)
+    pi, p_pi = _checked_kernel(mdp, policy)
     n = mdp.n_states
     uniform = np.full(n, 1.0 / n)
 
-    restart = _DAMPING * uniform
-    before, after = _power_until(uniform, lambda nu: (1.0 - _DAMPING) * (nu @ p_pi) + restart, _DAMPING * 1e-3, 50_000)
+    before, after = _power_until(uniform, p_pi, _DAMPING * 1e-3, 50_000, restart=_DAMPING * uniform)
     # Undamped polish, geometric for aperiodic chains; it keeps the iterate that passed the test.
-    nu, after = _power_until(before if after is None else after, lambda nu: nu @ p_pi, 0.5 * _STATIONARY_TOL, 20_001)
+    nu, after = _power_until(before if after is None else after, p_pi, 0.5 * _STATIONARY_TOL, 20_001)
     if after is None:
         nu = _dense_stationary(p_pi)
         residual = _stationary_residual(nu, p_pi)
@@ -229,8 +278,7 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
 
 def visitation_dist(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     """Discounted state-action occupancy (1-gamma) sum_t gamma^t Pr[s_t, a_t] from the start distribution."""
-    pi = check_policy_matrix(mdp, policy)
-    p_pi = policy_transition(mdp, pi)
+    pi, p_pi = _checked_kernel(mdp, policy)
     # d^T (I - gamma P_pi) = (1-gamma) zeta^T
     d = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.initial_dist)
     return d[:, None] * pi

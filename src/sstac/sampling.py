@@ -54,8 +54,9 @@ def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     blocks = np.full((_BLOCK, len(flat) // _BLOCK + 1), np.inf)  # column j is block j; the last ends with an inf
     blocks.T.flat[: len(flat)] = np.sort(np.cumsum(flat))  # a nondecreasing CDF sorts to itself
     u = rng.random(n)
-    below = (blocks[-1][:, None] <= u).sum(axis=0)  # whole blocks <= u, then the entries of the next one
-    idx = _BLOCK * below + (blocks.take(below, axis=1) <= u).sum(axis=0)
+    # Whole blocks <= u, then the entries of the next one, each summed in the smallest type that holds it.
+    below = (blocks[-1][:, None] <= u).sum(axis=0, dtype=np.min_scalar_type(blocks.shape[1])).astype(np.intp)
+    idx = _BLOCK * below + (blocks.take(below, axis=1) <= u).sum(axis=0, dtype=np.uint8)
     s, a = np.divmod(np.minimum(idx, len(flat) - 1), rho.shape[1])
     return np.stack([s, a], axis=1)
 

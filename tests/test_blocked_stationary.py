@@ -8,7 +8,9 @@ chains are random MDPs of up to 30 states, dense, sparse or deterministic
 scale 0 to 50; sharp gridworld5 policies, which run all 70,001 power steps
 and then fall back to the dense solve; and the periodic and slowly mixing
 chains of ``test_mdp.py``.  The block helper itself must stop at exactly its
-step limit and return the first pair that passes.
+step limit, return the first pair that passes, and write each in-place step
+with the bits of the expressions it replaced, ``(1 - d) * (nu @ p_pi) +
+restart`` and ``nu @ p_pi``.
 """
 
 import numpy as np
@@ -141,15 +143,58 @@ def test_failed_exact_solve_raises_the_same_text(monkeypatch):
         stationary_dists(mdp, np.ones((3, 1)))
 
 
+def reference_power_until(nu, step, tol, limit):
+    """The block helper as first written, with a ``step`` callable in place of the in-place steps."""
+    done, size = 0, mdp_module._BLOCK_FIRST
+    while done < limit:
+        seq = np.empty((min(size, limit - done) + 1, len(nu)))
+        seq[0] = nu
+        for i in range(1, len(seq)):
+            seq[i] = nu = step(nu)
+        passed = np.abs(seq[1:] - seq[:-1]).sum(axis=1) <= tol
+        first = int(passed.argmax())
+        if passed[first]:
+            return seq[first], seq[first + 1]
+        done, size = done + len(seq) - 1, min(2 * size, mdp_module._BLOCK_MAX)
+    return nu, None
+
+
+# nu @ COUNTER = [x + 1, 1] for nu = [x, 1]: each power step adds one to the first entry.
+COUNTER = np.array([[1.0, 0.0], [1.0, 1.0]])
+
+
 @pytest.mark.parametrize("limit", [1, 7, 8, 9, 24, 56, 57, 120, 121, 20_001, 50_000])
 def test_block_helper_runs_exactly_its_limit(limit):
-    steps = []
-    nu, after = _power_until(np.zeros(1), lambda nu: steps.append(1) or nu + 1.0, 0.5, limit)
-    assert after is None and len(steps) == limit and nu.tolist() == [limit]
+    nu, after = _power_until(np.array([0.0, 1.0]), COUNTER, 0.5, limit)
+    assert after is None and nu.tolist() == [limit, 1.0]
 
 
 @pytest.mark.parametrize("first_pass", [1, 8, 9, 57, 300])
 def test_block_helper_returns_the_first_passing_pair(first_pass):
-    # Steps of size 1 until step first_pass, then steps of size 0.25, which pass tol 0.5.
-    nu, after = _power_until(np.zeros(1), lambda nu: nu + (1.0 if nu[0] < first_pass - 1 else 0.25), 0.5, 1000)
-    assert nu.tolist() == [first_pass - 1] and after.tolist() == [first_pass - 0.75]
+    # nu_i = 2**-i, so |nu_{i+1} - nu_i| = 2**-(i + 1) first meets tol = 2**-first_pass at i = first_pass - 1.
+    nu, after = _power_until(np.ones(1), np.array([[0.5]]), 2.0**-first_pass, 1000)
+    assert nu.tolist() == [2.0 ** (1 - first_pass)] and after.tolist() == [2.0**-first_pass]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 50.0),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+    limit=st.integers(1, 200),
+)
+def test_in_place_steps_match_the_step_expressions_byte_for_byte(n, seed, scale, tol, limit):
+    rng = np.random.default_rng(seed)
+    p_pi = softmax_rows(scale * rng.standard_normal((n, n)))
+    p_pi.flags.writeable = False  # as the memo hands it out
+    nu = rng.dirichlet(np.ones(n))
+    restart = DAMPING * np.full(n, 1.0 / n)
+    cases = [
+        (_power_until(nu, p_pi, tol, limit, restart=restart), lambda v: (1.0 - DAMPING) * (v @ p_pi) + restart),
+        (_power_until(nu, p_pi, tol, limit), lambda v: v @ p_pi),
+    ]
+    for got, step in cases:
+        want = reference_power_until(nu, step, tol, limit)
+        assert (want[1] is None) == (got[1] is None)
+        assert [g.tobytes() for g in got if g is not None] == [w.tobytes() for w in want if w is not None]

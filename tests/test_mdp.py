@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from sstac import (
 )
 from sstac import mdp as mdp_module
 from sstac.mdp import check_policy_matrix, load_mdp, mdp_from_json
-from sstac.sampling import sample_sa
+from sstac.sampling import sample_sa, sample_tuples
 
 from conftest import mdp_doc, random_policy
 
@@ -128,6 +129,136 @@ class TestReadOnlyTransition:
     def test_counts_take_the_smallest_type_that_holds_the_last_state(self, n_states, dtype):
         counts = random_mdp(n_states, 1, seed=4).step_table[1]
         assert counts.dtype == dtype and counts.max() == n_states - 1
+
+
+def one_pass_step_table(transition):
+    """``TabularMDP.step_table`` as it was built before row blocks: every CDF row sorted at once."""
+    n_states = transition.shape[0]
+    cum = np.cumsum(transition, axis=2).reshape(-1, n_states)
+    cum.sort(axis=1)
+    last = np.append(cum[:, 1:] != cum[:, :-1], np.ones((len(cum), 1), bool), axis=1)
+    width = last.sum(axis=1)
+    filled = np.arange(1.0, width.max() + 1) <= width[:, None]
+    values = np.full(filled.shape[::-1], np.inf)
+    values.T[filled] = cum[last]
+    counts = np.zeros((len(cum), len(values) + 1), dtype=np.min_scalar_type(n_states - 1))
+    counts[:, 1:][filled] = np.broadcast_to(np.minimum(np.arange(1, n_states + 1), n_states - 1), cum.shape)[last]
+    return values, counts
+
+
+class TestStepTableBuild:
+    """The table is built in blocks of states, to the bytes of the one-pass build, with a bounded peak."""
+
+    # random(300,3) holds 270,000 CDF entries: five blocks of 72 states, the last one short.
+    @pytest.mark.parametrize(
+        "source, keep",
+        [("chain2", 1), ("gridworld5", 1), ("random(64,8,0)", 1), ("random(300,3,1)", 1), ("random(300,3,2)", 0.05)],
+    )
+    def test_blocks_keep_the_one_pass_bytes(self, source, keep):
+        mdp = build_mdp(source)
+        if keep < 1:  # sparse rows of unequal widths, with ties, across several blocks
+            p = mdp.transition
+            kept = (np.random.default_rng(0).random(p.shape) < keep) | (p == p.max(axis=2, keepdims=True))
+            p = np.where(kept, p, 0.0)
+            mdp = TabularMDP(p / p.sum(axis=2, keepdims=True), mdp.reward, mdp.gamma, mdp.initial_dist)
+        for got, want in zip(mdp.step_table, one_pass_step_table(mdp.transition)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_build_peak_stays_near_the_table(self):
+        mdp = random_mdp(512, 8, seed=0)  # dense at the S * A cap: the one-pass build peaked at 2.8x the table
+        tracemalloc.start()
+        try:
+            values, counts = mdp.step_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (values.nbytes + counts.nbytes)
+
+
+class TestPolicyMemo:
+    """Each MDP checks a policy once and builds its P_pi once, and what it remembers can never be stale."""
+
+    UNIFORM = np.full((2, 2), 0.5)
+
+    @staticmethod
+    def routes(mdp, pi):
+        rng = np.random.default_rng(0)
+        rho = np.full((mdp.n_states, mdp.n_actions), 1.0 / pi.size)
+        return {
+            "check_policy_matrix": lambda: check_policy_matrix(mdp, pi),
+            "apply_P_pi": lambda: apply_P_pi(mdp, pi, np.zeros(pi.shape)),
+            "stationary_dists": lambda: stationary_dists(mdp, pi),
+            "exact_q_pi": lambda: exact_q_pi(mdp, pi),
+            "visitation_dist": lambda: visitation_dist(mdp, pi),
+            "sample_tuples": lambda: sample_tuples(mdp, rho, pi, rng, 4),
+        }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda pi: pi.__setitem__(0, [-0.5, 1.5]), r"^policy entry \(0, 0\) is -0\.5, negative$"),
+            (lambda pi: pi.__setitem__((1, 1), 0.75), r"^policy row \(1,\) sums to 1\.25, expected 1$"),
+        ],
+        ids=["negative", "row-sum"],
+    )
+    @pytest.mark.parametrize("route", list(routes(chain2(), UNIFORM)))
+    def test_a_policy_edited_in_place_is_checked_again(self, edit, message, route):
+        mdp, pi = chain2(), self.UNIFORM.copy()
+        for call in self.routes(mdp, pi).values():
+            call()  # passes, and is remembered with its P_pi
+        edit(pi)
+        with pytest.raises(ContractViolationError, match=message):
+            self.routes(mdp, pi)[route]()
+
+    def test_mdps_of_one_shape_never_share_a_kernel(self):
+        mdps = [random_mdp(5, 3, seed=seed) for seed in (1, 2)]
+        pi = random_policy(np.random.default_rng(0), 5, 3)
+        for mdp in mdps + mdps:
+            fresh = dataclasses.replace(mdp)
+            assert exact_q_pi(mdp, pi).tobytes() == exact_q_pi(fresh, pi).tobytes()
+            for got, want in zip(stationary_dists(mdp, pi), stationary_dists(dataclasses.replace(mdp), pi)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_it_holds_two_policies_and_one_read_only_kernel(self):
+        mdp, rng = random_mdp(4, 2, seed=0), np.random.default_rng(1)
+        p1, p2, p3 = (random_policy(rng, 4, 2) for _ in range(3))
+        stationary_dists(mdp, p1)
+        check_policy_matrix(mdp, p2)
+        apply_P_pi(mdp, p1, np.zeros((4, 2)))
+        exact_q_pi(mdp, p3)
+        memo = mdp._policy_memo
+        assert list(memo) == [p1.tobytes(), p3.tobytes()]  # least recently used first; p2 fell out
+        assert memo[p1.tobytes()] is None  # p3's kernel replaced p1's
+        kernel = memo[p3.tobytes()]
+        np.testing.assert_array_equal(kernel, mdp_module.policy_transition(mdp, p3))
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0, 0] = 0.0
+
+    def test_a_failing_policy_is_not_remembered(self, chain):
+        bad = np.array([[0.5, 0.5], [0.5, 0.75]])
+        for _ in range(2):
+            with pytest.raises(ContractViolationError, match=r"^policy row \(1,\) sums to 1\.25, expected 1$"):
+                exact_q_pi(chain, bad)
+            assert chain._policy_memo == {}
+
+    def test_replace_starts_an_empty_memo(self):
+        mdp = random_mdp(3, 2, seed=2)
+        stationary_dists(mdp, np.full((3, 2), 0.5))
+        assert len(mdp._policy_memo) == 1
+        replaced = dataclasses.replace(mdp, gamma=0.5)
+        assert replaced._policy_memo == {} and replaced._policy_memo is not mdp._policy_memo
+        assert "_policy_memo" not in repr(mdp)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_a_run_checks_each_policy_once_and_builds_each_kernel_once(self, mode, monkeypatch):
+        checks, builds = [], []
+        check, build = mdp_module.check_probabilities, mdp_module.policy_transition
+        monkeypatch.setattr(mdp_module, "check_probabilities", lambda name, t: checks.append(name) or check(name, t))
+        monkeypatch.setattr(mdp_module, "policy_transition", lambda mdp, pi: builds.append(1) or build(mdp, pi))
+        K = 5
+        run_linear_ac(random_mdp(4, 2, seed=0), tabular_features(4, 2), K, mode=mode, N=64)
+        # pi* once, then pi_{k+1} once in each of the K + 1 iterations.
+        assert checks.count("policy") == len(builds) == K + 2
 
 
 class TestApplyPPi:

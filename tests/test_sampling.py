@@ -227,9 +227,12 @@ def test_cumulative_tables_draw_the_old_tuples(n_states, n_actions, seed, n, dip
 )
 @example([0.0, 1.0, 0.0], 1, 0, 0)
 @example([0.0] * 7 + [1.0] + [0.0] * 9, 1, 1, 50)
+@example([0.0, 1.0, 0.25, 3.0] * 600, 4, 2, 3000)
+@example([1.0] * 4096, 8, 3, 3000)
 def test_sample_sa_counts_as_searchsorted_does(weights, n_actions, seed, n):
     # Over nondecreasing CDFs of any length, with exact zeros and point masses, the blocked count
-    # gives searchsorted's index, also where u equals a CDF entry.
+    # gives searchsorted's index, also where u equals a CDF entry.  Past 2,048 entries the count of
+    # whole blocks <= u can pass 255 and is summed in 16 bits.
     weights = np.array(weights + [0.0] * (-len(weights) % n_actions))
     if weights.sum() == 0.0:
         weights[seed % len(weights)] = 1.0
