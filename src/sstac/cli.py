@@ -39,8 +39,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config = ExperimentConfig.from_dict({**config.to_dict(), "seeds": [args.seed]})
-    dirs = run_command(config, out_dir=args.out)
-    for d in dirs:
+    for d in run_command(config, out_dir=args.out):
         print(d)
     return 0
 
@@ -59,10 +58,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_diag(args) -> int:
     checks, series_path = diag_command(args.trace)
     for check in checks:
-        if check.ok:
-            print(f"PASS {check.name}")
-        else:
-            print(f"FAIL {check.name}: {check.detail}")
+        print(f"PASS {check.name}" if check.ok else f"FAIL {check.name}: {check.detail}")
     print(series_path)
     return 0 if all(c.ok for c in checks) else 1
 

@@ -73,9 +73,15 @@ class FeatureMap:
 
 
 def tabular_features(n_states: int, n_actions: int) -> FeatureMap:
-    """One-hot feature per (s, a) pair; dimension is n_states * n_actions."""
+    """One-hot feature per (s, a) pair; dimension is n_states * n_actions.
+
+    ``phi`` holds the bytes of ``np.eye(d)`` as a read-only view of one line of 2d - 1 floats, whose
+    windows read backwards are the identity's rows, so it takes O(d) memory, not d².
+    """
     d = n_states * n_actions
-    phi = np.eye(d).reshape(n_states, n_actions, d)
+    line = np.zeros(2 * d - 1)
+    line[d - 1] = 1.0
+    phi = np.lib.stride_tricks.sliding_window_view(line, d)[::-1].reshape(n_states, n_actions, d)
     return FeatureMap(phi=phi)
 
 

@@ -96,15 +96,11 @@ def _first_repeat(values: list):
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
-def _mdp_label(source: str) -> str:
-    compact = source.replace(" ", "")  # as build_mdp reads random(S, A, seed)
-    if compact.startswith("random("):
-        return compact.replace("(", "-").replace(",", "-").rstrip(")")
-    return Path(source).stem
-
-
 def run_id(config: ExperimentConfig, seed: int) -> str:
-    return f"{config.algorithm}-{_mdp_label(config.mdp)}-K{config.K}-seed{seed}"
+    compact = config.mdp.replace(" ", "")  # as build_mdp reads random(S, A, seed)
+    random_label = compact.replace("(", "-").replace(",", "-").rstrip(")")
+    label = random_label if compact.startswith("random(") else Path(config.mdp).stem
+    return f"{config.algorithm}-{label}-K{config.K}-seed{seed}"
 
 
 def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
@@ -245,8 +241,7 @@ def diag_series_csv(trace: RunTrace) -> str:
     lines = ["series,iter,value"]
     ks = trace.column("k")
     for series in DIAG_SERIES:
-        values = trace.column(_SERIES_SOURCE[series])
-        for k, v in zip(ks, values):
+        for k, v in zip(ks, trace.column(_SERIES_SOURCE[series])):
             lines.append(f"{series},{int(k)},{v!r}")
     return "\n".join(lines) + "\n"
 

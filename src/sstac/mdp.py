@@ -198,10 +198,7 @@ def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
         q = q_next
         if delta <= stop:
             break
-    greedy_actions = q.argmax(axis=1)
-    greedy = np.zeros_like(q)
-    greedy[np.arange(mdp.n_states), greedy_actions] = 1.0
-    return q, greedy
+    return q, np.eye(mdp.n_actions)[q.argmax(axis=1)]  # greedy: one-hot rows
 
 
 def _stationary_residual(nu: np.ndarray, p_pi: np.ndarray) -> float:
@@ -272,8 +269,7 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
             )
     nu = np.clip(nu, 0.0, None)
     nu /= nu.sum()
-    rho = nu[:, None] * pi
-    return nu, rho
+    return nu, nu[:, None] * pi
 
 
 def visitation_dist(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:

@@ -100,9 +100,7 @@ def critic_inner_loop(
     snapshot taken at loop entry, so later iterates never move the target.
     """
     s, a, r, s_next, a_next = tuples
-    snapshot = forward_many(
-        critic, encodings.reshape(-1, encodings.shape[2])
-    ).reshape(encodings.shape[:2])
+    snapshot = forward_many(critic, encodings.reshape(-1, encodings.shape[2])).reshape(encodings.shape[:2])
     targets = (1.0 - gamma) * r + gamma * snapshot[s_next, a_next]
     inputs = encodings[s, a]
     return _sgd_averaged(critic.clone(), radius, eta, inputs, targets)

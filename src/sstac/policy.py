@@ -37,8 +37,7 @@ def kl(p: np.ndarray, q: np.ndarray):
     if p.shape != q.shape:
         raise ContractViolationError(f"shape mismatch: {p.shape} vs {q.shape}")
     single = p.ndim == 1
-    p2 = np.atleast_2d(p)
-    q2 = np.atleast_2d(q)
+    p2, q2 = np.atleast_2d(p, q)
     support = p2 > 0
     if np.any(support & (q2 <= 0)):
         raise InfiniteDivergenceError("KL(p || q) is infinite: q vanishes on the support of p")

@@ -19,6 +19,7 @@ from .mdp import check_policy_matrix
 # Recorded in run manifests; bump if the draw algorithm ever changes.
 RNG_ID = "numpy-pcg64/seedseq-crc32-streams/inverse-cdf-v1"
 _BLOCK = 8  # entries per block of the (s, a) CDF in sample_sa's count
+_CHUNK = 2**18  # entries one chunk of draws compares in _count_below: 2 MiB of float64
 
 
 class RunRng:
@@ -35,6 +36,20 @@ class RunRng:
             gen = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(key,)))
             self._streams[purpose] = gen
         return gen
+
+
+def _count_below(table: np.ndarray, u: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Per draw j, the number of entries <= u[j] in column cols[j] of a 2-D table, or in a 1-D table.
+
+    The draws are walked in chunks that compare at most _CHUNK entries, so the comparison never holds
+    more than that whatever n is; each count is summed in the smallest unsigned type that holds it.
+    """
+    counts = np.empty(len(u), dtype=np.min_scalar_type(len(table)))
+    step = max(_CHUNK // len(table), 1)
+    for lo in range(0, len(u), step):
+        part = table[:, None] if cols is None else table.take(cols[lo : lo + step], axis=1)
+        np.sum(part <= u[lo : lo + step], axis=0, dtype=counts.dtype, out=counts[lo : lo + step])
+    return counts.astype(np.intp)
 
 
 def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -54,9 +69,8 @@ def sample_sa(rho: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     blocks = np.full((_BLOCK, len(flat) // _BLOCK + 1), np.inf)  # column j is block j; the last ends with an inf
     blocks.T.flat[: len(flat)] = np.sort(np.cumsum(flat))  # a nondecreasing CDF sorts to itself
     u = rng.random(n)
-    # Whole blocks <= u, then the entries of the next one, each summed in the smallest type that holds it.
-    below = (blocks[-1][:, None] <= u).sum(axis=0, dtype=np.min_scalar_type(blocks.shape[1])).astype(np.intp)
-    idx = _BLOCK * below + (blocks.take(below, axis=1) <= u).sum(axis=0, dtype=np.uint8)
+    below = _count_below(blocks[-1], u)  # whole blocks <= u, then the entries of the next one
+    idx = _BLOCK * below + _count_below(blocks, u, below)
     s, a = np.divmod(np.minimum(idx, len(flat) - 1), rho.shape[1])
     return np.stack([s, a], axis=1)
 
@@ -72,10 +86,10 @@ def sample_tuples(mdp, rho: np.ndarray, policy_next: np.ndarray, rng: np.random.
     s, a = pairs[:, 0], pairs[:, 1]
     values, counts = mdp.step_table
     rows = s * mdp.n_actions + a
-    below = (values.take(rows, axis=1) <= rng.random(n)).sum(axis=0)  # distinct CDF values <= u
+    below = _count_below(values, rng.random(n), rows)  # distinct CDF values <= u
     s_next = counts.take(rows * counts.shape[1] + below).astype(np.intp)
     cum_pi = np.cumsum(pi_next.T, axis=0)  # column s' is the CDF of pi_next[s'], with a row-wise cumsum's bits
-    a_next = np.minimum((cum_pi.take(s_next, axis=1) <= rng.random(n)).sum(axis=0), mdp.n_actions - 1)
+    a_next = np.minimum(_count_below(cum_pi, rng.random(n), s_next), mdp.n_actions - 1)
     r = mdp.reward[s, a]
     return s, a, r, s_next, a_next
 

@@ -18,12 +18,6 @@ TRACE_FILENAME = "trace.csv"
 MANIFEST_FILENAME = "manifest.json"
 
 
-def _format_cell(column: str, value) -> str:
-    if column == "k":
-        return str(int(value))
-    return repr(float(value))
-
-
 @dataclass
 class RunTrace:
     """Manifest plus K+1 diagnostic rows.
@@ -44,7 +38,7 @@ class RunTrace:
     def to_csv_text(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(_format_cell(c, v) for c, v in zip(self.columns, row)))
+            lines.append(",".join(str(int(v)) if c == "k" else repr(float(v)) for c, v in zip(self.columns, row)))
         return "\n".join(lines) + "\n"
 
     def save(self, directory) -> Path:

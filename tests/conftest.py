@@ -107,3 +107,32 @@ def kinky_network(draw):
         w[rng.random(w.shape) < zero_share] = 0.0
     xs = draw(arrays(float, (draw(st.integers(1, 4)), d), elements=KINKY))
     return params, xs
+
+
+# The draw counts as they were before they walked the draws in chunks: each count compares every draw in one
+# pass, and sample_tuples sums its s' and a' comparisons into int64.  Kept as byte-level references.
+
+
+def single_pass_sample_sa(rho, rng, n):
+    """``sampling.sample_sa`` as it was, for a checked rho: both levels of the blocked count in one pass."""
+    flat = np.asarray(rho, dtype=float).reshape(-1)
+    blocks = np.full((8, len(flat) // 8 + 1), np.inf)
+    blocks.T.flat[: len(flat)] = np.sort(np.cumsum(flat))
+    u = rng.random(n)
+    below = (blocks[-1][:, None] <= u).sum(axis=0, dtype=np.min_scalar_type(blocks.shape[1])).astype(np.intp)
+    idx = 8 * below + (blocks.take(below, axis=1) <= u).sum(axis=0, dtype=np.uint8)
+    s, a = np.divmod(np.minimum(idx, len(flat) - 1), rho.shape[1])
+    return np.stack([s, a], axis=1)
+
+
+def single_pass_sample_tuples(mdp, rho, pi_next, rng, n):
+    """``sampling.sample_tuples`` as it was, for checked inputs: the s' and a' counts in one pass each."""
+    pairs = single_pass_sample_sa(rho, rng, n)
+    s, a = pairs[:, 0], pairs[:, 1]
+    values, counts = mdp.step_table
+    rows = s * mdp.n_actions + a
+    below = (values.take(rows, axis=1) <= rng.random(n)).sum(axis=0)
+    s_next = counts.take(rows * counts.shape[1] + below).astype(np.intp)
+    cum_pi = np.cumsum(pi_next.T, axis=0)
+    a_next = np.minimum((cum_pi.take(s_next, axis=1) <= rng.random(n)).sum(axis=0), mdp.n_actions - 1)
+    return s, a, mdp.reward[s, a], s_next, a_next

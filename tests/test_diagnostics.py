@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sstac import (
     chain2,
@@ -45,17 +47,19 @@ class TestErrorDecomposition:
         assert diag.e_sup < 1e-12
         assert abs(diag.theta_kl) < 1e-12
 
-    def test_identity_residual_random_inputs(self):
-        rng = np.random.default_rng(1)
-        m = random_mdp(4, 3, seed=2)
-        for _ in range(20):
-            pi_k = random_policy(rng, 4, 3)
-            pi_next = random_policy(rng, 4, 3)
-            q_k = rng.standard_normal((4, 3))
-            q_next = rng.standard_normal((4, 3))
-            diag = error_decomposition(m, **decomposition_inputs(m, pi_k, pi_next, q_k, q_next))
-            # Non-finite tables would make a_resid NaN, which fails this bound too.
-            assert diag.a_resid < 1e-10
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @example(4, 3, 2, 1)  # the MDP and generator seed of the former 20-draw loop
+    def test_identity_residual_random_inputs(self, n_states, n_actions, mdp_seed, seed):
+        # A1 + A2 + A3 equals T^{pi*} Q^{pi_next} - Q^{pi_next} on any random MDP, for random policies
+        # pi_k, pi_next and random critic tables.
+        m = random_mdp(n_states, n_actions, seed=mdp_seed)
+        rng = np.random.default_rng(seed)
+        pi_k, pi_next = random_policy(rng, n_states, n_actions), random_policy(rng, n_states, n_actions)
+        q_k, q_next = rng.standard_normal((2, n_states, n_actions))
+        diag = error_decomposition(m, **decomposition_inputs(m, pi_k, pi_next, q_k, q_next))
+        # Non-finite tables would make a_resid NaN, which fails this bound too.
+        assert diag.a_resid < 1e-10
 
     def test_linear_exact_run_actor_errors_vanish(self):
         # With linear energies the KL-regularized subproblem is solved

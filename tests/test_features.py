@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +139,50 @@ def test_identity_with_one_bad_diagonal_entry_is_rejected(entry, message):
     phi[1, 0, 2] = entry
     with pytest.raises(ContractViolationError, match=message):
         FeatureMap(phi=phi)
+
+
+def test_tabular_phi_has_the_bytes_of_the_dense_identity():
+    # Every (S, A) in 1..40, and (512, 8): the view reads as np.eye(S * A), bit pattern for bit pattern.
+    # eye(d) is the leading d x d block of eye(4096), so one dense identity serves every shape.
+    eye = np.eye(4096).view(np.uint64)
+    for n_states, n_actions in [*itertools.product(range(1, 41), repeat=2), (512, 8)]:
+        d = n_states * n_actions
+        phi = tabular_features(n_states, n_actions).phi
+        assert phi.shape == (n_states, n_actions, d) and phi.dtype == np.float64
+        assert np.array_equal(phi.view(np.uint64).reshape(d, d), eye[:d, :d]), (n_states, n_actions)
+
+
+def test_tabular_phi_is_read_only_and_one_hot():
+    feats = tabular_features(3, 4)
+    assert feats.one_hot
+    with pytest.raises(ValueError, match="read-only"):
+        feats.phi[0, 0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        feats.phi[2, 3] += 1.0
+
+
+@pytest.mark.parametrize("n_states, n_actions", [(1, 1), (1, 3), (2, 2), (5, 3), (25, 4)])
+def test_tabular_view_and_dense_identity_give_the_same_bytes(n_states, n_actions):
+    d = n_states * n_actions
+    view, dense = tabular_features(n_states, n_actions), FeatureMap(phi=np.eye(d).reshape(n_states, n_actions, d))
+    rng = np.random.default_rng(d)
+    weights = rng.standard_normal(d)
+    weights[::2] *= -0.0  # signed zeros, which value_table turns into +0.0
+    rho = rng.dirichlet(np.ones(d)).reshape(n_states, n_actions)
+    rho.flat[0] = 0.0
+    table = rng.standard_normal((n_states, n_actions))
+    for method, arg in [("value_table", weights), ("gram", rho), ("weighted_sum", table)]:
+        got, expected = getattr(view, method)(arg), getattr(dense, method)(arg)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), method
+    assert gram_min_singular(view, rho) == gram_min_singular(dense, rho)
+
+
+def test_tabular_features_memory_scales_with_the_dimension():
+    # The dense (S * A)^2 identity at (512, 8) is 128 MiB; the view holds one line of 2d - 1 floats.
+    tracemalloc.start()
+    try:
+        tabular_features(512, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"tabular_features(512, 8) peaked at {peak / 2**20:.2f} MiB"

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sstac import RunRng, TabularMDP, chain2, random_mdp, sample_sa, sample_tuples
+from sstac import RunRng, TabularMDP, chain2, random_mdp, sample_sa, sample_tuples, sampling
+
+from conftest import single_pass_sample_sa, single_pass_sample_tuples
 
 
 class ZeroRng:
@@ -264,3 +268,59 @@ def test_sample_sa_dip_rule():
     rho = np.array([[0.5, -1e-12, 0.5 + 1e-12]])
     pairs = sample_sa(rho, ScriptedRng([0.5 - 5e-13, 0.5, 0.25]), 3)
     np.testing.assert_array_equal(pairs, [[0, 1], [0, 2], [0, 0]])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+    st.sampled_from([1, 2, 5, 16, 64]),
+    st.booleans(),
+    st.booleans(),
+)
+@example(1, 1, 0, 0, 16, False, False)  # n = 0, widths 1
+@example(1, 1, 1, 33, 16, True, False)  # a single state and action, 33 draws in chunks of 16
+@example(12, 4, 2, 300, 16, True, True)  # 300 draws is no multiple of any chunk here
+def test_chunked_counts_draw_the_single_pass_arrays(n_states, n_actions, seed, n, chunk, dip, ties):
+    # With the chunk bound made small, each call walks its draws in several chunks, and in one chunk per
+    # draw where the bound is below the width.  Pairs and tuples must keep the bytes and dtypes of the
+    # single-pass counts, with zero-mass entries, CDF dips in [-1e-12, 0) and u tied with CDF entries.
+    rng = np.random.default_rng(seed)
+    base = random_mdp(n_states, n_actions, seed=seed)
+    kernel = _sparse_rows(rng, (n_states, n_actions, n_states), dip)
+    mdp = TabularMDP(kernel, base.reward, base.gamma, base.initial_dist)
+    rho = _sparse_rows(rng, (n_states * n_actions,), dip).reshape(n_states, n_actions)
+    pi_next = _sparse_rows(rng, (n_states, n_actions), dip)
+    if ties and n:
+        draws = _tied_tuple_draws(mdp, rho, pi_next, seed, n)
+        rngs = [ScriptedRng(*draws) for _ in range(2)] + [ScriptedRng(draws[0]) for _ in range(2)]
+    else:
+        rngs = [RunRng(seed).stream("target_batch") for _ in range(4)]
+    with mock.patch.object(sampling, "_CHUNK", chunk):
+        got = sample_tuples(mdp, rho, pi_next, rngs[0], n), sample_sa(rho, rngs[2], n)
+    expected = single_pass_sample_tuples(mdp, rho, pi_next, rngs[1], n), single_pass_sample_sa(rho, rngs[3], n)
+    for g, e in zip([*got[0], got[1]], [*expected[0], expected[1]]):
+        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+def test_draw_counts_stay_within_their_chunk_bound():
+    # random(512, 8) at N = 16,384: one comparison over every draw held 72.5 MiB in sample_tuples and
+    # 8.2 MiB in sample_sa; in chunks of at most 2**18 entries both stay a few MiB whatever N is.
+    mdp = random_mdp(512, 8, seed=0)
+    rng = np.random.default_rng(1)
+    rho = rng.dirichlet(np.ones(512 * 8)).reshape(512, 8)
+    pi_next = rng.dirichlet(np.ones(8), size=512)
+    sample_tuples(mdp, rho, pi_next, RunRng(0).stream("target_batch"), 1)  # builds the step table, checks pi_next
+    for draw, bound in [
+        (lambda: sample_tuples(mdp, rho, pi_next, RunRng(0).stream("target_batch"), 16_384), 8 * 2**20),
+        (lambda: sample_sa(rho, RunRng(0).stream("gram_batch"), 16_384), 4 * 2**20),
+    ]:
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.0f} MiB"
