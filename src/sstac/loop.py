@@ -94,7 +94,7 @@ def run_single_timescale(
     K, beta, R = params["K"], params["beta"], params["R"]
     ball_bound = R * (1.0 + BALL_SLACK) + 1e-9
     rows: list[list[float]] = []
-    cum_regret = 0.0
+    cum_regret, carry = 0.0, {}  # carry: what error_decomposition keeps from one iteration to the next
     for k in range(K + 1):
         try:
             pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
@@ -115,6 +115,7 @@ def run_single_timescale(
                 rho_next=rho_next,
                 beta=beta,
                 features=features,
+                carry=carry,
             )
         except SstacError as exc:
             exc.args = (f"at k={k}: {exc}",)

@@ -53,9 +53,10 @@ class TabularMDP:
     gamma: float
     initial_dist: np.ndarray  # (S,)
     r_max: float = 1.0
-    # Bytes of the last two policies that passed the probability check, least recently used first, mapped to
-    # None or (the last one built) to its read-only P_pi.  An update lost to another thread only repeats work.
-    _policy_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Bytes of the last three policies that passed the probability check, least recently used first, and the bytes
+    # and read-only P_pi of the last policy whose P_pi was built.  Each update assigns a new tuple, so an update lost
+    # to another thread only repeats work.
+    _policy_memo: tuple = field(default=((), (None, None)), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached step table in step
@@ -122,31 +123,24 @@ class TabularMDP:
 def check_policy_matrix(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
     """Validate that ``policy`` is an (S, A) row-stochastic matrix for ``mdp``.
 
-    The probability check runs once per distinct policy per MDP: ``mdp`` remembers the bytes of the last
-    two policies that passed it.  A policy edited in place has new bytes and is checked again.
+    The probability check runs once per distinct policy per MDP: ``mdp`` remembers the bytes of the last three
+    policies that passed it and compares them.  A policy edited in place has new bytes and is checked again.
     """
+    return _checked_kernel(mdp, policy, build=False)[0]
+
+
+def _checked_kernel(mdp: TabularMDP, policy: np.ndarray, build: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The checked policy and, if ``build``, its read-only P_pi, built once for the last policy that needed one."""
     pi = check_shape("policy", policy, (mdp.n_states, mdp.n_actions))
-    memo, key = mdp._policy_memo, pi.tobytes()
-    if key in memo:
-        memo[key] = memo.pop(key, None)  # now the most recently used
-    else:
+    key, (recent, (built, p_pi)) = pi.tobytes(), mdp._policy_memo
+    if key not in recent:
         check_probabilities("policy", pi)
-        memo[key] = None
-        if len(memo) > 2:
-            memo.pop(next(iter(memo)), None)
-    return pi
-
-
-def _checked_kernel(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked policy and its read-only P_pi, built once for the last policy that needed it."""
-    pi = check_policy_matrix(mdp, policy)
-    memo, key = mdp._policy_memo, pi.tobytes()
-    p_pi = memo.get(key)
-    if p_pi is None:
-        p_pi = policy_transition(mdp, pi)
+    if build and key != built:
+        built, p_pi = key, policy_transition(mdp, pi)
         p_pi.flags.writeable = False
-        memo.update(dict.fromkeys(memo))  # forget the previous P_pi; keys keep their order
-        memo[key] = p_pi
+    if recent[-1:] != (key,) or built is key:  # a new order, or a new P_pi
+        recent = tuple(known for known in recent if known != key)[-2:] + (key,)
+        object.__setattr__(mdp, "_policy_memo", (recent, (built, p_pi)))
     return pi, p_pi
 
 
@@ -191,11 +185,13 @@ def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
     """
     gamma, tol = mdp.gamma, 1e-12
     stop = tol if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(10_000_000):
-        q_next = (1.0 - gamma) * mdp.reward + gamma * (mdp.transition @ q.max(axis=1))
-        delta = float(np.max(np.abs(q_next - q)))
-        q = q_next
+    base, q, q_next = (1.0 - gamma) * mdp.reward, np.zeros((mdp.n_states, mdp.n_actions)), np.empty(mdp.reward.shape)
+    for _ in range(10_000_000):  # each sweep is written into the other of two buffers
+        np.matmul(mdp.transition, q.max(axis=1), out=q_next)
+        q_next *= gamma
+        q_next += base
+        delta = float(np.abs(q_next - q).max())
+        q, q_next = q_next, q
         if delta <= stop:
             break
     return q, np.eye(mdp.n_actions)[q.argmax(axis=1)]  # greedy: one-hot rows

@@ -17,12 +17,11 @@ LOGIT_CLAMP = 700.0
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; logits beyond +-700 are clamped."""
     z = np.asarray(logits, dtype=float)
-    check_finite("logits", z)
-    if np.any(np.abs(z) > LOGIT_CLAMP):
+    if not np.abs(z).max(initial=0.0) <= LOGIT_CLAMP:  # one test for both: NaN fails it too
+        check_finite("logits", z)
         log.warning("clamping logits with |value| > %g (max %g)", LOGIT_CLAMP, np.abs(z).max())
         z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -36,10 +36,10 @@ class RunTrace:
         return [row[idx] for row in self.rows]
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(str(int(v)) if c == "k" else repr(float(v)) for c, v in zip(self.columns, row)))
-        return "\n".join(lines) + "\n"
+        # Each column picks its formatter once and formats its cells in one pass.
+        by_column = zip(self.columns, zip(*self.rows))
+        cells = [map(str, map(int, col)) if c == "k" else map(repr, map(float, col)) for c, col in by_column]
+        return "\n".join([",".join(self.columns)] + [",".join(row) for row in zip(*cells)]) + "\n"
 
     def save(self, directory) -> Path:
         directory = Path(directory)

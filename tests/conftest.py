@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sstac import chain2, random_mdp, tabular_features
+from sstac import mdp as mdp_module
 from sstac.deep_net import init_params
-from sstac.errors import BALL_SLACK
+from sstac.diagnostics import IterDiag
+from sstac.errors import BALL_SLACK, check_finite
+from sstac.features import gram_min_singular
+from sstac.policy import LOGIT_CLAMP, kl
 
 
 @pytest.fixture
@@ -136,3 +142,87 @@ def single_pass_sample_tuples(mdp, rho, pi_next, rng, n):
     cum_pi = np.cumsum(pi_next.T, axis=0)
     a_next = np.minimum((cum_pi.take(s_next, axis=1) <= rng.random(n)).sum(axis=0), mdp.n_actions - 1)
     return s, a, mdp.reward[s, a], s_next, a_next
+
+
+# The exact scorer's pre-change forms, kept as byte-level references: value iteration with a fresh table per
+# sweep, softmax with separate finiteness and clamp tests, and the error decomposition with no carry.
+
+
+def reference_optimal_q(mdp):
+    """``mdp.optimal_q`` as it was: each sweep a new table from (1 - gamma) r + gamma P max_a q."""
+    gamma, tol = mdp.gamma, 1e-12
+    stop = tol if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
+    q = np.zeros((mdp.n_states, mdp.n_actions))
+    for _ in range(10_000_000):
+        q_next = (1.0 - gamma) * mdp.reward + gamma * (mdp.transition @ q.max(axis=1))
+        delta = float(np.max(np.abs(q_next - q)))
+        q = q_next
+        if delta <= stop:
+            break
+    return q, np.eye(mdp.n_actions)[q.argmax(axis=1)]
+
+
+def reference_softmax_rows(logits):
+    """``policy.softmax_rows`` as it was: check_finite first, then a separate clamp test."""
+    z = np.asarray(logits, dtype=float)
+    check_finite("logits", z)
+    if np.any(np.abs(z) > LOGIT_CLAMP):
+        logging.getLogger("sstac.policy").warning(
+            "clamping logits with |value| > %g (max %g)", LOGIT_CLAMP, np.abs(z).max()
+        )
+        z = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_error_decomposition(
+    mdp, *, pi_k, pi_next, q_omega_k, q_omega_next, q_pi_next, q_star, pi_star, nu_star, rho_next, beta, features
+):
+    """``diagnostics.error_decomposition`` as it was: every table and KL row computed afresh, with no carry."""
+    gamma = mdp.gamma
+    t_next_q_omega_k = mdp_module.bellman_eval(mdp, pi_next, q_omega_k)
+
+    a1 = gamma * (mdp_module.apply_P_pi(mdp, pi_star, q_omega_k) - mdp_module.apply_P_pi(mdp, pi_next, q_omega_k))
+    a2 = gamma * mdp_module.apply_P_pi(mdp, pi_star, q_pi_next - q_omega_k)
+    a3 = t_next_q_omega_k - q_pi_next
+    identity = (1.0 - gamma) * mdp.reward + gamma * mdp_module.apply_P_pi(mdp, pi_star, q_pi_next) - q_pi_next
+    a_resid = float(np.max(np.abs(a1 + a2 + a3 - identity)))
+
+    eps_c = t_next_q_omega_k - q_omega_next
+    e_table = q_omega_k - t_next_q_omega_k
+
+    kl_rows_prev = kl(pi_star, pi_k)
+    kl_rows_next = kl(pi_star, pi_next)
+    theta_kl = float(nu_star @ (kl_rows_prev - kl_rows_next))
+    kl_to_opt = float(nu_star @ kl_rows_next)
+
+    log_ratio = np.log(np.maximum(pi_next, 1e-300)) - np.log(np.maximum(pi_k, 1e-300))
+    mismatch = log_ratio - q_omega_k / beta
+    eps_a_rows = np.abs((mismatch * (pi_star - pi_next)).sum(axis=1))
+    eps_b_rows = np.abs((mismatch * (pi_k - pi_next)).sum(axis=1))
+
+    rho_star = nu_star[:, None] * pi_star
+
+    return IterDiag(
+        gap=float(np.sum(rho_star * (q_star - q_pi_next))),
+        eps_c_l2=float(np.sqrt(np.sum(rho_next * eps_c**2))),
+        eps_c_sup=float(np.max(np.abs(eps_c))),
+        e_sup=float(np.max(np.abs(e_table))),
+        theta_kl=theta_kl,
+        eps_a=float(nu_star @ eps_a_rows),
+        eps_b=float(nu_star @ eps_b_rows),
+        phi_star=reference_density_ratio_l2(rho_star, rho_next),
+        sigma_star=float(gram_min_singular(features, rho_next)),
+        J_pi=float(np.sum(mdp.initial_dist[:, None] * pi_next * q_pi_next)),
+        kl_to_opt=kl_to_opt,
+        a_resid=a_resid,
+    )
+
+
+def reference_density_ratio_l2(rho_star, rho_base):
+    """``diagnostics.density_ratio_l2`` as it was, with np.any and np.sum."""
+    mask = rho_star > 0
+    if np.any(mask & (rho_base <= 0)):
+        return float("inf")
+    return float(np.sqrt(np.sum(rho_star[mask] ** 2 / rho_base[mask])))

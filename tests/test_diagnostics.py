@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sstac import (
+    build_mdp,
     chain2,
     error_decomposition,
     exact_q_pi,
@@ -13,7 +14,7 @@ from sstac import (
     tabular_features,
 )
 
-from conftest import random_policy
+from conftest import random_policy, reference_error_decomposition
 
 
 def decomposition_inputs(mdp, pi_k, pi_next, q_omega_k, q_omega_next, beta=4.0):
@@ -61,6 +62,21 @@ class TestErrorDecomposition:
         # Non-finite tables would make a_resid NaN, which fails this bound too.
         assert diag.a_resid < 1e-10
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_a_carry_is_read_only_for_the_very_pi_k_it_holds(self, n_states, n_actions, mdp_seed, seed):
+        m, rng = random_mdp(n_states, n_actions, seed=mdp_seed), np.random.default_rng(seed)
+        pis = [random_policy(rng, n_states, n_actions) for _ in range(3)]
+        qs = rng.standard_normal((3, n_states, n_actions))
+        first, second = (decomposition_inputs(m, pis[k], pis[k + 1], qs[k], qs[k + 1]) for k in range(2))
+        carry = {}
+        # The second call's pi_k is the first call's pi_next, so it reads the carried rows; the third call's pi_k is
+        # not the carry's policy, so its rows are computed afresh.
+        for inputs in (first, second, first):
+            diag = error_decomposition(m, **inputs, carry=carry)
+            assert repr(diag) == repr(reference_error_decomposition(m, **inputs))
+            assert carry["pi"] is inputs["pi_next"]
+
     def test_linear_exact_run_actor_errors_vanish(self):
         # With linear energies the KL-regularized subproblem is solved
         # exactly, so both actor-error inner products are zero throughout.
@@ -86,9 +102,19 @@ class TestErrorDecomposition:
         cum = trace.column("cum_regret")
         np.testing.assert_allclose(cum, np.cumsum(gap), atol=1e-12)
 
-    def test_theta_kl_telescopes(self):
-        m = chain2()
-        trace = run_linear_ac(m, tabular_features(2, 2), 48, mode="exact", seed=0)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        st.one_of(st.just("chain2"), st.builds("random({},{},{})".format, st.integers(1, 6), st.integers(1, 6),
+                                               st.integers(0, 2**32 - 1))),
+        st.sampled_from(["exact", "sampled"]),
+        st.integers(1, 12),
+    )
+    @example("chain2", "exact", 48)
+    def test_theta_kl_telescopes(self, source, mode, K):
+        # Each row's theta_kl reads pi_k's KL rows as the previous row carried them, so the sum over k = 0 .. j
+        # is KL_0 - kl_to_opt_j.
+        m = build_mdp(source)
+        trace = run_linear_ac(m, tabular_features(m.n_states, m.n_actions), K, mode=mode, N=256, ridge=1e-3, seed=0)
         theta_kl = np.array(trace.column("theta_kl"))
         kl_to_opt = np.array(trace.column("kl_to_opt"))
         kl_initial = theta_kl[0] + kl_to_opt[0]

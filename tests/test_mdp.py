@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from sstac import (
     optimal_q,
     random_mdp,
     run_linear_ac,
+    run_neural_ac,
     softmax_rows,
     stationary_dists,
     tabular_features,
@@ -219,18 +222,18 @@ class TestPolicyMemo:
             for got, want in zip(stationary_dists(mdp, pi), stationary_dists(dataclasses.replace(mdp), pi)):
                 assert got.tobytes() == want.tobytes()
 
-    def test_it_holds_two_policies_and_one_read_only_kernel(self):
+    def test_it_holds_three_policies_and_one_read_only_kernel(self):
         mdp, rng = random_mdp(4, 2, seed=0), np.random.default_rng(1)
-        p1, p2, p3 = (random_policy(rng, 4, 2) for _ in range(3))
+        p1, p2, p3, p4 = (random_policy(rng, 4, 2) for _ in range(4))
         stationary_dists(mdp, p1)
         check_policy_matrix(mdp, p2)
+        check_policy_matrix(mdp, p3)
         apply_P_pi(mdp, p1, np.zeros((4, 2)))
-        exact_q_pi(mdp, p3)
-        memo = mdp._policy_memo
-        assert list(memo) == [p1.tobytes(), p3.tobytes()]  # least recently used first; p2 fell out
-        assert memo[p1.tobytes()] is None  # p3's kernel replaced p1's
-        kernel = memo[p3.tobytes()]
-        np.testing.assert_array_equal(kernel, mdp_module.policy_transition(mdp, p3))
+        exact_q_pi(mdp, p4)
+        recent, (built, kernel) = mdp._policy_memo
+        assert recent == (p3.tobytes(), p1.tobytes(), p4.tobytes())  # least recently used first; p2 fell out
+        assert built == p4.tobytes()  # p4's kernel replaced p1's
+        np.testing.assert_array_equal(kernel, mdp_module.policy_transition(mdp, p4))
         with pytest.raises(ValueError, match="read-only"):
             kernel[0, 0] = 0.0
 
@@ -239,26 +242,56 @@ class TestPolicyMemo:
         for _ in range(2):
             with pytest.raises(ContractViolationError, match=r"^policy row \(1,\) sums to 1\.25, expected 1$"):
                 exact_q_pi(chain, bad)
-            assert chain._policy_memo == {}
+            assert chain._policy_memo == ((), (None, None))
 
     def test_replace_starts_an_empty_memo(self):
         mdp = random_mdp(3, 2, seed=2)
         stationary_dists(mdp, np.full((3, 2), 0.5))
-        assert len(mdp._policy_memo) == 1
+        assert len(mdp._policy_memo[0]) == 1
         replaced = dataclasses.replace(mdp, gamma=0.5)
-        assert replaced._policy_memo == {} and replaced._policy_memo is not mdp._policy_memo
+        assert replaced._policy_memo == ((), (None, None)) and replaced._policy_memo is not mdp._policy_memo
         assert "_policy_memo" not in repr(mdp)
 
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_threads_sharing_an_mdp_never_read_a_stale_entry(self):
+        # Each memo update assigns a new tuple, so a lost update only repeats work: every result is the fresh one.
+        mdp, rng = random_mdp(6, 3, seed=4), np.random.default_rng(5)
+        policies = [random_policy(rng, 6, 3) for _ in range(5)]
+        want = [exact_q_pi(dataclasses.replace(mdp), pi).tobytes() for pi in policies]
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                j = (i * (offset + 1)) % len(policies)
+                if exact_q_pi(mdp, policies[j]).tobytes() != want[j]:
+                    wrong.append((offset, i))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled", "neural"])
     def test_a_run_checks_each_policy_once_and_builds_each_kernel_once(self, mode, monkeypatch):
         checks, builds = [], []
         check, build = mdp_module.check_probabilities, mdp_module.policy_transition
         monkeypatch.setattr(mdp_module, "check_probabilities", lambda name, t: checks.append(name) or check(name, t))
         monkeypatch.setattr(mdp_module, "policy_transition", lambda mdp, pi: builds.append(1) or build(mdp, pi))
-        K = 5
-        run_linear_ac(random_mdp(4, 2, seed=0), tabular_features(4, 2), K, mode=mode, N=64)
-        # pi* once, then pi_{k+1} once in each of the K + 1 iterations.
-        assert checks.count("policy") == len(builds) == K + 2
+        K = 8 if mode == "neural" else 5
+        if mode == "neural":
+            run_neural_ac(chain2(), 8, 2, K, N_a=16, N_c=16)
+        else:
+            run_linear_ac(random_mdp(4, 2, seed=0), tabular_features(4, 2), K, mode=mode, N=64)
+        # pi* once, pi_0 once where the neural actor samples under it, then pi_{k+1} once in each of the K + 1
+        # iterations: the memo holds pi*, pi_k and pi_{k+1} at once, so none is checked again as they take turns.
+        assert checks.count("policy") == len(builds) == K + 2 + (mode == "neural")
 
 
 class TestApplyPPi:
