@@ -47,6 +47,6 @@ from .deep_net import (
     sa_encoding_table,
 )
 from .neural_ac import actor_inner_loop, critic_inner_loop, run_neural_ac
-from .diagnostics import IterDiag, error_decomposition
+from .diagnostics import error_decomposition, run_optimum
 from .trace import RunTrace, load_trace
 from .harness import ExperimentConfig, diag_checks, execute_run, run_command, run_id, sweep_command

@@ -94,7 +94,3 @@ def main(argv=None) -> int:
         return _fail(exc.code, str(exc), 2)
     except SstacError as exc:
         return _fail(exc.code, str(exc), 3)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

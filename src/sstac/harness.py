@@ -188,8 +188,8 @@ def sweep_command(
 # Trace checking (the `diag` verb)
 # ---------------------------------------------------------------------------
 
-DIAG_SERIES = ("gap", "e_norm", "eps_c", "theta_kl")
-_SERIES_SOURCE = {"gap": "gap", "e_norm": "e_sup", "eps_c": "eps_c_l2", "theta_kl": "theta_kl"}
+_SERIES_SOURCE = {"gap": "gap", "e_norm": "e_sup", "eps_c": "eps_c_l2", "theta_kl": "theta_kl"}  # series: column
+DIAG_SERIES = tuple(_SERIES_SOURCE)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numbers
 import numpy as np
 
 from . import __version__, mdp as mdp_mod
-from .diagnostics import error_decomposition
+from .diagnostics import error_decomposition, run_optimum
 from .errors import BALL_SLACK, ParameterError, SstacError
 from .policy import softmax_rows
 from .sampling import RNG_ID
@@ -73,8 +73,8 @@ def run_single_timescale(
     """Run ``step`` for k = 0 .. ``params["K"]`` and score every update against the exact oracles.
 
     The run starts from the uniform pi_0 (tau_0^{-1} = 0) and the critic
-    table ``q_0``.  The gap of each update is E_rho*[Q* - Q^{pi_{k+1}}]
-    under the optimal policy's stationary measure rho* = nu* pi*.
+    table ``q_0``.  ``run_optimum`` solves the optimum once, before step 0, and ``error_decomposition``
+    scores each update against it: the gap is E_rho*[Q* - Q^{pi_{k+1}}] under rho* = nu* pi*.
 
     ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
     ``(pi_next, rho_next, q_next, logged)``: the new policy, its stationary
@@ -82,47 +82,41 @@ def run_single_timescale(
     driver's own trace columns.  An ``actor_norm`` or ``critic_norm`` (distance to
     the ball centre) above ``params["R"]``, beyond BALL_SLACK and 1e-9 for the
     round-off of averaged iterates, raises ``SstacError``.  The trace columns are
-    ``k``, the fields of ``IterDiag`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
+    ``k``, the columns of ``error_decomposition`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.  The manifest holds
     what every run shares: ``rng_id``, ``version`` and the driver's ``params``.
     """
     pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
-    q_star, pi_star = mdp_mod.optimal_q(mdp)
-    nu_star, _ = mdp_mod.stationary_dists(mdp, pi_star)
+    run = run_optimum(mdp)
 
     K, beta, R = params["K"], params["beta"], params["R"]
     ball_bound = R * (1.0 + BALL_SLACK) + 1e-9
     rows: list[list[float]] = []
-    cum_regret, carry = 0.0, {}  # carry: what error_decomposition keeps from one iteration to the next
+    cum_regret = 0.0
     for k in range(K + 1):
         try:
             pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
             for name in ("actor_norm", "critic_norm"):
                 if not logged[name] <= ball_bound:
                     raise SstacError(f"{name} {logged[name]!r} left the projection ball of radius {R!r}")
-            q_pi_next = mdp_mod.exact_q_pi(mdp, pi_next)
             diag = error_decomposition(
                 mdp,
+                run,
                 pi_k=pi_k,
                 pi_next=pi_next,
                 q_omega_k=q_k,
                 q_omega_next=q_next,
-                q_pi_next=q_pi_next,
-                q_star=q_star,
-                pi_star=pi_star,
-                nu_star=nu_star,
                 rho_next=rho_next,
                 beta=beta,
                 features=features,
-                carry=carry,
             )
         except SstacError as exc:
             exc.args = (f"at k={k}: {exc}",)
             raise
-        cum_regret += diag.gap
-        # "gap" keeps its place when vars(diag) repeats it, so cum_regret follows it.
-        row = {"k": k, "gap": diag.gap, "cum_regret": cum_regret, **vars(diag), **logged}
+        cum_regret += diag["gap"]
+        # "gap" keeps its place when diag repeats it, so cum_regret follows it.
+        row = {"k": k, "gap": diag["gap"], "cum_regret": cum_regret, **diag, **logged}
         rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
 

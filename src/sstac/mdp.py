@@ -27,6 +27,7 @@ _STATIONARY_TOL = 1e-10
 _DAMPING = 1e-6
 _BLOCK_FIRST, _BLOCK_MAX = 8, 64
 _TABLE_BLOCK = 1 << 16  # next-state CDF entries that one block of step_table's build sorts
+_MAX_SWEEPS = 10_000_000  # value-iteration sweeps optimal_q makes before it gives up
 
 # Discount of every builtin MDP.
 _GAMMA = 0.9
@@ -180,13 +181,13 @@ def exact_q_pi(mdp: TabularMDP, policy: np.ndarray) -> np.ndarray:
 def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
     """Optimal Q-table and a greedy deterministic policy (lowest action index on ties).
 
-    Value iteration on the normalized optimality operator, stopped when the
-    sup-norm change is below ``1e-12 * (1 - gamma) / (2 gamma)``.
+    Value iteration on the normalized optimality operator, stopped when the sup-norm change is below
+    ``1e-12 * (1 - gamma) / (2 gamma)``; ContractViolationError when _MAX_SWEEPS sweeps do not get there.
     """
     gamma, tol = mdp.gamma, 1e-12
     stop = tol if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
     base, q, q_next = (1.0 - gamma) * mdp.reward, np.zeros((mdp.n_states, mdp.n_actions)), np.empty(mdp.reward.shape)
-    for _ in range(10_000_000):  # each sweep is written into the other of two buffers
+    for _ in range(_MAX_SWEEPS):  # each sweep is written into the other of two buffers
         np.matmul(mdp.transition, q.max(axis=1), out=q_next)
         q_next *= gamma
         q_next += base
@@ -194,6 +195,11 @@ def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
         q, q_next = q_next, q
         if delta <= stop:
             break
+    else:
+        raise ContractViolationError(
+            f"value iteration at gamma={gamma!r} did not converge in {_MAX_SWEEPS} sweeps: "
+            f"the last sup-norm change {delta:.3e} is above the stop threshold {stop:.3e}"
+        )
     return q, np.eye(mdp.n_actions)[q.argmax(axis=1)]  # greedy: one-hot rows
 
 

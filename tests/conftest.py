@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from sstac import chain2, random_mdp, tabular_features
 from sstac import mdp as mdp_module
 from sstac.deep_net import init_params
-from sstac.diagnostics import IterDiag
 from sstac.errors import BALL_SLACK, check_finite
 from sstac.features import gram_min_singular
 from sstac.policy import LOGIT_CLAMP, kl
@@ -179,7 +178,8 @@ def reference_softmax_rows(logits):
 def reference_error_decomposition(
     mdp, *, pi_k, pi_next, q_omega_k, q_omega_next, q_pi_next, q_star, pi_star, nu_star, rho_next, beta, features
 ):
-    """``diagnostics.error_decomposition`` as it was: every table and KL row computed afresh, with no carry."""
+    """``diagnostics.error_decomposition`` as it was: every table and KL row computed afresh, with no carry,
+    and the scored trace columns returned as a dict in trace order."""
     gamma = mdp.gamma
     t_next_q_omega_k = mdp_module.bellman_eval(mdp, pi_next, q_omega_k)
 
@@ -204,7 +204,7 @@ def reference_error_decomposition(
 
     rho_star = nu_star[:, None] * pi_star
 
-    return IterDiag(
+    return dict(
         gap=float(np.sum(rho_star * (q_star - q_pi_next))),
         eps_c_l2=float(np.sqrt(np.sum(rho_next * eps_c**2))),
         eps_c_sup=float(np.max(np.abs(eps_c))),
@@ -217,6 +217,16 @@ def reference_error_decomposition(
         J_pi=float(np.sum(mdp.initial_dist[:, None] * pi_next * q_pi_next)),
         kl_to_opt=kl_to_opt,
         a_resid=a_resid,
+    )
+
+
+def reference_scores(mdp, **inputs):
+    """``reference_error_decomposition`` of the scorer's ``inputs``, with Q*, pi*, nu* and Q^{pi_next} solved afresh."""
+    q_star, pi_star = reference_optimal_q(mdp)
+    nu_star, _ = mdp_module.stationary_dists(mdp, pi_star)
+    q_pi_next = mdp_module.exact_q_pi(mdp, inputs["pi_next"])
+    return reference_error_decomposition(
+        mdp, q_pi_next=q_pi_next, q_star=q_star, pi_star=pi_star, nu_star=nu_star, **inputs
     )
 
 

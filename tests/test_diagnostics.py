@@ -7,29 +7,23 @@ from sstac import (
     chain2,
     error_decomposition,
     exact_q_pi,
-    optimal_q,
     random_mdp,
     run_linear_ac,
+    run_optimum,
     stationary_dists,
     tabular_features,
 )
 
-from conftest import random_policy, reference_error_decomposition
+from conftest import random_policy, reference_scores
 
 
 def decomposition_inputs(mdp, pi_k, pi_next, q_omega_k, q_omega_next, beta=4.0):
-    q_star, pi_star = optimal_q(mdp)
-    nu_star, _ = stationary_dists(mdp, pi_star)
     _, rho_next = stationary_dists(mdp, pi_next)
     return dict(
         pi_k=pi_k,
         pi_next=pi_next,
         q_omega_k=q_omega_k,
         q_omega_next=q_omega_next,
-        q_pi_next=exact_q_pi(mdp, pi_next),
-        q_star=q_star,
-        pi_star=pi_star,
-        nu_star=nu_star,
         rho_next=rho_next,
         beta=beta,
         features=tabular_features(mdp.n_states, mdp.n_actions),
@@ -44,9 +38,9 @@ class TestErrorDecomposition:
         rng = np.random.default_rng(0)
         pi = random_policy(rng, 2, 2)
         q = exact_q_pi(m, pi)
-        diag = error_decomposition(m, **decomposition_inputs(m, pi, pi, q, q))
-        assert diag.e_sup < 1e-12
-        assert abs(diag.theta_kl) < 1e-12
+        diag = error_decomposition(m, run_optimum(m), **decomposition_inputs(m, pi, pi, q, q))
+        assert diag["e_sup"] < 1e-12
+        assert abs(diag["theta_kl"]) < 1e-12
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
@@ -58,9 +52,9 @@ class TestErrorDecomposition:
         rng = np.random.default_rng(seed)
         pi_k, pi_next = random_policy(rng, n_states, n_actions), random_policy(rng, n_states, n_actions)
         q_k, q_next = rng.standard_normal((2, n_states, n_actions))
-        diag = error_decomposition(m, **decomposition_inputs(m, pi_k, pi_next, q_k, q_next))
+        diag = error_decomposition(m, run_optimum(m), **decomposition_inputs(m, pi_k, pi_next, q_k, q_next))
         # Non-finite tables would make a_resid NaN, which fails this bound too.
-        assert diag.a_resid < 1e-10
+        assert diag["a_resid"] < 1e-10
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
@@ -69,13 +63,13 @@ class TestErrorDecomposition:
         pis = [random_policy(rng, n_states, n_actions) for _ in range(3)]
         qs = rng.standard_normal((3, n_states, n_actions))
         first, second = (decomposition_inputs(m, pis[k], pis[k + 1], qs[k], qs[k + 1]) for k in range(2))
-        carry = {}
+        run = run_optimum(m)
         # The second call's pi_k is the first call's pi_next, so it reads the carried rows; the third call's pi_k is
-        # not the carry's policy, so its rows are computed afresh.
+        # not the carried policy, so its rows are computed afresh.
         for inputs in (first, second, first):
-            diag = error_decomposition(m, **inputs, carry=carry)
-            assert repr(diag) == repr(reference_error_decomposition(m, **inputs))
-            assert carry["pi"] is inputs["pi_next"]
+            diag = error_decomposition(m, run, **inputs)
+            assert repr(diag) == repr(reference_scores(m, **inputs))
+            assert run["pi"] is inputs["pi_next"]
 
     def test_linear_exact_run_actor_errors_vanish(self):
         # With linear energies the KL-regularized subproblem is solved

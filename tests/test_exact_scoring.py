@@ -1,8 +1,8 @@
 """The exact scorer's fast forms give the bytes of the forms they replaced.
 
 Value iteration writes each sweep in place, ``softmax_rows`` tests finiteness
-and the clamp with one reduction, and ``error_decomposition`` reads a per-run
-carry (the run constants and the previous policy's KL rows and log).  Each is
+and the clamp with one reduction, and ``error_decomposition`` reads its run
+state (the run constants and the previous policy's KL rows and log).  Each is
 checked here against its pre-change reference in ``conftest``: output bytes,
 error messages and warnings.
 """
@@ -31,8 +31,8 @@ from sstac import (
 from sstac import loop
 
 from conftest import (
-    reference_error_decomposition,
     reference_optimal_q,
+    reference_scores,
     reference_softmax_rows,
 )
 
@@ -126,7 +126,7 @@ class TestCarry:
             return trace.to_csv_text()
 
         with_carry = trace_text()
-        drop = lambda mdp, carry=None, **inputs: reference_error_decomposition(mdp, **inputs)  # noqa: E731
+        drop = lambda mdp, run, **inputs: reference_scores(mdp, **inputs)  # noqa: E731
         with mock.patch.object(loop, "error_decomposition", drop):
             without = trace_text()
         assert with_carry == without

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -626,3 +629,23 @@ def test_every_mode_runs_or_fails_early_on_every_builtin(algorithm, mdp):
     assert len(trace.rows) == 3
     failed = [c for c in diag_checks(trace) if not c.ok]
     assert not failed, failed
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def python_m_sstac(*args):
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "sstac", *args], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_help_exits_0(self):
+        result = self.python_m_sstac("--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: sstac ")
+
+    def test_a_missing_config_exits_2_with_one_error_line(self, tmp_path):
+        result = self.python_m_sstac("run", "--config", str(tmp_path / "missing.json"))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("sstac: error: config: cannot read config file: ")

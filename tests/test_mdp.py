@@ -427,6 +427,39 @@ class TestOptimalQ:
         np.testing.assert_allclose(exact_q_pi(mdp5, greedy), q_star, atol=1e-10)
 
 
+class TestValueIterationCap:
+    @staticmethod
+    def changes(mdp, n):
+        """The sup-norm change of each of ``n`` value-iteration sweeps from q = 0, and the stop threshold."""
+        q, changes = np.zeros(mdp.reward.shape), []
+        for _ in range(n):
+            q_next = (1.0 - mdp.gamma) * mdp.reward + mdp.gamma * (mdp.transition @ q.max(axis=1))
+            changes.append(float(np.abs(q_next - q).max()))
+            q = q_next
+        return changes, 1e-12 * (1.0 - mdp.gamma) / (2.0 * mdp.gamma)
+
+    def test_a_capped_run_raises_with_gamma_cap_change_and_threshold(self, chain, monkeypatch):
+        changes, stop = self.changes(chain, 3)
+        monkeypatch.setattr(mdp_module, "_MAX_SWEEPS", 3)
+        message = (
+            f"value iteration at gamma=0.9 did not converge in 3 sweeps: "
+            f"the last sup-norm change {changes[-1]:.3e} is above the stop threshold {stop:.3e}"
+        )
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$"):
+            optimal_q(chain)
+
+    def test_a_cap_the_stop_test_meets_returns_q_star(self, chain, monkeypatch):
+        changes, stop = self.changes(chain, 1000)
+        n_stop = 1 + next(i for i, change in enumerate(changes) if change <= stop)
+        want = optimal_q(chain)
+        monkeypatch.setattr(mdp_module, "_MAX_SWEEPS", n_stop)
+        got = optimal_q(chain)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        monkeypatch.setattr(mdp_module, "_MAX_SWEEPS", n_stop - 1)
+        with pytest.raises(ContractViolationError, match=f"did not converge in {n_stop - 1} sweeps"):
+            optimal_q(chain)
+
+
 class TestStationaryDists:
     def test_doubly_stochastic_gives_uniform(self):
         # Symmetric random-walk kernel: both rows average to uniform.
