@@ -50,7 +50,10 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
     shapes = [(d, m)] + [(m, m)] * (depth - 1)
     weights = [rng.standard_normal(shape) for shape in shapes]
     signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
-    return DnnParams(weights=weights, sign_vector=signs, anchor=[w.copy() for w in weights])
+    anchor = [w.copy() for w in weights]
+    for frozen in (*anchor, signs):  # clones share these, so a stray in-place write raises
+        frozen.flags.writeable = False
+    return DnnParams(weights=weights, sign_vector=signs, anchor=anchor)
 
 
 def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -80,23 +83,26 @@ def forward_many(params: DnnParams, xs: np.ndarray) -> np.ndarray:
     return _layers(params, xs)[0]
 
 
-def gradient(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def gradient(params: DnnParams, x: np.ndarray, out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
     """Output value and exact per-layer gradients d(output)/dW_h.
 
     Uses the sigma'(0) = 0 convention at ReLU kinks.  One layer pass; each
-    gradient is the outer product of a layer's input and its delta.
+    gradient is the outer product of a layer's input and its delta, written
+    into ``out[h]`` (arrays of the weights' shapes, fresh ones when ``out`` is
+    None) and returned as ``out``.
     """
     value, activations, pre_activations = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)))
     scale = 1.0 / math.sqrt(params.weights[0].shape[1])
+    if out is None:
+        out = [np.empty_like(w) for w in params.weights]
     # delta_h = d(output) / d(pre-activation of layer h)
     delta = scale * (pre_activations[-1] > 0.0) * params.sign_vector
-    grads: list[np.ndarray] = [None] * len(params.weights)
     for h in range(len(params.weights) - 1, -1, -1):
-        grads[h] = activations[h][:, None] * delta
+        np.multiply(activations[h][:, None], delta, out=out[h])
         if h > 0:
             delta = params.weights[h] @ delta
             delta *= scale * (pre_activations[h - 1] > 0.0)
-    return float(value), grads
+    return float(value), out
 
 
 def project_ball_inplace(params: DnnParams, radius: float) -> None:
@@ -104,16 +110,20 @@ def project_ball_inplace(params: DnnParams, radius: float) -> None:
 
     A layer within BALL_SLACK of the radius plus eps * ||W0||, the rounding of W0 + shrunk
     difference, counts as inside and is left untouched, so the projection is idempotent.
+    A shrunk layer is written into its own array, so views of the weights stay the weights.
     """
     if not radius >= 0.0:
         raise ContractViolationError(f"radius must be >= 0, got {radius}")
     bound = radius * (1.0 + BALL_SLACK)
-    for h, (w, w0) in enumerate(zip(params.weights, params.anchor)):
+    for w, w0 in zip(params.weights, params.anchor):
         diff = w - w0
         flat = diff.ravel()
         dist = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum of squares, without its dispatch
         if dist > bound and dist > bound + np.finfo(float).eps * float(np.linalg.norm(w0)):
-            params.weights[h] = w0 + diff * (radius / dist) if radius > 0.0 else w0.copy()
+            if radius > 0.0:
+                np.add(w0, diff * (radius / dist), out=w)
+            else:
+                w[...] = w0
 
 
 def linearization_gap(params: DnnParams, x: np.ndarray) -> float:

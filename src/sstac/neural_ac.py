@@ -45,24 +45,30 @@ def _sgd_averaged(
     """Projected-SGD loop on the squared loss, one step per input, returning the average of the iterates.
 
     Step n moves ``work`` in place along the gradient at ``inputs[n]`` scaled by
-    the residual (network output minus ``targets[n]``).
+    the residual (network output minus ``targets[n]``).  The layers, their
+    gradients and the running sum are each one flat vector, so a step updates
+    and accumulates every layer in one operation each.
     """
     n_steps = len(inputs)
     if n_steps == 0:
         raise ContractViolationError("an inner loop needs at least one draw")
-    acc = [np.zeros_like(w) for w in work.weights]
+    w = np.concatenate([layer.ravel() for layer in work.weights])
+    g, acc = np.empty_like(w), np.zeros_like(w)
+    work.weights, grads = _layer_views(w, work.weights), _layer_views(g, work.weights)
     for x, target in zip(inputs, targets.tolist()):
-        value, grads = gradient(work, x)
-        coef = stepsize * (value - target)
-        for w, g in zip(work.weights, grads):
-            g *= coef
-            w -= g
-        # The projection may replace a layer, so the accumulation reads work.weights afresh.
-        project_ball_inplace(work, radius)
-        for a, w in zip(acc, work.weights):
-            a += w
-    averaged = [a / n_steps for a in acc]
-    return DnnParams(weights=averaged, sign_vector=work.sign_vector, anchor=work.anchor)
+        value, _ = gradient(work, x, grads)
+        g *= stepsize * (value - target)
+        w -= g
+        project_ball_inplace(work, radius)  # writes into the views of w
+        acc += w
+    acc /= n_steps
+    return DnnParams(weights=_layer_views(acc, work.weights), sign_vector=work.sign_vector, anchor=work.anchor)
+
+
+def _layer_views(flat: np.ndarray, layers: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of consecutive pieces of ``flat``, shaped as ``layers``."""
+    ends = np.cumsum([layer.size for layer in layers])
+    return [flat[end - layer.size : end].reshape(layer.shape) for layer, end in zip(layers, ends.tolist())]
 
 
 def actor_inner_loop(

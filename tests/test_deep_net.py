@@ -85,6 +85,16 @@ class TestInit:
         with pytest.raises(ContractViolationError):
             init_params(0, 4, 1, seed=0)
 
+    def test_anchor_and_signs_are_read_only_and_shared_by_clones(self):
+        # Actor and critic are clones of one initialization: an in-place write would move both centres.
+        p = init_params(4, 8, 2, seed=3)
+        for frozen in (*p.anchor, p.sign_vector):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 1.0
+        q = p.clone()
+        assert q.sign_vector is p.sign_vector and all(a is b for a, b in zip(q.anchor, p.anchor))
+        assert all(w.flags.writeable for w in q.weights)
+
 
 class TestForward:
     def test_zero_weights_zero_output(self):
@@ -287,6 +297,12 @@ class TestLeanStepMatchesReference:
             ref_value, ref_grads = reference_gradient(params, x)
             assert as_bytes([value, *grads]) == as_bytes([ref_value, *ref_grads])
             assert as_bytes([forward(params, x)[0]]) == as_bytes([ref_value])
+            # Written into NaN-filled buffers, every entry is overwritten and the buffers themselves come back.
+            buffers = [np.full_like(w, np.nan) for w in params.weights]
+            layers = list(buffers)
+            value, written = gradient(params, x, buffers)
+            assert written is buffers and all(a is b for a, b in zip(written, layers))
+            assert as_bytes([value, *written]) == as_bytes([ref_value, *ref_grads])
         assert forward_many(params, xs).tobytes() == reference_layers(params, xs)[0].tobytes()
 
     @PROPERTY
@@ -301,10 +317,12 @@ class TestLeanStepMatchesReference:
             w += step
         dists = [np.linalg.norm(w - w0) for w, w0 in zip(params.weights, params.anchor)]
         radius = {"zero": 0.0, "tight": fraction * min(dists), "loose": 2.0 * max(dists)}[kind]
-        ref = params.clone()
+        ref, layers = params.clone(), list(params.weights)
         project_ball_inplace(params, radius)
         reference_project_ball_inplace(ref, radius)
         assert as_bytes(params.weights) == as_bytes(ref.weights)
+        # Each layer is written in place, so views of the weights (the SGD loop's flat vector) stay the weights.
+        assert all(w is layer for w, layer in zip(params.weights, layers))
 
 
 class TestLinearizationGap:
