@@ -18,7 +18,7 @@ from .errors import BALL_SLACK, ContractViolationError, check_finite, check_shap
 # Subgradient convention at the ReLU kink: derivative 0 at exactly 0.
 
 
-@dataclass
+@dataclass(eq=False)
 class DnnParams:
     """Weights, frozen sign vector, and the anchor initialization."""
 

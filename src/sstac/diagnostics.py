@@ -64,6 +64,8 @@ def error_decomposition(
     mismatch = log_pi_next - log_pi_k - q_omega_k / beta
     eps_a_rows = np.abs((mismatch * (pi_star - pi_next)).sum(axis=1))
     eps_b_rows = np.abs((mismatch * (pi_k - pi_next)).sum(axis=1))
+    mask = rho_star > 0  # phi_star = ||d rho* / d rho_next||_{rho_next,2}, infinite when rho_next misses rho*'s support
+    missed = (mask & (rho_next <= 0)).any()
 
     return {
         "gap": float((rho_star * (run["q_star"] - q_pi_next)).sum()),  # E_rho*[Q* - Q^{pi_next}]
@@ -73,17 +75,9 @@ def error_decomposition(
         "theta_kl": float(nu_star @ (kl_rows_prev - kl_rows_next)),  # E_nu*[ KL(pi*||pi_k) - KL(pi*||pi_next) ]
         "eps_a": float(nu_star @ eps_a_rows),  # E_nu*[ |actor-error inner product vs pi*| ]
         "eps_b": float(nu_star @ eps_b_rows),  # E_nu*[ |actor-error inner product vs pi_k| ]
-        "phi_star": density_ratio_l2(rho_star, rho_next),  # density-ratio norm ||d rho* / d rho_next||_{rho_next,2}
+        "phi_star": float("inf") if missed else float(np.sqrt((rho_star[mask] ** 2 / rho_next[mask]).sum())),
         "sigma_star": float(gram_min_singular(features, rho_next)),  # min singular value of the Gram under rho_next
         "J_pi": float((mdp.initial_dist[:, None] * pi_next * q_pi_next).sum()),  # objective of pi_next
         "kl_to_opt": float(nu_star @ kl_rows_next),  # E_nu*[ KL(pi*||pi_next) ]
         "a_resid": a_resid,  # residual of the three-term decomposition identity
     }
-
-
-def density_ratio_l2(rho_star: np.ndarray, rho_base: np.ndarray) -> float:
-    """Weighted L2 norm of the density ratio d rho* / d rho_base under rho_base."""
-    mask = rho_star > 0
-    if (mask & (rho_base <= 0)).any():
-        return float("inf")
-    return float(np.sqrt((rho_star[mask] ** 2 / rho_base[mask]).sum()))

@@ -40,7 +40,7 @@ def _check_size(n_states: int, n_actions: int) -> None:
         raise ContractViolationError(f"n_states * n_actions = {n_states * n_actions} exceeds cap {MAX_STATE_ACTIONS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularMDP:
     """A finite discounted MDP (states, actions, kernel, rewards, discount, start).
 
@@ -57,7 +57,7 @@ class TabularMDP:
     # Bytes of the last three policies that passed the probability check, least recently used first, and the bytes
     # and read-only P_pi of the last policy whose P_pi was built.  Each update assigns a new tuple, so an update lost
     # to another thread only repeats work.
-    _policy_memo: tuple = field(default=((), (None, None)), init=False, repr=False, compare=False)
+    _policy_memo: tuple = field(default=((), (None, None)), init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.transition, dtype=float)  # a private, read-only copy keeps the cached step table in step
@@ -203,10 +203,6 @@ def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
     return q, np.eye(mdp.n_actions)[q.argmax(axis=1)]  # greedy: one-hot rows
 
 
-def _stationary_residual(nu: np.ndarray, p_pi: np.ndarray) -> float:
-    return float(np.abs(nu @ p_pi - nu).sum())
-
-
 def _power_until(nu: np.ndarray, p_pi: np.ndarray, tol: float, limit: int, restart=None):
     """The first (nu_i, nu_{i+1}) with |nu_{i+1} - nu_i|_1 <= tol, or (nu_limit, None), of the power steps
     nu_{i+1} = nu_i P_pi, or (1 - _DAMPING) nu_i P_pi + restart when a ``restart`` is given.
@@ -263,7 +259,7 @@ def stationary_dists(mdp: TabularMDP, policy: np.ndarray) -> tuple[np.ndarray, n
     nu, after = _power_until(before if after is None else after, p_pi, 0.5 * _STATIONARY_TOL, 20_001)
     if after is None:
         nu = _dense_stationary(p_pi)
-        residual = _stationary_residual(nu, p_pi)
+        residual = float(np.abs(nu @ p_pi - nu).sum())
         if residual > _STATIONARY_TOL:
             raise ErgodicityError(
                 f"stationary distribution did not converge: the exact solve reached residual {residual:.3e} "

@@ -231,7 +231,7 @@ def reference_scores(mdp, **inputs):
 
 
 def reference_density_ratio_l2(rho_star, rho_base):
-    """``diagnostics.density_ratio_l2`` as it was, with np.any and np.sum."""
+    """The ``phi_star`` column as it was first computed, with np.any and np.sum."""
     mask = rho_star > 0
     if np.any(mask & (rho_base <= 0)):
         return float("inf")

@@ -47,7 +47,7 @@ def reference_stationary(mdp, policy):
         nu = nu_next
     else:
         nu = mdp_module._dense_stationary(p_pi)
-        residual = mdp_module._stationary_residual(nu, p_pi)
+        residual = float(np.abs(nu @ p_pi - nu).sum())
         if residual > _STATIONARY_TOL:
             raise ErgodicityError(
                 f"stationary distribution did not converge: the exact solve reached residual {residual:.3e} "
