@@ -3,7 +3,8 @@
 With the exact critic, the tracking error e_{k+1} = Q_w_k - T^{pi_{k+1}} Q_w_k
 first contracts geometrically (the discount factor at work), then settles on
 a floor driven by policy drift, whose decay rate is the sharpening rate of
-the softmax policy (~ action-gap / beta per step) rather than gamma.
+the softmax policy (~ action-gap / beta per step) rather than gamma.  It also
+prints where acceptance C4's 193-point window would first meet its bound.
 """
 import numpy as np
 
@@ -26,6 +27,16 @@ def main():
         print(f"  [{lo:>4d},{hi:>4d}]: {slope:+.5f}")
     print("\nearly windows show the geometric phase; late windows approach the")
     print("policy-drift rate 0.09/beta = -0.005625 on this chain")
+
+    # Acceptance C4 fits 193 points (k = 64..256) against ln(gamma) + 0.1; the same window, moved later.
+    def window_slope(start):
+        ks = np.arange(start, start + 193)
+        return np.polyfit(ks, np.log(e_sup[start : start + 193]), 1)[0]
+
+    bound = np.log(0.9) + 0.1
+    first = next(k for k in range(64, len(e_sup) - 192) if window_slope(k) <= bound)
+    print(f"\nC4 bound ln 0.9 + 0.1 = {bound:.5f}; 193-point window slope at start 64: {window_slope(64):.5f},")
+    print(f"  at 512: {window_slope(512):.5f}, at 576: {window_slope(576):.5f}; first start meeting the bound: {first}")
 
 
 if __name__ == "__main__":

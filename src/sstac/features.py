@@ -41,12 +41,6 @@ class FeatureMap:
         if np.any(norms > 1.0 + _NORM_TOL):
             raise ContractViolationError(f"feature norms must not exceed 1, max is {float(norms.max())}")
 
-    def __reduce__(self):
-        """Pickles and copies rebuild a one-hot map from its shape, not from its (S·A)² floats."""
-        if self.one_hot:
-            return tabular_features, (self.n_states, self.n_actions)
-        return FeatureMap, (self.phi,)
-
     @property
     def dim(self) -> int:
         return self.phi.shape[2]

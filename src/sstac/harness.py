@@ -39,10 +39,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     settings: dict  # the settings the config sets; arch's m and H are stored as m and H
 
-    @property
-    def K(self) -> int:
-        return self.settings["K"]
-
     def to_dict(self) -> dict:
         doc = {"mdp": self.mdp, "algorithm": self.algorithm, "seeds": list(self.seeds)}
         doc.update((key, value) for key, value in self.settings.items() if key not in _ARCH_KEYS)
@@ -100,7 +96,7 @@ def run_id(config: ExperimentConfig, seed: int) -> str:
     compact = config.mdp.replace(" ", "")  # as build_mdp reads random(S, A, seed)
     random_label = compact.replace("(", "-").replace(",", "-").rstrip(")")
     label = random_label if compact.startswith("random(") else Path(config.mdp).stem
-    return f"{config.algorithm}-{label}-K{config.K}-seed{seed}"
+    return f"{config.algorithm}-{label}-K{config.settings['K']}-seed{seed}"
 
 
 def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
@@ -174,8 +170,8 @@ def sweep_command(
         if param != "K":
             trace.manifest["run_id"] += f"-{param}{value}"
         trace.save(base / trace.manifest["run_id"])
-        final_gap, cum = trace.column("gap")[-1], trace.column("cum_regret")[-1]
-        results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(derived.K)))))
+        final_gap, cum, K = trace.column("gap")[-1], trace.column("cum_regret")[-1], derived.settings["K"]
+        results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(K)))))
         # Rewritten after every run, so a sweep that stops leaves the summary of the runs before it.
         results.sort(key=lambda row: (row["param_value"], row["seed"]))
         # repr writes ints as str does and floats in their shortest round-trip form.

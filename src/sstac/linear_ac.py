@@ -147,9 +147,8 @@ def run_linear_ac(
     # ||Q_omega||_F, which grows like sqrt(S*A): the exact critic can clip on larger MDPs.
     params = {
         "algorithm": f"linear_{mode}",
-        **run_settings(K, beta, R, 2.0 * mdp.r_max / (1.0 - mdp.gamma)),
+        **run_settings(K, beta, R, 2.0 * mdp.r_max / (1.0 - mdp.gamma), seed=seed),
         "N": check_setting("N", N) if sampled else None,
-        "seed": check_setting("seed", seed),
         "ridge": ridge if sampled else None,
     }
     beta, R, N = params["beta"], params["R"], params["N"]

@@ -186,13 +186,11 @@ def optimal_q(mdp: TabularMDP) -> tuple[np.ndarray, np.ndarray]:
     """
     gamma, tol = mdp.gamma, 1e-12
     stop = tol if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
-    base, q, q_next = (1.0 - gamma) * mdp.reward, np.zeros((mdp.n_states, mdp.n_actions)), np.empty(mdp.reward.shape)
-    for _ in range(_MAX_SWEEPS):  # each sweep is written into the other of two buffers
-        np.matmul(mdp.transition, q.max(axis=1), out=q_next)
-        q_next *= gamma
-        q_next += base
+    base, q = (1.0 - gamma) * mdp.reward, np.zeros((mdp.n_states, mdp.n_actions))
+    for _ in range(_MAX_SWEEPS):
+        q_next = base + gamma * (mdp.transition @ q.max(axis=1))
         delta = float(np.abs(q_next - q).max())
-        q, q_next = q_next, q
+        q = q_next
         if delta <= stop:
             break
     else:
