@@ -17,6 +17,10 @@ from .errors import BALL_SLACK, ContractViolationError, check_finite, check_shap
 
 # Subgradient convention at the ReLU kink: derivative 0 at exactly 0.
 
+# The layer and backprop products run through ndarray.dot, the BLAS kernel of ``@`` at about half its dispatch
+# cost and with its bytes for C-contiguous operands.  A sum of one term is the exception: ``@`` returns 0.0 +
+# product (+0.0 for a -0.0 product) where ``.dot`` may return the product, so d = 1 or m = 1 keeps np.matmul.
+
 
 @dataclass(eq=False)
 class DnnParams:
@@ -59,13 +63,14 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
 def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The layer recursion for one input (d,) or a batch (n, d): outputs, activations, pre-activations."""
     scale = 1.0 / math.sqrt(params.weights[0].shape[1])  # correctly rounded, as np.sqrt is
+    dot = np.matmul if 1 in params.weights[0].shape else np.ndarray.dot
     activations, pre_activations = [xs], []
     for w in params.weights:
-        pre_activations.append(activations[-1] @ w)
+        pre_activations.append(dot(activations[-1], w))
         a = np.maximum(pre_activations[-1], 0.0)
         a *= scale
         activations.append(a)
-    return activations[-1] @ params.sign_vector, activations, pre_activations
+    return dot(activations[-1], params.sign_vector), activations, pre_activations
 
 
 def forward(params: DnnParams, x: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -93,6 +98,7 @@ def gradient(params: DnnParams, x: np.ndarray, out: list[np.ndarray] | None = No
     """
     value, activations, pre_activations = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)))
     scale = 1.0 / math.sqrt(params.weights[0].shape[1])
+    dot = np.matmul if 1 in params.weights[0].shape else np.ndarray.dot
     if out is None:
         out = [np.empty_like(w) for w in params.weights]
     # delta_h = d(output) / d(pre-activation of layer h)
@@ -100,7 +106,7 @@ def gradient(params: DnnParams, x: np.ndarray, out: list[np.ndarray] | None = No
     for h in range(len(params.weights) - 1, -1, -1):
         np.multiply(activations[h][:, None], delta, out=out[h])
         if h > 0:
-            delta = params.weights[h] @ delta
+            delta = dot(params.weights[h], delta)
             delta *= scale * (pre_activations[h - 1] > 0.0)
     return float(value), out
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from sstac import chain2, random_mdp, tabular_features
 from sstac import mdp as mdp_module
-from sstac.deep_net import init_params
+from sstac.deep_net import DnnParams, init_params
 from sstac.errors import BALL_SLACK, check_finite
 from sstac.features import gram_min_singular
 from sstac.policy import LOGIT_CLAMP, kl
@@ -112,6 +112,23 @@ def kinky_network(draw):
         w[rng.random(w.shape) < zero_share] = 0.0
     xs = draw(arrays(float, (draw(st.integers(1, 4)), d), elements=KINKY))
     return params, xs
+
+
+def one_term_case(weights, signs, xs):
+    """A (network, inputs) case with the given layers anchored at themselves, as ``kinky_network`` draws them."""
+    layers = [np.array(w, dtype=float) for w in weights]
+    params = DnnParams(weights=layers, sign_vector=np.array(signs, dtype=float), anchor=[w.copy() for w in layers])
+    return params, np.array(xs, dtype=float)
+
+
+# Networks with products of one term, where ``@`` returns 0.0 + product and so turns a -0.0 product into +0.0.
+# With m = 1 every product after the first layer has one term: a closed ReLU gives the output 0.0 * -1.0 and
+# the backprop delta 2.0 * -0.0.  With d = 1 the first layer's product has one: the inputs -0.0 and -1.0 meet
+# the weights 2.0 and 0.0.
+M1_CASE = one_term_case([[[1.5], [-0.0]], [[2.0]]], [-1.0], [[-0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+D1_CASE = one_term_case(
+    [[[2.0, 0.0, -1.0]], [[0.0, 1.0, -0.0], [-0.5, 0.0, 1.0], [1.0, -1.0, 0.0]]], [1.0, -1.0, 1.0], [[-0.0], [-1.0], [1.0]]
+)
 
 
 # The draw counts as they were before they walked the draws in chunks: each count compares every draw in one

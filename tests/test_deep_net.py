@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,7 +17,14 @@ from sstac.deep_net import (
 )
 from sstac.errors import BALL_SLACK
 
-from conftest import kinky_network, reference_gradient, reference_layers, reference_project_ball_inplace
+from conftest import (
+    D1_CASE,
+    M1_CASE,
+    kinky_network,
+    reference_gradient,
+    reference_layers,
+    reference_project_ball_inplace,
+)
 
 FD_MATRIX = [(4, 8, 1), (6, 16, 3), (8, 32, 2)]
 
@@ -290,13 +297,19 @@ class TestLeanStepMatchesReference:
 
     @PROPERTY
     @given(kinky_network())
+    @example(M1_CASE)
+    @example(D1_CASE)
     def test_gradient_and_outputs(self, case):
         params, xs = case
         for x in xs:
             value, grads = gradient(params, x)
             ref_value, ref_grads = reference_gradient(params, x)
             assert as_bytes([value, *grads]) == as_bytes([ref_value, *ref_grads])
-            assert as_bytes([forward(params, x)[0]]) == as_bytes([ref_value])
+            value, activations, pre_activations = forward(params, x)
+            _, ref_activations, ref_pre_activations = reference_layers(params, x)
+            assert as_bytes([value, *activations, *pre_activations]) == as_bytes(
+                [ref_value, *ref_activations, *ref_pre_activations]
+            )
             # Written into NaN-filled buffers, every entry is overwritten and the buffers themselves come back.
             buffers = [np.full_like(w, np.nan) for w in params.weights]
             layers = list(buffers)
@@ -323,6 +336,85 @@ class TestLeanStepMatchesReference:
         assert as_bytes(params.weights) == as_bytes(ref.weights)
         # Each layer is written in place, so views of the weights (the SGD loop's flat vector) stay the weights.
         assert all(w is layer for w, layer in zip(params.weights, layers))
+
+
+LAYOUTS = ("C", "Fortran", "strided", "reversed")
+
+
+def laid_out(a, layout):
+    """A copy of ``a`` in a C or Fortran array, in every other entry of a larger one, or with negative strides."""
+    if layout == "C":
+        return np.array(a, order="C")
+    if layout == "Fortran":
+        return np.array(a, order="F")
+    if layout == "strided":
+        out = np.full([2 * n for n in a.shape], np.nan)[tuple(slice(None, None, 2) for _ in a.shape)]
+    else:
+        out = np.empty_like(a)[tuple(slice(None, None, -1) for _ in a.shape)]
+    out[...] = a
+    return out
+
+
+def magnitudes(params, xs):
+    """The network on |x|, |W_h| and |b| with every ReLU open: per layer, the sums of |terms| of its products.
+
+    Returns the output, the activations and, for one input, the backprop deltas.
+    """
+    scale = 1.0 / np.sqrt(params.weights[0].shape[1])
+    activations = [np.abs(xs)]
+    for w in params.weights:
+        activations.append(scale * (activations[-1] @ np.abs(w)))
+    deltas = [scale * np.abs(params.sign_vector)]
+    for w in params.weights[:0:-1]:
+        deltas.insert(0, scale * (np.abs(w) @ deltas[0]))
+    return activations[-1] @ np.abs(params.sign_vector), activations, deltas
+
+
+@st.composite
+def laid_out_network(draw):
+    """A ``kinky_network`` case whose layers, sign vector and inputs are each in a drawn layout."""
+    params, xs = draw(kinky_network())
+    layers = [laid_out(w, draw(st.sampled_from(LAYOUTS))) for w in params.weights]
+    signs = laid_out(params.sign_vector, draw(st.sampled_from(LAYOUTS)))
+    return DnnParams(weights=layers, sign_vector=signs, anchor=params.anchor), laid_out(xs, draw(st.sampled_from(LAYOUTS)))
+
+
+class TestOperandLayout:
+    """The layer and backprop products against the ``@`` references on a caller's own array layouts.
+
+    C-contiguous operands give the references' bytes.  Other layouts may take another BLAS or a non-BLAS loop,
+    each product then within n * eps * sum_i |a_i w_ij| of ``@``'s, n the summed length.  Through the layers
+    that is at most 2 (H + 1)(n + 1) eps times the same quantity of the network on |x|, |W| and |b|.
+    """
+
+    @PROPERTY
+    @given(laid_out_network())
+    def test_products_match_the_references(self, case):
+        params, xs = case
+        operands = [*params.weights, params.sign_vector, xs]
+        exact = all(a.flags.c_contiguous for a in operands)
+        d, m = params.weights[0].shape
+        tol = 2 * (len(params.weights) + 1) * (max(d, m) + 1) * np.finfo(float).eps
+
+        def check(got, ref, bound):
+            assert as_bytes(got) == as_bytes(ref) if exact else np.all(np.abs(np.subtract(got, ref)) <= tol * bound)
+
+        check([forward_many(params, xs)], [reference_layers(params, xs)[0]], magnitudes(params, xs)[0])
+        for x in xs:
+            value, activations, pre_activations = forward(params, x)
+            ref_value, ref_activations, ref_pre_activations = reference_layers(params, x)
+            out, abs_activations, abs_deltas = magnitudes(params, x)
+            check([value], [ref_value], out)
+            for h, (pre, ref_pre) in enumerate(zip(pre_activations, ref_pre_activations)):
+                check([pre], [ref_pre], abs_activations[h + 1] * np.sqrt(m))
+            value, grads = gradient(params, x)
+            ref_value, ref_grads = reference_gradient(params, x)
+            check([value], [ref_value], out)
+            # A gradient is bounded only where both sides open the same ReLUs; the pre-activations above
+            # are bounded either way.
+            if all(np.array_equal(a > 0, b > 0) for a, b in zip(pre_activations, ref_pre_activations)):
+                for h, (g, ref_g) in enumerate(zip(grads, ref_grads)):
+                    check([g], [ref_g], np.outer(abs_activations[h], abs_deltas[h]))
 
 
 class TestLinearizationGap:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sstac import (
@@ -22,7 +22,7 @@ from sstac.deep_net import DnnParams, forward_many, gradient, init_params, sa_en
 from sstac.neural_ac import _sgd_averaged
 from sstac.policy import softmax_rows
 
-from conftest import kinky_network, reference_gradient, reference_sgd_averaged
+from conftest import D1_CASE, M1_CASE, kinky_network, reference_gradient, reference_sgd_averaged
 
 NEURAL_COLUMNS = [
     "k", "gap", "cum_regret", "eps_c_l2", "eps_c_sup", "e_sup", "theta_kl", "eps_a", "eps_b",
@@ -170,6 +170,8 @@ class TestCriticInnerLoop:
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(kinky_network(), st.sampled_from([0.0, 0.05, 1e6]), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+@example(M1_CASE, 0.05, 0.5, 0)
+@example(D1_CASE, 1e6, 0.5, 1)
 def test_sgd_loop_matches_reference(case, radius, stepsize, seed):
     # Exact-zero weights make a last-bit change in an update visible, where a weight near 1 would absorb it.
     params, xs = case
