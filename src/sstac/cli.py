@@ -26,6 +26,8 @@ def _load_config(path: str) -> ExperimentConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:  # which, unlike OSError, does not name the file
+        raise ConfigError(f"cannot read config file: {path!r} is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -105,7 +105,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
     t0 = time.perf_counter()
     try:
         mdp = build_mdp(config.mdp)
-    except (OSError, ValueError, TypeError) as exc:  # unreadable, malformed or invalid MDP file
+    except (OSError, ValueError, TypeError, OverflowError) as exc:  # unreadable, malformed or invalid MDP file
         raise ConfigError(f"cannot load MDP {config.mdp!r}: {exc}") from exc
     # A setting the config leaves unset keeps the driver's default.
     settings = {"seed": seed, **config.settings}
@@ -127,13 +127,21 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
     return trace
 
 
+def _save(trace: RunTrace, directory: Path) -> Path:
+    """``trace.save(directory)``, with a directory that cannot be written reported as a ConfigError naming it."""
+    try:
+        return trace.save(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot write run directory {str(directory)!r}: {exc}") from exc
+
+
 def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Path]:
     """Execute every seed of a config and persist each trace; returns the directories."""
     base = Path(out_dir or "runs")
     dirs = []
     for seed in config.seeds:
         trace = execute_run(config, seed)
-        dirs.append(trace.save(base / trace.manifest["run_id"]))
+        dirs.append(_save(trace, base / trace.manifest["run_id"]))
     return dirs
 
 
@@ -169,7 +177,7 @@ def sweep_command(
         trace = execute_run(derived, seed)
         if param != "K":
             trace.manifest["run_id"] += f"-{param}{value}"
-        trace.save(base / trace.manifest["run_id"])
+        _save(trace, base / trace.manifest["run_id"])
         final_gap, cum, K = trace.column("gap")[-1], trace.column("cum_regret")[-1], derived.settings["K"]
         results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(K)))))
         # Rewritten after every run, so a sweep that stops leaves the summary of the runs before it.

@@ -17,7 +17,6 @@ from .errors import BALL_SLACK, ConditioningError, ContractViolationError, Param
 from .errors import check_finite, check_shape
 from .features import FeatureMap, gram_matrix, min_eigenvalue
 from .loop import check_setting, run_settings, run_single_timescale
-from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import RunTrace
 
@@ -157,26 +156,25 @@ def run_linear_ac(
     theta, omega = np.zeros(features.dim), np.zeros(features.dim)
     omega_sum = np.zeros(features.dim)
 
-    def step(k, pi_k, q_k):
-        nonlocal theta, omega, omega_sum
+    def actor_fit(k, pi_k, q_k):
+        nonlocal theta, omega_sum
         omega_sum = omega_sum + omega
         theta = actor_step(theta, omega, k, beta)
         average = omega_sum / (k + 1)
         drift = float(np.max(np.abs(theta - average)))
         if drift > 1e-12 * max(1.0, float(np.max(np.abs(average)))):  # round-off grows with the weights
             raise SstacError(f"running-average identity violated: drift {drift:.3e}")
+        return features.value_table(theta)
 
-        inv_tau_next = (k + 1) / beta
-        pi_next = softmax_rows(inv_tau_next * features.value_table(theta))
-        _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
-
+    def critic_fit(pi_next, rho_next, q_k):
+        nonlocal omega
         if mode == "exact":
             omega = critic_step_exact(q_k, mdp, pi_next, features, rho_next, radius=R)
         else:
             batch = draw_batch(mdp, rho_next, pi_next, rng, N)
             omega = critic_step_sampled(q_k, batch, features, mdp.gamma, radius=R, ridge=ridge)
-        actor_norm, critic_norm = float(np.linalg.norm(theta)), float(np.linalg.norm(omega))
-        logged = {"inv_tau": inv_tau_next, "actor_norm": actor_norm, "critic_norm": critic_norm}
-        return pi_next, rho_next, features.value_table(omega), logged
+        logged = {"actor_norm": float(np.linalg.norm(theta)), "critic_norm": float(np.linalg.norm(omega))}
+        return features.value_table(omega), logged
 
-    return run_single_timescale(mdp, step, q_0=features.value_table(omega), features=features, params=params)
+    q_0 = features.value_table(omega)
+    return run_single_timescale(mdp, actor_fit, critic_fit, q_0=q_0, features=features, params=params)

@@ -63,26 +63,22 @@ def run_settings(K, beta, R, default_R: float, **others) -> dict:
 
 
 def run_single_timescale(
-    mdp: mdp_mod.TabularMDP,
-    step,
-    *,
-    q_0: np.ndarray,
-    features,
-    params: dict,
+    mdp: mdp_mod.TabularMDP, actor_fit, critic_fit, *, q_0: np.ndarray, features, params: dict
 ) -> RunTrace:
-    """Run ``step`` for k = 0 .. ``params["K"]`` and score every update against the exact oracles.
+    """Run one actor and one critic update for k = 0 .. ``params["K"]`` and score each against the exact oracles.
 
     The run starts from the uniform pi_0 (tau_0^{-1} = 0) and the critic
-    table ``q_0``.  ``run_optimum`` solves the optimum once, before step 0, and ``error_decomposition``
+    table ``q_0``.  ``run_optimum`` solves the optimum once, before k = 0, and ``error_decomposition``
     scores each update against it: the gap is E_rho*[Q* - Q^{pi_{k+1}}] under rho* = nu* pi*.
 
-    ``step(k, pi_k, q_k)`` makes one actor and one critic update and returns
-    ``(pi_next, rho_next, q_next, logged)``: the new policy, its stationary
-    state-action distribution, the new critic table, and a dict of the
+    ``actor_fit(k, pi_k, q_k)`` makes the actor update and returns its (S, A) energy table f_{k+1}.
+    The loop forms pi_{k+1} = softmax(tau_{k+1}^{-1} f_{k+1}) with tau_{k+1}^{-1} = (k+1) / beta and
+    its stationary state-action distribution rho_{k+1}; ``critic_fit(pi_next, rho_next, q_k)`` then
+    makes the critic update and returns ``(q_next, logged)``: the new critic table and a dict of the
     driver's own trace columns.  An ``actor_norm`` or ``critic_norm`` (distance to
     the ball centre) above ``params["R"]``, beyond BALL_SLACK and 1e-9 for the
-    round-off of averaged iterates, raises ``SstacError``.  The trace columns are
-    ``k``, the columns of ``error_decomposition`` with ``cum_regret`` after ``gap``, then the keys of ``logged``.
+    round-off of averaged iterates, raises ``SstacError``.  The trace columns are ``k``, the columns
+    of ``error_decomposition`` with ``cum_regret`` after ``gap``, ``inv_tau``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.  The manifest holds
     what every run shares: ``rng_id``, ``version`` and the driver's ``params``.
@@ -96,7 +92,10 @@ def run_single_timescale(
     cum_regret = 0.0
     for k in range(K + 1):
         try:
-            pi_next, rho_next, q_next, logged = step(k, pi_k, q_k)
+            inv_tau = (k + 1) / beta
+            pi_next = softmax_rows(inv_tau * actor_fit(k, pi_k, q_k))
+            _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
+            q_next, logged = critic_fit(pi_next, rho_next, q_k)
             for name in ("actor_norm", "critic_norm"):
                 if not logged[name] <= ball_bound:
                     raise SstacError(f"{name} {logged[name]!r} left the projection ball of radius {R!r}")
@@ -116,7 +115,7 @@ def run_single_timescale(
             raise
         cum_regret += diag["gap"]
         # "gap" keeps its place when diag repeats it, so cum_regret follows it.
-        row = {"k": k, "gap": diag["gap"], "cum_regret": cum_regret, **diag, **logged}
+        row = {"k": k, "gap": diag["gap"], "cum_regret": cum_regret, **diag, "inv_tau": inv_tau, **logged}
         rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
 

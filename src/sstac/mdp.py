@@ -10,6 +10,7 @@ solve for V^π.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -360,6 +361,22 @@ def build_mdp(source: str) -> TabularMDP:
 # ---------------------------------------------------------------------------
 
 
+def _json_number(key: str, value, kind=numbers.Real):
+    """``value`` if it is a ``kind`` and not a bool, else ContractViolationError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ContractViolationError(f"{key} must be {noun}, got {value!r}")
+    return value
+
+
+def _json_table(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array, once each entry has passed ``_json_number``."""
+    table = np.asarray(doc[key], dtype=object)
+    for index, value in np.ndenumerate(table):
+        _json_number(f"{key} entry {index}" if index else key, value)
+    return table.astype(float)
+
+
 def mdp_from_json(doc: dict) -> TabularMDP:
     if not isinstance(doc, dict):
         raise ContractViolationError(f"MDP document must be a JSON object, got {type(doc).__name__}")
@@ -367,16 +384,17 @@ def mdp_from_json(doc: dict) -> TabularMDP:
     missing = required - doc.keys()
     if missing:
         raise ContractViolationError(f"MDP document missing keys: {sorted(missing)}")
-    p = np.asarray(doc["transition"], dtype=float)
-    expected = (int(doc["n_states"]), int(doc["n_actions"]), int(doc["n_states"]))
+    n_states, n_actions = (_json_number(key, doc[key], numbers.Integral) for key in ("n_states", "n_actions"))
+    p = _json_table(doc, "transition")
+    expected = (n_states, n_actions, n_states)
     if p.shape != expected:
         raise ContractViolationError(f"transition shape {p.shape} does not match declared {expected}")
     return TabularMDP(
         transition=p,
-        reward=np.asarray(doc["reward"], dtype=float),
-        gamma=float(doc["gamma"]),
-        initial_dist=np.asarray(doc["initial_dist"], dtype=float),
-        r_max=float(doc["r_max"]),
+        reward=_json_table(doc, "reward"),
+        gamma=float(_json_number("gamma", doc["gamma"])),
+        initial_dist=_json_table(doc, "initial_dist"),
+        r_max=float(_json_number("r_max", doc["r_max"])),
     )
 
 

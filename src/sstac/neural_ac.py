@@ -28,7 +28,6 @@ from .deep_net import (
 from .errors import ContractViolationError
 from .features import FeatureMap
 from .loop import run_settings, run_single_timescale
-from .policy import softmax_rows
 from .sampling import RunRng, sample_sa, sample_tuples
 from .trace import RunTrace
 
@@ -147,37 +146,37 @@ def run_neural_ac(
     # One initialization for both networks, so they share its anchor and sign vector.
     actor, critic = shared_init.clone(), shared_init.clone()
     f_k = forward_many(actor, enc_flat).reshape(n_states, n_actions)
+    actor_mse = None  # each actor fit's regression error, logged by the critic fit that follows it
 
-    def step(k, pi_k, q_k):
-        nonlocal actor, critic, f_k
-        inv_tau, inv_tau_next = k / beta, (k + 1) / beta
+    def actor_fit(k, pi_k, q_k):
+        nonlocal actor, f_k, actor_mse
+        inv_tau = k / beta
         target_actor = (q_k / beta + inv_tau * f_k) / (inv_tau + 1.0 / beta)
 
         _, rho_k = mdp_mod.stationary_dists(mdp, pi_k)
         pairs = sample_sa(rho_k, rng.stream("actor_loop"), N_a)
         actor = actor_inner_loop(actor, target_actor, encodings, pairs, radius=R, alpha=alpha)
+        f_k = forward_many(actor, enc_flat).reshape(n_states, n_actions)
+        actor_mse = float(np.sum(rho_k * (f_k - target_actor) ** 2))
+        return f_k
 
-        f_next = forward_many(actor, enc_flat).reshape(n_states, n_actions)
-        pi_next = softmax_rows(inv_tau_next * f_next)
-        _, rho_next = mdp_mod.stationary_dists(mdp, pi_next)
-
+    def critic_fit(pi_next, rho_next, q_k):
+        nonlocal critic
         tuples = sample_tuples(mdp, rho_next, pi_next, rng.stream("critic_loop"), N_c)
         critic = critic_inner_loop(critic, tuples, encodings, mdp.gamma, radius=R, eta=eta)
         q_next = forward_many(critic, enc_flat).reshape(n_states, n_actions)
 
         logged = {
-            "inv_tau": inv_tau_next,
             "actor_norm": float(actor.anchor_distances().max()),
             "critic_norm": float(critic.anchor_distances().max()),
-            "actor_mse": float(np.sum(rho_k * (f_next - target_actor) ** 2)),
+            "actor_mse": actor_mse,
             "critic_mse": float(np.sum(rho_next * (q_next - mdp_mod.bellman_eval(mdp, pi_next, q_k)) ** 2)),
             "actor_lin_gap": float(np.mean([linearization_gap(actor, x) for x in enc_flat])),
             "critic_lin_gap": float(np.mean([linearization_gap(critic, x) for x in enc_flat])),
         }
-        f_k = f_next
-        return pi_next, rho_next, q_next, logged
+        return q_next, logged
 
     q_0 = forward_many(critic, enc_flat).reshape(n_states, n_actions)
-    trace = run_single_timescale(mdp, step, q_0=q_0, features=FeatureMap(phi=encodings), params=params)
+    trace = run_single_timescale(mdp, actor_fit, critic_fit, q_0=q_0, features=FeatureMap(phi=encodings), params=params)
     trace.history.update(actor=actor, critic=critic)
     return trace

@@ -63,7 +63,10 @@ def load_trace(directory) -> RunTrace:
         raise ConfigError(f"{manifest_path}: malformed JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: must be a JSON object, got {type(manifest).__name__}")
-    text = csv_path.read_text().strip().splitlines()
+    try:
+        text = csv_path.read_text().strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error does not name the file
+        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     if not text:
         raise ConfigError(f"{csv_path} is empty")
     columns = text[0].split(",")

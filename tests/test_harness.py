@@ -36,8 +36,27 @@ BAD_MDP_CAUSE = {
     "missing": "No such file or directory",
     "undecodable": "codec can't decode",
     "truncated": "Expecting",
-    "wrong_type": "invalid literal for int()",
+    "wrong_type": "n_states must be an integer, got 'x'",
     "nan_reward": "reward entry (1, 0) is nan",
+    "float_size": "n_states must be an integer, got 2.7",
+    "string_size": "n_states must be an integer, got '2'",
+    "bool_size": "n_actions must be an integer, got True",
+    "string_gamma": "gamma must be a number, got '0.5'",
+    "string_r_max": "r_max must be a number, got '1'",
+    "bool_r_max": "r_max must be a number, got True",
+    "string_entry": "transition entry (0, 1, 0) must be a number, got '1'",
+    "huge_entry": "int too large to convert to float",
+}
+
+# Edits of a valid MDP document that each make one value the wrong JSON type.
+BAD_MDP_EDIT = {
+    "wrong_type": ("n_states", "x"),
+    "float_size": ("n_states", 2.7),
+    "string_size": ("n_states", "2"),
+    "bool_size": ("n_actions", True),
+    "string_gamma": ("gamma", "0.5"),
+    "string_r_max": ("r_max", "1"),
+    "bool_r_max": ("r_max", True),
 }
 
 
@@ -230,6 +249,30 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith("sstac: error: config: cannot read config file:")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_undecodable_config_exits_2_naming_file(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b"\xff" + json.dumps(BASE_CFG).encode())
+        argv = [verb, "--config", str(cfg_path), "--out", str(tmp_path / "r")]
+        argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: cannot read config file: {str(cfg_path)!r} is not UTF-8: ")
+        assert "\n" not in err.strip()
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_out_below_a_file_exits_2_naming_directory(self, tmp_path, capsys, verb):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "r"
+        argv = [verb, "--config", write_config(tmp_path, BASE_CFG), "--out", str(out)]
+        argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        run_dir = out / f"linear_exact-chain2-K{2 if verb == 'sweep' else 4}-seed0"
+        assert err.startswith(f"sstac: error: config: cannot write run directory {str(run_dir)!r}: ")
+        assert "Not a directory" in err and "\n" not in err.strip()
+
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "bogus": True})
         assert main(["run", "--config", cfg_path]) == 2
@@ -273,13 +316,18 @@ class TestCliRun:
         assert "\n" not in err.strip()
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
-    @pytest.mark.parametrize("case", ["missing", "undecodable", "truncated", "wrong_type", "nan_reward"])
+    @pytest.mark.parametrize("case", list(BAD_MDP_CAUSE))
     def test_bad_mdp_file_exits_2_naming_path(self, tmp_path, capsys, verb, case):
         doc = mdp_doc(chain2())
-        if case == "wrong_type":
-            doc["n_states"] = "x"
+        if case in BAD_MDP_EDIT:
+            key, value = BAD_MDP_EDIT[case]
+            doc[key] = value
         elif case == "nan_reward":
             doc["reward"][1][0] = float("nan")  # written as the bare token NaN, which json.load accepts
+        elif case == "string_entry":
+            doc["transition"][0][1][0] = "1"  # chain2's action 1 moves state 0 to state 0
+        elif case == "huge_entry":
+            doc["reward"][0][0] = 10**400  # a JSON integer past the float range
         text = json.dumps(doc).encode()
         mdp_path = tmp_path / "mdp.json"
         if case != "missing":
@@ -561,6 +609,15 @@ class TestCliDiag:
         csv_path.write_text("".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows))
         assert main(["diag", "--trace", str(trace_dir)]) == 2
         assert capsys.readouterr().err == f"sstac: error: config: {csv_path}: missing column 'a_resid'\n"
+
+    def test_undecodable_trace_exits_2_naming_it(self, tmp_path, capsys):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        csv_path = trace_dir / "trace.csv"
+        csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sstac: error: config: cannot read {csv_path}: 'utf-8' codec can't decode byte 0xff")
+        assert "\n" not in err.strip()
 
     def test_header_only_trace_exits_2(self, tmp_path, capsys):
         trace_dir = self._fresh_trace_dir(tmp_path)

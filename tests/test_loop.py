@@ -22,7 +22,9 @@ from sstac import (
     tabular_features,
 )
 from sstac.harness import ALGORITHM_KEYS
-from sstac.loop import SETTINGS
+from sstac.loop import SETTINGS, run_single_timescale
+from sstac.mdp import stationary_dists
+from sstac.policy import softmax_rows
 
 
 def linear(**kwargs):
@@ -31,6 +33,35 @@ def linear(**kwargs):
 
 def neural(**kwargs):
     return run_neural_ac(chain2(), **{"m": 4, "H": 1, "K": 2, "N_a": 4, "N_c": 4, **kwargs})
+
+
+def test_loop_forms_each_policy_and_distribution_from_the_actor_energy():
+    # Stub fits on chain2: the actor returns a fixed energy per k, and the critic records what the loop hands it.
+    mdp, beta, K = chain2(), 3.0, 3
+    energies = [np.array([[0.3, -1.2], [2.0, 0.5]]) * (k + 1) for k in range(K + 1)]
+    actor_pis, handed = [], []
+
+    def actor_fit(k, pi_k, q_k):
+        actor_pis.append(pi_k)
+        return energies[k]
+
+    def critic_fit(pi_next, rho_next, q_k):
+        handed.append((pi_next, rho_next))
+        return q_k, {"actor_norm": 0.0, "critic_norm": 0.0, "fit_column": 7.0}
+
+    params = {"K": K, "beta": beta, "R": 1.0}
+    trace = run_single_timescale(
+        mdp, actor_fit, critic_fit, q_0=np.zeros((2, 2)), features=tabular_features(2, 2), params=params
+    )
+    assert len(handed) == K + 1
+    for k, (pi_next, rho_next) in enumerate(handed):
+        expected_pi = softmax_rows((k + 1) / beta * energies[k])
+        assert pi_next.tobytes() == expected_pi.tobytes()
+        assert rho_next.tobytes() == stationary_dists(mdp, expected_pi)[1].tobytes()
+    assert actor_pis[0].tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert all(pi_k is pi_next for pi_k, (pi_next, _) in zip(actor_pis[1:], handed))
+    assert trace.columns[-5:] == ["a_resid", "inv_tau", "actor_norm", "critic_norm", "fit_column"]
+    assert trace.column("inv_tau") == [(k + 1) / beta for k in range(K + 1)]
 
 
 @pytest.mark.parametrize("run", [linear, neural], ids=["linear", "neural"])
