@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, SstacError
 from .harness import ExperimentConfig, diag_command, run_command, sweep_command
+from .trace import read_text
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:
@@ -22,12 +22,7 @@ def _fail(code: str, message: str, exit_code: int) -> int:
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError as exc:  # which, unlike OSError, does not name the file
-        raise ConfigError(f"cannot read config file: {path!r} is not UTF-8: {exc}") from exc
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

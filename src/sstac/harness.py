@@ -16,7 +16,7 @@ from .linear_ac import run_linear_ac
 from .loop import SETTINGS, check_setting
 from .mdp import build_mdp
 from .neural_ac import run_neural_ac
-from .trace import MANIFEST_FILENAME, TRACE_FILENAME, RunTrace, load_trace
+from .trace import MANIFEST_FILENAME, TRACE_FILENAME, RunTrace, load_trace, write_text
 
 # Config keys each algorithm reads beyond mdp, algorithm, K, seeds, R and
 # beta, mapped to whether a config must set them.
@@ -127,22 +127,18 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunTrace:
     return trace
 
 
-def _save(trace: RunTrace, directory: Path) -> Path:
-    """``trace.save(directory)``, with a directory that cannot be written reported as a ConfigError naming it."""
-    try:
-        return trace.save(directory)
-    except OSError as exc:
-        raise ConfigError(f"cannot write run directory {str(directory)!r}: {exc}") from exc
+def _execute_and_save(config: ExperimentConfig, seed: int, base: Path, suffix: str = "") -> RunTrace:
+    """Run one seed and save its trace under ``base``, in the directory named by its run id plus ``suffix``."""
+    trace = execute_run(config, seed)
+    trace.manifest["run_id"] += suffix
+    trace.save(base / trace.manifest["run_id"])
+    return trace
 
 
 def run_command(config: ExperimentConfig, out_dir: str | None = None) -> list[Path]:
     """Execute every seed of a config and persist each trace; returns the directories."""
     base = Path(out_dir or "runs")
-    dirs = []
-    for seed in config.seeds:
-        trace = execute_run(config, seed)
-        dirs.append(_save(trace, base / trace.manifest["run_id"]))
-    return dirs
+    return [base / _execute_and_save(config, seed, base).manifest["run_id"] for seed in config.seeds]
 
 
 SWEEPABLE = ("K", "N", "N_a", "N_c")
@@ -174,17 +170,14 @@ def sweep_command(
 
     results, summary = [], base / "summary.csv"
     for value, seed, derived in jobs:
-        trace = execute_run(derived, seed)
-        if param != "K":
-            trace.manifest["run_id"] += f"-{param}{value}"
-        _save(trace, base / trace.manifest["run_id"])
+        trace = _execute_and_save(derived, seed, base, suffix="" if param == "K" else f"-{param}{value}")
         final_gap, cum, K = trace.column("gap")[-1], trace.column("cum_regret")[-1], derived.settings["K"]
         results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(K)))))
         # Rewritten after every run, so a sweep that stops leaves the summary of the runs before it.
         results.sort(key=lambda row: (row["param_value"], row["seed"]))
         # repr writes ints as str does and floats in their shortest round-trip form.
         lines = [",".join(_SUMMARY_COLUMNS)] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
-        summary.write_text("\n".join(lines) + "\n")
+        write_text(summary, "\n".join(lines) + "\n")
     return summary, results
 
 
@@ -220,8 +213,11 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
         checks.append(DiagCheck(name, not failed.size, detail(int(failed[0])) if failed.size else ""))
 
     params = trace.manifest["params"]  # every run writes it; diag_command checks its type
-    expected, found = params["K"] + 1, len(trace.rows)
-    check("row-count", found == expected, lambda _: f"expected {expected} rows, found {found}")
+    expected, found, k = params["K"] + 1, len(trace.rows), col["k"]
+    if found != expected:
+        check("row-count", False, lambda _: f"expected {expected} rows, found {found}")
+    else:  # row i holds k = i; the rows, not the manifest's K, size the comparison
+        check("row-count", k == np.arange(found), lambda i: f"row {i} has k={k[i]:g}, expected k={i}")
     cum = col["cum_regret"]
     running = np.concatenate(([0.0], cum[:-1])) + col["gap"]  # cum_regret_{k-1} + gap_k
     within = np.abs(running - cum) <= 1e-9 * np.maximum(1.0, np.abs(running))
@@ -243,10 +239,9 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
 def diag_series_csv(trace: RunTrace) -> str:
     """Long-format (series, iter, value) CSV for the four headline diagnostics."""
     lines = ["series,iter,value"]
-    ks = trace.column("k")
     for series in DIAG_SERIES:
-        for k, v in zip(ks, trace.column(_SERIES_SOURCE[series])):
-            lines.append(f"{series},{int(k)},{v!r}")
+        for k, v in enumerate(trace.column(_SERIES_SOURCE[series])):  # diag_checks holds k to the row position
+            lines.append(f"{series},{k},{v!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -264,5 +259,5 @@ def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
         raise ConfigError(f"{csv_path}: no rows after the header")
     checks = diag_checks(trace)
     out_path = trace_dir / "diag_series.csv"
-    out_path.write_text(diag_series_csv(trace))
+    write_text(out_path, diag_series_csv(trace))
     return checks, out_path

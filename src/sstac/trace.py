@@ -43,30 +43,41 @@ class RunTrace:
 
     def save(self, directory) -> Path:
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / TRACE_FILENAME).write_text(self.to_csv_text())
-        with open(directory / MANIFEST_FILENAME, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(directory / TRACE_FILENAME, self.to_csv_text())
+        write_text(directory / MANIFEST_FILENAME, json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         return directory
+
+
+def read_text(path) -> str:
+    """The text of a file a verb reads; a file that cannot be read or decoded is a ConfigError naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's own text would name the path a second time
+        raise ConfigError(f"cannot read {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a file a verb saves, making its parent directories; a failure is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def load_trace(directory) -> RunTrace:
     directory = Path(directory)
     csv_path = directory / TRACE_FILENAME
     manifest_path = directory / MANIFEST_FILENAME
-    if not csv_path.is_file() or not manifest_path.is_file():
-        raise ConfigError(f"trace directory {directory} is missing {TRACE_FILENAME} or {MANIFEST_FILENAME}")
+    # Both reads stay outside the try below, since read_text's ConfigError is itself a ValueError.
+    manifest_text, text = read_text(manifest_path), read_text(csv_path).strip().splitlines()
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+        manifest = json.loads(manifest_text)
+    except ValueError as exc:
         raise ConfigError(f"{manifest_path}: malformed JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: must be a JSON object, got {type(manifest).__name__}")
-    try:
-        text = csv_path.read_text().strip().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:  # a decode error does not name the file
-        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     if not text:
         raise ConfigError(f"{csv_path} is empty")
     columns = text[0].split(",")

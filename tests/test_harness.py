@@ -245,8 +245,9 @@ class TestCliRun:
         assert "byte 8" in err and err.startswith("sstac: error: config:")
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith("sstac: error: config: cannot read config file:")
+        absent = str(tmp_path / "absent.json")
+        assert main(["run", "--config", absent, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: cannot read {absent!r}: No such file or directory\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
@@ -257,7 +258,7 @@ class TestCliRun:
         argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"sstac: error: config: cannot read config file: {str(cfg_path)!r} is not UTF-8: ")
+        assert err.startswith(f"sstac: error: config: cannot read {str(cfg_path)!r}: 'utf-8' codec can't decode ")
         assert "\n" not in err.strip()
         assert not (tmp_path / "r").exists()
 
@@ -270,8 +271,22 @@ class TestCliRun:
         assert main(argv) == 2
         err = capsys.readouterr().err
         run_dir = out / f"linear_exact-chain2-K{2 if verb == 'sweep' else 4}-seed0"
-        assert err.startswith(f"sstac: error: config: cannot write run directory {str(run_dir)!r}: ")
-        assert "Not a directory" in err and "\n" not in err.strip()
+        assert err == f"sstac: error: config: cannot write {str(run_dir / 'trace.csv')!r}: Not a directory\n"
+
+    @pytest.mark.parametrize("verb", ["sweep", "diag"])
+    def test_output_file_blocked_by_a_directory_exits_2_naming_it(self, tmp_path, capsys, verb):
+        # The verb's last write, summary.csv or diag_series.csv, meets a directory of that name.
+        if verb == "sweep":
+            blocked = tmp_path / "sw" / "summary.csv"
+            argv = ["sweep", "--config", write_config(tmp_path, BASE_CFG), "--param", "K", "--values", "2"]
+            argv += ["--out", str(tmp_path / "sw")]
+        else:
+            trace_dir = run_command(ExperimentConfig.from_dict(BASE_CFG), out_dir=str(tmp_path / "runs"))[0]
+            blocked = trace_dir / "diag_series.csv"
+            argv = ["diag", "--trace", str(trace_dir)]
+        blocked.mkdir(parents=True)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"sstac: error: config: cannot write {str(blocked)!r}: Is a directory\n"
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "bogus": True})
@@ -552,6 +567,30 @@ class TestCliDiag:
         assert err.startswith("sstac: error: config:")
         assert f"trace.csv:5: {cause}" in err
 
+    @pytest.mark.parametrize(
+        "edit, failure",
+        [
+            ({1: "2", 2: "1"}, "row 1 has k=2, expected k=1"),  # k reads 0 2 1 3 ...
+            ({3: "inf"}, "row 3 has k=inf, expected k=3"),
+        ],
+        ids=["permuted", "inf"],
+    )
+    def test_k_out_of_place_fails_row_count(self, tmp_path, capsys, edit, failure):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        csv_path = trace_dir / "trace.csv"
+        lines = csv_path.read_text().splitlines()
+        for row, text in edit.items():
+            lines[row + 1] = ",".join([text, *lines[row + 1].split(",")[1:]])
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["diag", "--trace", str(trace_dir)]) == 1
+        expected = [f"FAIL row-count: {failure}", *(f"PASS {name}" for name in DIAG_CHECK_NAMES[1:])]
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [*expected, str(trace_dir / "diag_series.csv")]
+        assert err == ""
+        # The series are indexed by row position, whatever the k column reads.
+        gap_rows = [line for line in (trace_dir / "diag_series.csv").read_text().splitlines() if line.startswith("gap,")]
+        assert [line.split(",")[1] for line in gap_rows] == [str(i) for i in range(9)]
+
     def test_infinite_phi_star_is_accepted(self, tmp_path, capsys):
         # phi_star is infinite when rho_{k+1} lacks support; that is a value, not corruption.
         trace_dir = self._trace_dir_with_cell(tmp_path, "phi_star", "inf")
@@ -616,7 +655,7 @@ class TestCliDiag:
         csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
         assert main(["diag", "--trace", str(trace_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"sstac: error: config: cannot read {csv_path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"sstac: error: config: cannot read {str(csv_path)!r}: 'utf-8' codec can't decode byte 0xff")
         assert "\n" not in err.strip()
 
     def test_header_only_trace_exits_2(self, tmp_path, capsys):
@@ -653,6 +692,7 @@ class TestNeuralThroughHarness:
 
 # The column each diag_checks invariant reads, mapped to that invariant's name.
 CHECK_OF_COLUMN = {
+    "k": "row-count",
     "gap": "regret-consistency",
     "cum_regret": "regret-consistency",
     "a_resid": "decomposition-identity",
@@ -705,4 +745,4 @@ class TestModuleEntryPoint:
         assert result.returncode == 2
         assert result.stdout == ""
         (line,) = result.stderr.splitlines()
-        assert line.startswith("sstac: error: config: cannot read config file: ")
+        assert line == f"sstac: error: config: cannot read {str(tmp_path / 'missing.json')!r}: No such file or directory"
