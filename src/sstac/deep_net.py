@@ -126,10 +126,7 @@ def project_ball_inplace(params: DnnParams, radius: float) -> None:
         flat = diff.ravel()
         dist = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum of squares, without its dispatch
         if dist > bound and dist > bound + np.finfo(float).eps * float(np.linalg.norm(w0)):
-            if radius > 0.0:
-                np.add(w0, diff * (radius / dist), out=w)
-            else:
-                w[...] = w0
+            np.add(w0, diff * (radius / dist), out=w)
 
 
 def linearization_gap(params: DnnParams, x: np.ndarray) -> float:

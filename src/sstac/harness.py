@@ -168,15 +168,15 @@ def sweep_command(
         for seed in derived.seeds:
             jobs.append((value, seed, derived))
 
-    results, summary = [], base / "summary.csv"
+    results, summary, header = [], base / "summary.csv", ",".join(_SUMMARY_COLUMNS)
+    write_text(summary, header + "\n")  # before the first run, so an unwritable summary costs no run
     for value, seed, derived in jobs:
         trace = _execute_and_save(derived, seed, base, suffix="" if param == "K" else f"-{param}{value}")
         final_gap, cum, K = trace.column("gap")[-1], trace.column("cum_regret")[-1], derived.settings["K"]
         results.append(dict(zip(_SUMMARY_COLUMNS, (value, seed, final_gap, cum, cum / math.sqrt(K)))))
-        # Rewritten after every run, so a sweep that stops leaves the summary of the runs before it.
+        # Rewritten after every run, so a sweep that stops keeps its finished rows; repr round-trips every float.
         results.sort(key=lambda row: (row["param_value"], row["seed"]))
-        # repr writes ints as str does and floats in their shortest round-trip form.
-        lines = [",".join(_SUMMARY_COLUMNS)] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
+        lines = [header] + [",".join(repr(row[c]) for c in _SUMMARY_COLUMNS) for row in results]
         write_text(summary, "\n".join(lines) + "\n")
     return summary, results
 
@@ -196,8 +196,8 @@ class DiagCheck:
     detail: str = ""
 
 
-# The columns diag_checks and diag_series_csv read.
-_DIAG_COLUMNS = ("k", "gap", "cum_regret", "a_resid", "theta_kl", "kl_to_opt", "eps_c_sup", "e_sup", "eps_c_l2")
+# The columns diag_series_csv and diag_checks read.
+_DIAG_COLUMNS = (*_SERIES_SOURCE.values(), "k", "cum_regret", "a_resid", "kl_to_opt", "eps_c_sup", "eps_a")
 
 
 def diag_checks(trace: RunTrace) -> list[DiagCheck]:
@@ -233,6 +233,10 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
         eps_sup = col["eps_c_sup"]
         within = (0.0 <= eps_sup) & (eps_sup <= 1e-9)
         check("exact-critic-eps-c", within, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} at row k={k} outside [0, 1e-9]")
+    if "gamma" in params:  # the per-row bound of the paper's regret ledger; a trace without gamma predates it
+        gamma, beta, gap = params["gamma"], params["beta"], col["gap"]
+        bound = gamma / (1.0 - gamma) * (beta * (theta_kl + col["eps_a"]) + 2.0 * col["e_sup"] / (1.0 - gamma)) + 1e-9
+        check("regret-bound", gap <= bound, lambda k: f"gap {gap[k]:.6g} exceeds the bound {bound[k]:.6g} at row k={k}")
     return checks
 
 
@@ -252,12 +256,14 @@ def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
     params = trace.manifest.get("params")
     if not (isinstance(params, dict) and type(params.get("K")) is int and isinstance(params.get("algorithm"), str)):
         raise ConfigError(f"{manifest_path}: 'params' must be an object with an integer 'K' and a string 'algorithm'")
+    gamma, beta = params.get("gamma", 0.0), params.get("beta") if "gamma" in params else 1.0  # no gamma: an older trace
+    if not (type(gamma) in (int, float) and 0 <= gamma < 1 and type(beta) in (int, float) and beta > 0):
+        raise ConfigError(f"{manifest_path}: 'params' needs 'gamma' in [0, 1) and 'beta' > 0, got {gamma!r}, {beta!r}")
     missing = next((c for c in _DIAG_COLUMNS if c not in trace.columns), None)
     if missing is not None:
         raise ConfigError(f"{csv_path}: missing column {missing!r}")
     if not trace.rows:
         raise ConfigError(f"{csv_path}: no rows after the header")
-    checks = diag_checks(trace)
     out_path = trace_dir / "diag_series.csv"
     write_text(out_path, diag_series_csv(trace))
-    return checks, out_path
+    return diag_checks(trace), out_path

@@ -33,8 +33,6 @@ def project_l2(w: np.ndarray, radius: float) -> np.ndarray:
     norm = float(np.linalg.norm(w))
     if norm <= radius * (1.0 + BALL_SLACK):
         return w
-    if radius <= 0.0:
-        return np.zeros_like(w)
     return w * (radius / norm)
 
 
@@ -61,9 +59,7 @@ def _solve_critic(gram, rhs, radius: float, hint: str, *, ridge: float = 0.0) ->
     bits as LAPACK's solve of the diagonal matrix.
     """
     diagonal = gram.ndim == 1
-    ridged = gram
-    if ridge > 0.0:
-        ridged = gram + (ridge if diagonal else ridge * np.eye(len(gram)))
+    ridged = gram + (ridge if diagonal else ridge * np.eye(len(gram)))
     sigma_min = min_eigenvalue(ridged)
     if sigma_min < _GRAM_TOL:
         zero = f"; zero-weight (s, a) pairs: {np.count_nonzero(gram == 0.0)}" if diagonal else ""
@@ -110,6 +106,7 @@ def critic_step_sampled(
 ) -> np.ndarray:
     """omega_{k+1}: least squares on a ``draw_batch`` batch, bootstrapping from q_omega = Q_{omega_k}, in the ball."""
     gram_pairs, (s, a, r, s_next, a_next) = batch
+    ridge = check_setting("ridge", ridge)  # as the driver checks it, for a step called directly
     q_omega = check_shape("q_omega", q_omega, (features.n_states, features.n_actions))
     check_finite("q_omega", q_omega)
     if len(s) == 0 or len(gram_pairs) == 0:

@@ -81,7 +81,7 @@ def run_single_timescale(
     of ``error_decomposition`` with ``cum_regret`` after ``gap``, ``inv_tau``, then the keys of ``logged``.
     An ``SstacError`` raised inside an iteration gains "at k=<k>: " in front
     of its message; its class and attributes are kept.  The manifest holds
-    what every run shares: ``rng_id``, ``version`` and the driver's ``params``.
+    what every run shares: ``rng_id``, ``version`` and the driver's ``params`` plus the MDP's ``gamma``.
     """
     pi_k, q_k = softmax_rows(np.zeros((mdp.n_states, mdp.n_actions))), q_0
     run = run_optimum(mdp)
@@ -119,5 +119,5 @@ def run_single_timescale(
         rows.append(list(row.values()))
         pi_k, q_k = pi_next, q_next
 
-    manifest = {"rng_id": RNG_ID, "version": __version__, "params": params}
+    manifest = {"rng_id": RNG_ID, "version": __version__, "params": {**params, "gamma": mdp.gamma}}
     return RunTrace(manifest=manifest, columns=list(row), rows=rows)

@@ -7,8 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sstac import ConfigError, SstacError, chain2, load_trace, run_linear_ac, tabular_features
+from sstac import (
+    ConfigError,
+    SstacError,
+    chain2,
+    load_trace,
+    random_features,
+    random_mdp,
+    run_linear_ac,
+    run_neural_ac,
+    tabular_features,
+)
 from sstac.cli import main
 from sstac.harness import (
     ALGORITHMS,
@@ -29,7 +41,9 @@ GOLDEN_COLUMNS = GOLDEN.read_text().splitlines()[0].split(",")
 
 BASE_CFG = {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "seeds": [0]}
 LOOP_MANIFEST_KEYS = ("rng_id", "version", "params")
-DIAG_CHECK_NAMES = ["row-count", "regret-consistency", "decomposition-identity", "kl-telescoping", "exact-critic-eps-c"]
+DIAG_CHECK_NAMES = [
+    "row-count", "regret-consistency", "decomposition-identity", "kl-telescoping", "exact-critic-eps-c", "regret-bound",
+]
 
 
 BAD_MDP_CAUSE = {
@@ -270,12 +284,13 @@ class TestCliRun:
         argv += ["--param", "K", "--values", "2"] if verb == "sweep" else []
         assert main(argv) == 2
         err = capsys.readouterr().err
-        run_dir = out / f"linear_exact-chain2-K{2 if verb == 'sweep' else 4}-seed0"
-        assert err == f"sstac: error: config: cannot write {str(run_dir / 'trace.csv')!r}: Not a directory\n"
+        # A sweep writes its summary's header before its first run; a run's first write is its trace.
+        written = out / "summary.csv" if verb == "sweep" else out / "linear_exact-chain2-K4-seed0" / "trace.csv"
+        assert err == f"sstac: error: config: cannot write {str(written)!r}: Not a directory\n"
 
     @pytest.mark.parametrize("verb", ["sweep", "diag"])
     def test_output_file_blocked_by_a_directory_exits_2_naming_it(self, tmp_path, capsys, verb):
-        # The verb's last write, summary.csv or diag_series.csv, meets a directory of that name.
+        # The verb's summary.csv or diag_series.csv meets a directory of that name.
         if verb == "sweep":
             blocked = tmp_path / "sw" / "summary.csv"
             argv = ["sweep", "--config", write_config(tmp_path, BASE_CFG), "--param", "K", "--values", "2"]
@@ -287,6 +302,8 @@ class TestCliRun:
         blocked.mkdir(parents=True)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"sstac: error: config: cannot write {str(blocked)!r}: Is a directory\n"
+        if verb == "sweep":  # the header is written before the first run, so no run directory is made
+            assert [path.name for path in blocked.parent.iterdir()] == ["summary.csv"]
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "bogus": True})
@@ -354,7 +371,12 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith(f"sstac: error: config: cannot load MDP {str(mdp_path)!r}")
         assert BAD_MDP_CAUSE[case] in err
-        assert not (tmp_path / "r").exists()
+        if verb == "sweep":  # the summary's header is written before the first run, which stops at the MDP
+            assert [path.name for path in (tmp_path / "r").iterdir()] == ["summary.csv"]
+            header = (tmp_path / "r" / "summary.csv").read_text()
+            assert header == "param_value,seed,final_gap,cum_regret,regret_over_sqrtK\n"
+        else:
+            assert not (tmp_path / "r").exists()
 
     def test_repeated_seed_exits_2_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {**BASE_CFG, "seeds": [0, 1, 0]})
@@ -501,7 +523,7 @@ class TestCliDiag:
         trace_dir = self._fresh_trace_dir(tmp_path)
         assert main(["diag", "--trace", str(trace_dir)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def _trace_dir_with_cell(self, tmp_path, column, text):
@@ -522,6 +544,8 @@ class TestCliDiag:
             ("a_resid", "0.001", "decomposition-identity: A1+A2+A3 residual 1.000e-03 at row k=3"),
             ("theta_kl", "100.0", "kl-telescoping: telescoped KL mismatch at row k=3"),
             ("eps_c_sup", "0.001", "exact-critic-eps-c: eps_c sup norm 1.000e-03 at row k=3 outside [0, 1e-9]"),
+            # e_sup is a sup norm too; at -10 the bound's critic term turns it negative.
+            ("e_sup", "-10.0", "regret-bound: gap 0.392117 exceeds the bound -1799.6 at row k=3"),
             # Both columns are sup norms, so a negative value is as impossible as a large one.
             ("a_resid", "-1.0", "decomposition-identity: A1+A2+A3 residual -1.000e+00 at row k=3"),
             ("a_resid", "-inf", "decomposition-identity: A1+A2+A3 residual -inf at row k=3"),
@@ -624,6 +648,55 @@ class TestCliDiag:
         cause = "'params' must be an object with an integer 'K' and a string 'algorithm'"
         assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
 
+    def test_gap_past_the_regret_bound_fails_it(self, tmp_path, capsys):
+        # gap_3 rises by 10 and every later cum_regret with it, so only the bound can see the change.
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        csv_path = trace_dir / "trace.csv"
+        lines = csv_path.read_text().splitlines()
+        for row in range(3, len(lines) - 1):
+            cells = lines[row + 1].split(",")
+            for column in ("gap", "cum_regret") if row == 3 else ("cum_regret",):
+                cells[GOLDEN_COLUMNS.index(column)] = repr(float(cells[GOLDEN_COLUMNS.index(column)]) + 10.0)
+            lines[row + 1] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["diag", "--trace", str(trace_dir)]) == 1
+        *passed, failed, series = capsys.readouterr().out.splitlines()
+        assert passed == [f"PASS {name}" for name in DIAG_CHECK_NAMES[:-1]]
+        assert failed == "FAIL regret-bound: gap 10.3921 exceeds the bound 7.17663 at row k=3"
+        assert series == str(trace_dir / "diag_series.csv")
+
+    def test_trace_without_gamma_skips_the_regret_bound(self, tmp_path, capsys):
+        # A manifest written before the loop recorded gamma gets every other check.
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        manifest = trace_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["params"]["gamma"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["diag", "--trace", str(trace_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [f"PASS {name}" for name in DIAG_CHECK_NAMES[:-1]]
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            ({"gamma": "0.9"}, "'0.9', 2.8284271247461903"),
+            ({"gamma": 1.0}, "1.0, 2.8284271247461903"),
+            ({"gamma": None}, "None, 2.8284271247461903"),
+            ({"gamma": True}, "True, 2.8284271247461903"),
+            ({"beta": 0.0}, "0.9, 0.0"),
+            ({"beta": "8"}, "0.9, '8'"),
+            ({"beta": None}, "0.9, None"),
+        ],
+        ids=["gamma-string", "gamma-one", "gamma-null", "gamma-bool", "beta-zero", "beta-string", "beta-null"],
+    )
+    def test_bad_gamma_or_beta_exits_2_naming_file(self, tmp_path, capsys, edit, shown):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        manifest = trace_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "params": {**doc["params"], **edit}}))
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        cause = f"'params' needs 'gamma' in [0, 1) and 'beta' > 0, got {shown}"
+        assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
+
     def test_python_api_trace_gets_every_check(self, tmp_path, capsys):
         # A trace saved without the CLI has no config section; diag reads K and the algorithm from params.
         trace = run_linear_ac(chain2(), tabular_features(2, 2), 8, mode="exact")
@@ -690,25 +763,27 @@ class TestNeuralThroughHarness:
         assert all(c.ok for c in checks)
 
 
-# The column each diag_checks invariant reads, mapped to that invariant's name.
-CHECK_OF_COLUMN = {
-    "k": "row-count",
-    "gap": "regret-consistency",
-    "cum_regret": "regret-consistency",
-    "a_resid": "decomposition-identity",
-    "theta_kl": "kl-telescoping",
-    "kl_to_opt": "kl-telescoping",
-    "eps_c_sup": "exact-critic-eps-c",
+# Each column diag_checks reads, mapped to the names of the invariants that read it.
+CHECKS_OF_COLUMN = {
+    "k": ["row-count"],
+    "gap": ["regret-consistency", "regret-bound"],
+    "cum_regret": ["regret-consistency"],
+    "a_resid": ["decomposition-identity"],
+    "theta_kl": ["kl-telescoping", "regret-bound"],
+    "kl_to_opt": ["kl-telescoping"],
+    "eps_c_sup": ["exact-critic-eps-c"],
+    "e_sup": ["regret-bound"],
+    "eps_a": ["regret-bound"],
 }
 
 
 @pytest.mark.parametrize("row", [0, 2])
-@pytest.mark.parametrize("column", list(CHECK_OF_COLUMN))
+@pytest.mark.parametrize("column", list(CHECKS_OF_COLUMN))
 def test_nan_fails_the_check_that_reads_it(column, row):
     # load_trace rejects a NaN cell, but an in-memory trace reaches diag_checks as it is.
     trace = execute_run(ExperimentConfig.from_dict(BASE_CFG), 0)
     trace.rows[row][trace.columns.index(column)] = float("nan")
-    assert [c.name for c in diag_checks(trace) if not c.ok] == [CHECK_OF_COLUMN[column]]
+    assert [c.name for c in diag_checks(trace) if not c.ok] == CHECKS_OF_COLUMN[column]
 
 
 MODE_EXTRAS = {"linear_sampled": {"N": 256}, "neural": {"arch": {"m": 8, "H": 2}, "N_a": 8, "N_c": 8}}
@@ -726,6 +801,33 @@ def test_every_mode_runs_or_fails_early_on_every_builtin(algorithm, mdp):
     assert len(trace.rows) == 3
     failed = [c for c in diag_checks(trace) if not c.ok]
     assert not failed, failed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["exact", "sampled", "neural"]),
+    st.integers(1, 6),
+    st.one_of(st.none(), st.floats(0.1, 10.0)),
+    st.sampled_from([None, 0.0, 1e-3]),
+    st.data(),
+)
+def test_regret_bound_holds_on_random_mdps(n_states, n_actions, mdp_seed, mode, K, beta, R, data):
+    # The bound holds for any critic and any actor fit, so it holds on every row of every run: tabular or
+    # random features of any dimension, a ball that clips the critic or zeroes it, any beta.
+    mdp = random_mdp(n_states, n_actions, seed=mdp_seed)
+    run_args = {"seed": data.draw(st.integers(0, 99), label="seed"), "beta": beta, "R": R}
+    if mode == "neural":
+        trace = run_neural_ac(mdp, 8, data.draw(st.integers(1, 2), label="H"), K, N_a=8, N_c=8, **run_args)
+    else:
+        dim = data.draw(st.one_of(st.none(), st.integers(1, n_states * n_actions)), label="random feature dim")
+        features = random_features(n_states, n_actions, dim, seed=1) if dim else tabular_features(n_states, n_actions)
+        trace = run_linear_ac(mdp, features, K, mode=mode, N=256, ridge=1e-3, **run_args)
+    assert trace.manifest["params"]["gamma"] == mdp.gamma
+    (check,) = [c for c in diag_checks(trace) if c.name == "regret-bound"]
+    assert check.ok, check.detail
 
 
 class TestModuleEntryPoint:

@@ -24,6 +24,7 @@ from sstac import (
     gridworld5,
     kl_regularized_argmax,
     objective_J,
+    random_features,
     random_mdp,
     run_linear_ac,
     softmax_rows,
@@ -329,6 +330,17 @@ class TestRunLinearAc:
         # A negative or NaN ridge used to run as ridge 0, and an infinite one zeroed every critic.
         with pytest.raises(ParameterError, match=r"^ridge must be (>= 0.0|finite)"):
             run_linear_ac(chain2(), tabular_features(2, 2), 2, mode=mode, N=64, ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("features", ["tabular", "random"])
+    def test_ridge_outside_zero_to_infinity_rejected_by_a_direct_critic_step(self, features, ridge):
+        # The step applies its ridge as given, so it checks it as the driver does.
+        m = chain2()
+        feats = tabular_features(2, 2) if features == "tabular" else random_features(2, 2, 3, seed=0)
+        pi = softmax_rows(np.zeros((2, 2)))
+        batch = draw_batch(m, stationary_dists(m, pi)[1], pi, RunRng(0), 64)
+        with pytest.raises(ParameterError, match=r"^ridge must be (>= 0.0|finite)"):
+            critic_step_sampled(np.zeros((2, 2)), batch, feats, m.gamma, radius=1.0, ridge=ridge)
 
     def test_ridge_recorded_only_where_used(self):
         # Like N, the ridge is a sampled-critic setting; the exact critic never reads it.

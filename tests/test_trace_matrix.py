@@ -1,4 +1,4 @@
-"""Byte identity of every trace in a fixed 58-case matrix.
+"""Byte identity of every trace in a fixed 64-case matrix.
 
 Each case runs one driver (or one config through ``execute_run``) and is
 pinned by the sha256 of its ``trace.csv`` text, or, for a case that raises,
@@ -40,12 +40,22 @@ CONFIGS = {
     "chain2-neural-active-ball": {
         "mdp": "chain2", "algorithm": "neural", "K": 3, "arch": {"m": 8, "H": 2}, "N_a": 100, "N_c": 100, "R": 0.3,
     },
+    # The ball at radius 0 (every iterate projected to its centre) and at a radius every critic solve exceeds.
+    "chain2-exact-R0": {"mdp": "chain2", "algorithm": "linear_exact", "K": 4, "R": 0.0},
+    "gridworld5-exact-R1e-3": {"mdp": "gridworld5", "algorithm": "linear_exact", "K": 4, "R": 1e-3},
+    "chain2-sampled-R0": {"mdp": "chain2", "algorithm": "linear_sampled", "K": 4, "N": 256, "R": 0.0},
+    "gridworld5-sampled-R1e-3": {
+        "mdp": "gridworld5", "algorithm": "linear_sampled", "K": 4, "N": 512, "ridge": 1e-3, "R": 1e-3,
+    },
+    "chain2-neural-R0": {
+        "mdp": "chain2", "algorithm": "neural", "K": 2, "arch": {"m": 8, "H": 2}, "N_a": 16, "N_c": 16, "R": 0.0,
+    },
 }
 
 
-def _linear(source, feature, mode, seed):
+def _linear(source, feature, mode, seed, **settings):
     mdp = build_mdp(source)
-    return run_linear_ac(mdp, FEATURES[feature](mdp), 6, seed=seed, **MODES[mode]).to_csv_text()
+    return run_linear_ac(mdp, FEATURES[feature](mdp), 6, seed=seed, **MODES[mode], **settings).to_csv_text()
 
 
 def _neural(source, seed):
@@ -66,6 +76,7 @@ CASES = {
         for seed in (0, 1)
     },
     **{f"neural/{source}/seed{seed}": partial(_neural, source, seed) for source in MDPS[:3] for seed in (0, 1)},
+    "linear/random(16,4,7)/random6/exact-R0/seed0": partial(_linear, "random(16,4,7)", "random6", "exact", 0, R=0.0),
     **{f"config/{name}": partial(_config, name) for name in CONFIGS},
 }
 
