@@ -60,7 +60,9 @@ def init_params(d: int, m: int, depth: int, seed: int | np.random.Generator) -> 
     return DnnParams(weights=weights, sign_vector=signs, anchor=anchor)
 
 
-def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+def _layers(
+    params: DnnParams, xs: np.ndarray, gates: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The layer recursion for one input (d,) or a batch (n, d): outputs, activations, pre-activations."""
     scale = 1.0 / math.sqrt(params.weights[0].shape[1])  # correctly rounded, as np.sqrt is
     dot = np.matmul if 1 in params.weights[0].shape else np.ndarray.dot
@@ -70,6 +72,8 @@ def _layers(params: DnnParams, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndar
         a = np.maximum(pre_activations[-1], 0.0)
         a *= scale
         activations.append(a)
+        if gates is not None:  # the float ReLU gate for backprop: scale where z > 0, +0.0 elsewhere (-0.0 too)
+            gates.append(np.heaviside(pre_activations[-1], 0.0) * scale)
     return dot(activations[-1], params.sign_vector), activations, pre_activations
 
 
@@ -91,23 +95,24 @@ def forward_many(params: DnnParams, xs: np.ndarray) -> np.ndarray:
 def gradient(params: DnnParams, x: np.ndarray, out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
     """Output value and exact per-layer gradients d(output)/dW_h.
 
-    Uses the sigma'(0) = 0 convention at ReLU kinks.  One layer pass; each
-    gradient is the outer product of a layer's input and its delta, written
-    into ``out[h]`` (arrays of the weights' shapes, fresh ones when ``out`` is
-    None) and returned as ``out``.
+    Uses the sigma'(0) = 0 convention at ReLU kinks.  One layer pass, which
+    also forms each layer's gate; each gradient is the outer product of a
+    layer's input and its delta, written into ``out[h]`` (arrays of the
+    weights' shapes, fresh ones when ``out`` is None) and returned as ``out``.
+    A NaN pre-activation gives a NaN gate: NaN reaches its layer's delta and every earlier one, as it reaches the value.
     """
-    value, activations, pre_activations = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)))
-    scale = 1.0 / math.sqrt(params.weights[0].shape[1])
+    gates: list[np.ndarray] = []
+    value, activations, _ = _layers(params, check_shape("input", x, (params.weights[0].shape[0],)), gates)
     dot = np.matmul if 1 in params.weights[0].shape else np.ndarray.dot
     if out is None:
         out = [np.empty_like(w) for w in params.weights]
-    # delta_h = d(output) / d(pre-activation of layer h)
-    delta = scale * (pre_activations[-1] > 0.0) * params.sign_vector
+    # delta_h = d(output) / d(pre-activation of layer h): delta_H = gate_H * b, delta_{h-1} = (W_h delta_h) * gate_{h-1}
+    delta = gates[-1] * params.sign_vector
     for h in range(len(params.weights) - 1, -1, -1):
         np.multiply(activations[h][:, None], delta, out=out[h])
         if h > 0:
             delta = dot(params.weights[h], delta)
-            delta *= scale * (pre_activations[h - 1] > 0.0)
+            delta *= gates[h - 1]
     return float(value), out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BALL_SLACK, ConfigError
 from .features import tabular_features
 from .linear_ac import run_linear_ac
 from .loop import SETTINGS, check_setting
@@ -197,7 +197,9 @@ class DiagCheck:
 
 
 # The columns diag_series_csv and diag_checks read.
-_DIAG_COLUMNS = (*_SERIES_SOURCE.values(), "k", "cum_regret", "a_resid", "kl_to_opt", "eps_c_sup", "eps_a")
+_DIAG_COLUMNS = (
+    *_SERIES_SOURCE.values(), "k", "cum_regret", "a_resid", "kl_to_opt", "eps_c_sup", "eps_a", "critic_norm"
+)
 
 
 def diag_checks(trace: RunTrace) -> list[DiagCheck]:
@@ -229,9 +231,9 @@ def diag_checks(trace: RunTrace) -> list[DiagCheck]:
     theta_kl, kl_to_opt = col["theta_kl"], col["kl_to_opt"]
     within = np.abs(np.cumsum(theta_kl) - (theta_kl[0] + kl_to_opt[0] - kl_to_opt)) <= 1e-9
     check("kl-telescoping", within, lambda k: f"telescoped KL mismatch at row k={k}")
-    if params["algorithm"] == "linear_exact":
-        eps_sup = col["eps_c_sup"]
-        within = (0.0 <= eps_sup) & (eps_sup <= 1e-9)
+    if params["algorithm"] == "linear_exact":  # a critic the ball clipped is not its Bellman target, so eps_c > 0
+        eps_sup, norm, edge = col["eps_c_sup"], col["critic_norm"], params["R"] * (1.0 - BALL_SLACK)
+        within = (norm >= edge) | (norm < edge) & (0.0 <= eps_sup) & (eps_sup <= 1e-9)  # a NaN norm fails both
         check("exact-critic-eps-c", within, lambda k: f"eps_c sup norm {eps_sup[k]:.3e} at row k={k} outside [0, 1e-9]")
     if "gamma" in params:  # the per-row bound of the paper's regret ledger; a trace without gamma predates it
         gamma, beta, gap = params["gamma"], params["beta"], col["gap"]
@@ -259,6 +261,8 @@ def diag_command(trace_dir) -> tuple[list[DiagCheck], Path]:
     gamma, beta = params.get("gamma", 0.0), params.get("beta") if "gamma" in params else 1.0  # no gamma: an older trace
     if not (type(gamma) in (int, float) and 0 <= gamma < 1 and type(beta) in (int, float) and beta > 0):
         raise ConfigError(f"{manifest_path}: 'params' needs 'gamma' in [0, 1) and 'beta' > 0, got {gamma!r}, {beta!r}")
+    if not (type(params.get("R")) in (int, float) and params["R"] >= 0):
+        raise ConfigError(f"{manifest_path}: 'params' needs a number 'R' >= 0, got {params.get('R')!r}")
     missing = next((c for c in _DIAG_COLUMNS if c not in trace.columns), None)
     if missing is not None:
         raise ConfigError(f"{csv_path}: missing column {missing!r}")

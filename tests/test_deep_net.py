@@ -1,3 +1,6 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +24,7 @@ from conftest import (
     D1_CASE,
     M1_CASE,
     kinky_network,
+    one_term_case,
     reference_gradient,
     reference_layers,
     reference_project_ball_inplace,
@@ -171,6 +175,14 @@ class TestGradient:
         _, grads = gradient(p, np.array([1.0]))
         np.testing.assert_allclose(grads[0], [[1.0]])
 
+    def test_nan_input_gives_a_nan_value_and_nan_gradients(self):
+        # A NaN pre-activation opens a NaN gate, so every delta, and with it every gradient entry, is NaN.
+        p = init_params(4, 8, 2, seed=0)
+        x = np.array([np.nan, 0.5, -0.5, 0.5])
+        value, grads = gradient(p, x)
+        assert math.isnan(value) and math.isnan(forward(p, x)[0])
+        assert all(np.isnan(g).all() for g in grads)
+
     @pytest.mark.parametrize("d,m,H", FD_MATRIX)
     def test_matches_central_finite_differences(self, d, m, H):
         rng = np.random.default_rng(100 + d)
@@ -292,6 +304,25 @@ def as_bytes(arrays_):
     return [np.asarray(a).tobytes() for a in arrays_]
 
 
+# A d = 2, m = 4, H = 3 network whose pre-activations hit +0.0, +inf and -inf at every layer, and none is NaN.
+# The input (1, 1) gives (+0, inf, -inf, 2) at layer 1 and (inf, -inf, inf, -inf) at layers 2 and 3; the input
+# (-1, 1) gives (+0, -inf, -inf, +0) and then +0.0 throughout.  No product of these operands gives -0.0: the BLAS
+# sums start from +0.0 and ``@`` adds +0.0 to a one-term sum, so a -0.0 gate is pinned by the identity test below.
+_LATER = [[-1.0, 1.0, -1.0, 1.0], *[[1.0, -1.0, 1.0, -1.0]] * 3]
+GATE_EDGE_CASE = one_term_case(
+    [[[0.0, math.inf, 0.0, 1.0], [0.0, 0.0, -math.inf, 1.0]], _LATER, [[1.0, -1.0, 1.0, -1.0]] * 4],
+    [1.0, -1.0, 1.0, -1.0],
+    [[1.0, 1.0], [-1.0, 1.0]],
+)
+
+
+def test_float_gate_has_the_bool_gate_bits():
+    # The identity the lean backprop rests on: heaviside(z, 0) * scale is scale * (z > 0), bit for bit.
+    z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf])
+    scale = 1.0 / math.sqrt(32)
+    assert (np.heaviside(z, 0.0) * scale).tobytes() == (scale * (z > 0.0)).tobytes()
+
+
 class TestLeanStepMatchesReference:
     """The lean gradient, layer pass and projection give the pre-change forms' bits, signed zeros included."""
 
@@ -299,24 +330,28 @@ class TestLeanStepMatchesReference:
     @given(kinky_network())
     @example(M1_CASE)
     @example(D1_CASE)
+    @example(GATE_EDGE_CASE)
     def test_gradient_and_outputs(self, case):
         params, xs = case
-        for x in xs:
-            value, grads = gradient(params, x)
-            ref_value, ref_grads = reference_gradient(params, x)
-            assert as_bytes([value, *grads]) == as_bytes([ref_value, *ref_grads])
-            value, activations, pre_activations = forward(params, x)
-            _, ref_activations, ref_pre_activations = reference_layers(params, x)
-            assert as_bytes([value, *activations, *pre_activations]) == as_bytes(
-                [ref_value, *ref_activations, *ref_pre_activations]
-            )
-            # Written into NaN-filled buffers, every entry is overwritten and the buffers themselves come back.
-            buffers = [np.full_like(w, np.nan) for w in params.weights]
-            layers = list(buffers)
-            value, written = gradient(params, x, buffers)
-            assert written is buffers and all(a is b for a, b in zip(written, layers))
-            assert as_bytes([value, *written]) == as_bytes([ref_value, *ref_grads])
-        assert forward_many(params, xs).tobytes() == reference_layers(params, xs)[0].tobytes()
+        # The infinite weights of GATE_EDGE_CASE give inf * 0 products; the drawn networks are finite.
+        finite = all(np.isfinite(w).all() for w in params.weights)
+        with contextlib.nullcontext() if finite else np.errstate(invalid="ignore"):
+            for x in xs:
+                value, grads = gradient(params, x)
+                ref_value, ref_grads = reference_gradient(params, x)
+                assert as_bytes([value, *grads]) == as_bytes([ref_value, *ref_grads])
+                value, activations, pre_activations = forward(params, x)
+                _, ref_activations, ref_pre_activations = reference_layers(params, x)
+                assert as_bytes([value, *activations, *pre_activations]) == as_bytes(
+                    [ref_value, *ref_activations, *ref_pre_activations]
+                )
+                # Written into NaN-filled buffers, every entry is overwritten and the buffers themselves come back.
+                buffers = [np.full_like(w, np.nan) for w in params.weights]
+                layers = list(buffers)
+                value, written = gradient(params, x, buffers)
+                assert written is buffers and all(a is b for a, b in zip(written, layers))
+                assert as_bytes([value, *written]) == as_bytes([ref_value, *ref_grads])
+            assert forward_many(params, xs).tobytes() == reference_layers(params, xs)[0].tobytes()
 
     @PROPERTY
     @given(kinky_network(), st.sampled_from(["zero", "tight", "loose"]), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))

@@ -697,6 +697,40 @@ class TestCliDiag:
         cause = f"'params' needs 'gamma' in [0, 1) and 'beta' > 0, got {shown}"
         assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
 
+    @pytest.mark.parametrize(
+        "R, shown", [("1", "'1'"), (-1.0, "-1.0"), (None, "None"), (True, "True"), (float("nan"), "nan")],
+        ids=["string", "negative", "null", "bool", "nan"],
+    )
+    def test_bad_radius_exits_2_naming_file(self, tmp_path, capsys, R, shown):
+        trace_dir = self._fresh_trace_dir(tmp_path)
+        manifest = trace_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "params": {**doc["params"], "R": R}}))
+        assert main(["diag", "--trace", str(trace_dir)]) == 2
+        cause = f"'params' needs a number 'R' >= 0, got {shown}"
+        assert capsys.readouterr().err == f"sstac: error: config: {manifest}: {cause}\n"
+
+    def test_critic_clipped_by_the_ball_passes_the_exact_critic_check(self, tmp_path, capsys):
+        # At R = 1e-3 the ball clips every critic step on gridworld5, so eps_c is about 0.0995 on every row.
+        config = tmp_path / "clipped.json"
+        config.write_text(json.dumps({"mdp": "gridworld5", "algorithm": "linear_exact", "K": 4, "R": 1e-3}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+        trace_dir = tmp_path / "runs" / "linear_exact-gridworld5-K4-seed0"
+        capsys.readouterr()
+        assert main(["diag", "--trace", str(trace_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [f"PASS {name}" for name in DIAG_CHECK_NAMES]
+        # The same row read as unclipped (its norm below R) is checked, and its eps_c fails.
+        csv_path = trace_dir / "trace.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[4].split(",")
+        assert float(cells[GOLDEN_COLUMNS.index("eps_c_sup")]) > 0.09
+        cells[GOLDEN_COLUMNS.index("critic_norm")] = "0.0005"
+        lines[4] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["diag", "--trace", str(trace_dir)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL exact-critic-eps-c: eps_c sup norm 9.950e-02 at row k=3 outside [0, 1e-9]"]
+
     def test_python_api_trace_gets_every_check(self, tmp_path, capsys):
         # A trace saved without the CLI has no config section; diag reads K and the algorithm from params.
         trace = run_linear_ac(chain2(), tabular_features(2, 2), 8, mode="exact")
@@ -774,6 +808,7 @@ CHECKS_OF_COLUMN = {
     "eps_c_sup": ["exact-critic-eps-c"],
     "e_sup": ["regret-bound"],
     "eps_a": ["regret-bound"],
+    "critic_norm": ["exact-critic-eps-c"],
 }
 
 
